@@ -342,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--biclosed",
         action="store_true",
-        help="sweep two-sided-closed subsets and match them to the group",
+        help="find the two-sided-closed subsets and match them to the group",
     )
     add_common(p)
     p.set_defaults(func=_cmd_weyl)

@@ -1,4 +1,4 @@
-"""Weyl-group elements, cosets, and the two-sided-closed subset sweep.
+"""Weyl-group elements, cosets, and the two-sided-closed subset search.
 
 An element is stored as the signed permutation it induces on the
 positive-root indices: entry k is the image index of positive root k,
@@ -10,6 +10,13 @@ Reduced words are a derived artifact: the canonical word of an element
 repeatedly strips its smallest right descent, and any input word is
 accepted and canonicalized on construction.  Words use 1-based simple
 indices.
+
+The biclosed subsets of the positive roots (closed, with a closed
+complement) are found by a depth-first search that decides the roots in
+index order and prunes a branch as soon as a decided sum triple breaks
+closure on either side.  Because the biclosed sets are exactly the
+kept-positive sets of the group elements (Papi 1994; Dyer), the search
+visits about |W| leaves instead of all 2**|positive roots| subsets.
 """
 
 from __future__ import annotations
@@ -17,13 +24,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
-from catx import kernels
 from catx.errors import InputError, ResourceGuardError
-from catx.rootsystem import Root, RootSystem
-
-# Brute-force biclosed sweeps stop here unless overridden; 24 positive
-# roots is the largest default workload (2**24 masks).
-BICLOSED_ROOT_GUARD = 24
+from catx.rootsystem import WEYL_ORDER_GUARD, Root, RootSystem
 
 
 def _flip(signed: int) -> int:
@@ -240,7 +242,7 @@ def enumerate_weyl(
     expected size is known in closed form before any enumeration runs.
     """
     order = rs.cartan_type.weyl_order()
-    if order > 10**7 and not allow_large:
+    if order > WEYL_ORDER_GUARD and not allow_large:
         raise ResourceGuardError(
             f"Weyl group of {rs.cartan_type} has {order} elements; "
             "pass allow_large=True to enumerate anyway"
@@ -326,27 +328,50 @@ def coset_minimize(w: WeylElement, subset: Iterable[int]) -> WeylElement:
         cur = cur * WeylElement.simple_reflection(rs, min(down))
 
 
+def _biclosed_masks(n: int, triples: Sequence[tuple[int, int, int]]) -> list[int]:
+    """Masks X over n bits with X and its complement both closed, ascending.
+
+    A triple (i, j, k) records root_i + root_j = root_k.  Bits are decided
+    in index order, and each triple is checked once its largest index is
+    decided: with all three bits known, X breaks it exactly when it holds
+    i and j but not k, and the complement breaks it exactly when X holds
+    k but neither i nor j.
+    """
+    by_top: list[list[tuple[int, tuple[int, int]]]] = [[] for _ in range(n)]
+    for i, j, k in triples:
+        pair, top = (1 << i) | (1 << j), 1 << k
+        by_top[max(i, j, k)].append((pair | top, (pair, top)))
+    out: list[int] = []
+
+    def extend(bit: int, mask: int) -> None:
+        if bit == n:
+            out.append(mask)
+            return
+        for m in (mask, mask | 1 << bit):
+            if not any(m & trio in bad for trio, bad in by_top[bit]):
+                extend(bit + 1, m)
+
+    extend(0, 0)
+    return sorted(out)
+
+
 def enumerate_biclosed(
     rs: RootSystem, *, allow_large: bool = False
 ) -> list[tuple[frozenset[Root], Optional[WeylElement]]]:
     """All subsets of the positive roots closed on both sides.
 
-    Sweeps every subset by brute force (the selected kernel backend does
-    the mask loop) and pairs each survivor with the group element whose
-    preserved-root set equals it, when one exists.  The theory says the
-    witness always exists; the sweep does not assume it.
+    The group is enumerated first, so its order guard refuses oversize
+    inputs before any search runs.  The closure search then finds every
+    biclosed set on its own, and each one is paired with the group
+    element whose preserved-root set equals it, or with None.  The
+    theory says the witness always exists; the search does not assume it.
+    Sets come in increasing order of their root-index bitmask.
     """
-    n = len(rs.positive_roots)
-    if n > BICLOSED_ROOT_GUARD and not allow_large:
-        raise ResourceGuardError(
-            f"{rs.cartan_type} has {n} positive roots, beyond the sweep guard "
-            f"({BICLOSED_ROOT_GUARD}); pass allow_large=True to sweep anyway"
-        )
-    masks = kernels.biclosed_masks(n, rs.sum_triples())
     witness = {w.plus_mask: w for w in enumerate_weyl(rs, allow_large=allow_large)}
     roots = rs.positive_roots
+    n = len(roots)
     out = []
-    for mask in masks:
+    for mask in _biclosed_masks(n, rs.sum_triples()):
         members = frozenset(roots[k] for k in range(n) if mask & (1 << k))
         out.append((members, witness.get(mask)))
     return out

@@ -4,6 +4,7 @@ from catx.errors import InputError, ResourceGuardError
 from catx.rootsystem import build_root_system
 from catx.weyl import (
     WeylElement,
+    _biclosed_masks,
     coset_minimize,
     descent_set,
     element_from_word,
@@ -159,10 +160,62 @@ def test_biclosed_matches_group_order():
             assert w.preserved_roots() == members
 
 
+def _brute_force_biclosed(n, triples):
+    """Reference sweep: every mask whose set and complement are closed."""
+    full = (1 << n) - 1
+    bits = [(1 << i | 1 << j, 1 << k) for i, j, k in triples]
+    return [
+        mask
+        for mask in range(full + 1)
+        if not any(
+            side & pair == pair and not side & top
+            for pair, top in bits
+            for side in (mask, full ^ mask)
+        )
+    ]
+
+
+def _masks(rs, pairs):
+    return [sum(1 << rs.positive_index(r) for r in members) for members, _ in pairs]
+
+
+def test_biclosed_search_tiny_hand_cases():
+    for search in (_biclosed_masks, _brute_force_biclosed):
+        # two roots, no sums: every subset is biclosed
+        assert search(2, ()) == [0, 1, 2, 3]
+        # roots 0 and 1 sum to root 2: {0,1} misses the sum, and {2}
+        # leaves the complement {0,1} missing it
+        assert search(3, ((0, 1, 2),)) == [0, 1, 2, 5, 6, 7]
+
+
+# every type with at most 16 positive roots
+@pytest.mark.parametrize(
+    "name", ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "C4", "D4", "G2"]
+)
+def test_biclosed_matches_brute_force_oracle(name):
+    rs = build_root_system(name)
+    ref = _brute_force_biclosed(len(rs.positive_roots), rs.sum_triples())
+    assert _masks(rs, enumerate_biclosed(rs)) == ref
+    assert len(ref) == rs.cartan_type.weyl_order()
+
+
+def test_biclosed_rank_five_counts():
+    for name, order in (("B5", 3840), ("D5", 1920)):
+        rs = build_root_system(name)
+        pairs = enumerate_biclosed(rs)
+        assert len(pairs) == order, name
+        masks = _masks(rs, pairs)
+        assert masks == sorted(set(masks)), name
+        for members, w in pairs:
+            assert w is not None and w.preserved_roots() == members, name
+
+
 def test_biclosed_guard():
-    # B5 has 25 positive roots, above the sweep bound
+    # E8 builds under allow_large, but its group order is beyond the
+    # enumeration guard, which refuses before any search runs
+    rs = build_root_system("E8", allow_large=True)
     with pytest.raises(ResourceGuardError):
-        enumerate_biclosed(build_root_system("B5"))
+        enumerate_biclosed(rs)
 
 
 def test_enumerate_weyl_rejects_cross_system_products():
