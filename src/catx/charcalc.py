@@ -18,10 +18,9 @@ subtracting one simple character per step.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 from catx.errors import InputError
 from catx.rootsystem import RootSystem
@@ -202,40 +201,44 @@ class ModuleCharacter:
 # the strict order on weights
 
 
+def _kept_images(a: Weight, t: TwistedCharacter) -> Iterator[int]:
+    """Kept-root bitmask of a under each element that carries a's twist
+    to t and keeps those roots positive.
+
+    The elements are w_t u w_a^{-1} for u in the stabilizer subgroup of
+    a's character; an element sending a kept root negative yields
+    nothing.  Lazy, so a caller can stop at the first useful image.
+    """
+    va = a.v
+    kept_a = [k for k, j in enumerate(va.perm) if j >= 0]
+    w_a = a.tchar.coset_rep
+    w_t = t.coset_rep
+    w_a_inv = w_a.inverse()
+    both_trivial = w_a.is_identity and w_t.is_identity
+    for u in weyl_subgroup(va.rs, a.tchar.base.itheta):
+        perm = (u if both_trivial else w_t * (u * w_a_inv)).perm
+        image = 0
+        for k in kept_a:
+            j = perm[k]
+            if j < 0:
+                break
+            image |= 1 << j
+        else:
+            yield image
+
+
 @lru_cache(maxsize=None)
 def weight_lt(a: Weight, b: Weight) -> bool:
     """Strict order: some twist-compatible element carries a's kept-root
     set into a proper subset of b's, staying inside the positive roots.
 
-    The search runs over the whole coset of elements matching the
-    twists; any image root falling outside the positive roots fails
-    that element.  A proper subset forces a's kept set to be smaller,
-    so unequal lengths are a cheap necessary precheck.
+    A proper subset forces a's kept set to be smaller, so unequal
+    lengths are a cheap necessary precheck.
     """
-    if a.tchar.base != b.tchar.base:
+    if a.tchar.base != b.tchar.base or a.v.length <= b.v.length:
         return False
-    va, vb = a.v, b.v
-    if va.length <= vb.length:
-        return False
-    rs = va.rs
-    kept_a = [k for k, j in enumerate(va.perm) if j >= 0]
-    mask_b = vb.plus_mask
-    w_a = a.tchar.coset_rep
-    w_b = b.tchar.coset_rep
-    w_a_inv = w_a.inverse()
-    both_trivial = w_a.is_identity and w_b.is_identity
-    for u in weyl_subgroup(rs, a.tchar.base.itheta):
-        x_inv = u if both_trivial else w_b * (u * w_a_inv)
-        perm = x_inv.perm
-        ok = True
-        for k in kept_a:
-            j = perm[k]
-            if j < 0 or not mask_b & (1 << j):
-                ok = False
-                break
-        if ok:
-            return True
-    return False
+    outside_b = ~b.v.plus_mask
+    return any(not image & outside_b for image in _kept_images(a, b.tchar))
 
 
 # ----------------------------------------------------------------------
@@ -550,86 +553,80 @@ def weight_universe(rs: RootSystem, theta: FormalCharacter) -> tuple[Weight, ...
     return tuple(sorted(seen, key=weight_sort_key))
 
 
-def order_axiom_records(
-    rs: RootSystem,
-    theta: FormalCharacter,
-    *,
-    seed: int = 1729,
-    sample_triples: int = 10000,
-) -> list[dict]:
-    """Irreflexivity and transitivity of the weight order on the sweep
-    universe of theta.
+def _order_rows(universe: tuple[Weight, ...]) -> list[int]:
+    """The weight order on a universe of weights over one character, as
+    one bitset row per weight: bit b of row a is set exactly when
+    weight_lt(universe[a], universe[b]).
 
-    Rank at most 2 is checked exhaustively via the full relation
-    digraph; higher ranks draw seeded random triples (at least the
-    requested count) and additionally complete every related pair found
-    into triples.
+    The kept-root images of a are computed once per twist and tested
+    against every shorter weight of that twist.
     """
-    universe = weight_universe(rs, theta)
-    params = {"type": str(rs.cartan_type), "itheta": sorted(theta.itheta)}
-    records = []
+    by_twist: dict[TwistedCharacter, list[tuple[int, int, int]]] = {}
+    for b, w in enumerate(universe):
+        by_twist.setdefault(w.tchar, []).append((b, w.v.length, w.v.plus_mask))
+    rows = []
+    for a in universe:
+        length_a = a.v.length
+        row = 0
+        for t, group in by_twist.items():
+            shorter = [(b, plus) for b, length, plus in group if length < length_a]
+            if not shorter:
+                continue
+            images = set(_kept_images(a, t))
+            for b, plus in shorter:
+                if any(not image & ~plus for image in images):
+                    row |= 1 << b
+        rows.append(row)
+    return rows
 
-    refl = [w for w in universe if weight_lt(w, w)]
-    records.append(
+
+def _order_verdict(
+    universe: tuple[Weight, ...], rows: list[int], params: dict
+) -> list[dict]:
+    """Irreflexivity and transitivity records of a bitset relation.
+
+    Irreflexive means no diagonal bit.  Transitive means row b lies
+    inside row a for every b in row a (Warshall's bitset form); the
+    first failing chain a < b < c in universe order is the witness,
+    a == c included.  Every chain a < b < c is counted.
+    """
+    n = len(universe)
+    refl = [universe[a] for a in range(n) if rows[a] >> a & 1]
+    violation = None
+    checked = 0
+    for a in range(n):
+        for b in range(n):
+            if not rows[a] >> b & 1:
+                continue
+            checked += rows[b].bit_count()
+            missing = rows[b] & ~rows[a]
+            if missing and violation is None:
+                c = (missing & -missing).bit_length() - 1
+                violation = (universe[a], universe[b], universe[c])
+    return [
         {
             "check": "order-irreflexive",
             "params": dict(params),
             "passed": not refl,
             "counterexample": {"weight": repr(refl[0])} if refl else None,
-        }
-    )
-
-    n = len(universe)
-    violations: list[tuple[Weight, Weight, Weight]] = []
-    checked = 0
-    if rs.rank <= 2:
-        rel = {
-            (a, b)
-            for a in universe
-            for b in universe
-            if a != b and weight_lt(a, b)
-        }
-        succ: dict[Weight, list[Weight]] = {}
-        for a, b in rel:
-            succ.setdefault(a, []).append(b)
-        for a, b in rel:
-            for c in succ.get(b, ()):
-                checked += 1
-                if (a, c) not in rel and a != c:
-                    violations.append((a, b, c))
-        mode = "exhaustive"
-    else:
-        rng = random.Random(seed)
-        found_pairs: set[tuple[Weight, Weight]] = set()
-        for _ in range(sample_triples):
-            a, b, c = (universe[rng.randrange(n)] for _ in range(3))
-            checked += 1
-            if weight_lt(a, b):
-                found_pairs.add((a, b))
-                if weight_lt(b, c):
-                    found_pairs.add((b, c))
-                    if a != c and not weight_lt(a, c):
-                        violations.append((a, b, c))
-        # complete discovered chains: every related pair extended by a
-        # third sampled endpoint
-        for a, b in sorted(found_pairs, key=lambda p: (weight_sort_key(p[0]), weight_sort_key(p[1]))):
-            for c in universe:
-                if weight_lt(b, c):
-                    checked += 1
-                    if a != c and not weight_lt(a, c):
-                        violations.append((a, b, c))
-        mode = f"sampled({sample_triples})+chain-completion"
-    records.append(
+        },
         {
             "check": "order-transitive",
-            "params": {**params, "mode": mode, "triples_checked": checked},
-            "passed": not violations,
+            "params": {**params, "mode": "exhaustive", "triples_checked": checked},
+            "passed": violation is None,
             "counterexample": (
-                {"triple": [repr(x) for x in violations[0]]} if violations else None
+                None if violation is None else {"triple": [repr(x) for x in violation]}
             ),
-        }
-    )
-    return records
+        },
+    ]
+
+
+def order_axiom_records(rs: RootSystem, theta: FormalCharacter) -> list[dict]:
+    """Irreflexivity and transitivity of the weight order on the sweep
+    universe of theta, checked exhaustively on its bitset relation."""
+    universe = weight_universe(rs, theta)
+    params = {"type": str(rs.cartan_type), "itheta": sorted(theta.itheta)}
+    return _order_verdict(universe, _order_rows(universe), params)
 
 
 def successive_weight_diagnostic(

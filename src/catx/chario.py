@@ -183,7 +183,7 @@ def module_dumps(module: AlgebraModule) -> str:
     return json.dumps(module_to_json(module), indent=2) + "\n"
 
 
-def module_from_json(data: dict) -> AlgebraModule:
+def module_from_json(data: dict, *, allow_large: bool = False) -> AlgebraModule:
     if not isinstance(data, dict):
         raise InputError("module payload must be a JSON object")
     missing = {"n", "dims", "maps"} - set(data)
@@ -192,7 +192,7 @@ def module_from_json(data: dict) -> AlgebraModule:
     n = data["n"]
     if not isinstance(n, int):
         raise InputError("n must be an int")
-    algebra = build_incidence_algebra(n)
+    algebra = build_incidence_algebra(n, allow_large=allow_large)
     if not isinstance(data["dims"], dict) or not isinstance(data["maps"], dict):
         raise InputError("dims and maps must be objects")
     dims = {}
@@ -216,9 +216,9 @@ def module_from_json(data: dict) -> AlgebraModule:
     return AlgebraModule(algebra, dims, maps)
 
 
-def module_loads(text: str) -> AlgebraModule:
+def module_loads(text: str, *, allow_large: bool = False) -> AlgebraModule:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON: {exc}") from exc
-    return module_from_json(data)
+    return module_from_json(data, allow_large=allow_large)

@@ -231,7 +231,6 @@ def _cmd_verify(args) -> int:
         itheta_mode=args.itheta_mode,
         max_rank=args.max_rank,
         seed=args.seed,
-        sample_triples=args.sample_triples,
         jprime_convention=args.jprime_convention,
         theta_label=args.theta_label,
         allow_large=args.allow_large,
@@ -257,12 +256,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_algebra(args) -> int:
-    a = build_incidence_algebra(args.n)
+    a = build_incidence_algebra(args.n, allow_large=args.allow_large)
     _, series = algebra_radical(a)
     cartan, ext1 = cartan_and_ext(a)
     heredity = heredity_chain_check(a)
     if args.module:
-        module = module_loads(_read_in(args.module))
+        module = module_loads(_read_in(args.module), allow_large=args.allow_large)
         if module.algebra.n != a.n:
             raise InputError(
                 f"module file is over n={module.algebra.n}, but --n says {a.n}"
@@ -271,7 +270,9 @@ def _cmd_algebra(args) -> int:
     else:
         module = regular_module(a)
         source = "regular module"
-    parts = krull_schmidt_decompose(a, module, seed=args.seed)
+    parts = krull_schmidt_decompose(
+        a, module, seed=args.seed, allow_large=args.allow_large
+    )
     if args.json:
         payload = {
             "n": a.n,
@@ -383,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--itheta-mode", choices=ITHETA_MODES, default=ITHETA_MODES[0])
     p.add_argument("--max-rank", type=int, default=3)
     p.add_argument("--seed", type=int, default=1729)
-    p.add_argument("--sample-triples", type=int, default=10000)
     p.add_argument(
         "--jprime-convention",
         choices=JPRIME_CONVENTIONS,

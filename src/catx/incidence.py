@@ -49,12 +49,13 @@ def all_subsets(n: int) -> tuple[Subset, ...]:
 class IncidenceAlgebra:
     """Matrix-unit presentation of the Boolean-lattice incidence algebra."""
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, *, allow_large: bool = False):
         if not isinstance(n, int) or n < 0:
             raise InputError("ground-set size must be a non-negative int")
-        if n > ALGEBRA_SIZE_GUARD:
+        if n > ALGEBRA_SIZE_GUARD and not allow_large:
             raise ResourceGuardError(
-                f"ground-set size {n} beyond the guard ({ALGEBRA_SIZE_GUARD})"
+                f"ground-set size {n} beyond the guard ({ALGEBRA_SIZE_GUARD}); "
+                "pass allow_large=True to build anyway"
             )
         self.n = n
         self.subsets = all_subsets(n)
@@ -82,8 +83,8 @@ class IncidenceAlgebra:
         return f"IncidenceAlgebra(n={self.n}, dim={self.dim})"
 
 
-def build_incidence_algebra(n: int) -> IncidenceAlgebra:
-    return IncidenceAlgebra(n)
+def build_incidence_algebra(n: int, *, allow_large: bool = False) -> IncidenceAlgebra:
+    return IncidenceAlgebra(n, allow_large=allow_large)
 
 
 def _pair_product(s: Iterable[Pair], t: Iterable[Pair]) -> set[Pair]:
@@ -761,7 +762,11 @@ def _split_recursive(
 
 
 def krull_schmidt_decompose(
-    a: IncidenceAlgebra, m: AlgebraModule, seed: int = DEFAULT_SEED
+    a: IncidenceAlgebra,
+    m: AlgebraModule,
+    seed: int = DEFAULT_SEED,
+    *,
+    allow_large: bool = False,
 ) -> list[tuple[AlgebraModule, int, bool]]:
     """Indecomposable summands with multiplicities and local certificates.
 
@@ -775,9 +780,10 @@ def krull_schmidt_decompose(
     """
     if m.algebra.n != a.n:
         raise InputError("module does not live over the given algebra")
-    if m.total_dim > MODULE_DIM_GUARD:
+    if m.total_dim > MODULE_DIM_GUARD and not allow_large:
         raise ResourceGuardError(
-            f"module dimension {m.total_dim} beyond the guard ({MODULE_DIM_GUARD})"
+            f"module dimension {m.total_dim} beyond the guard ({MODULE_DIM_GUARD}); "
+            "pass allow_large=True to split anyway"
         )
     rng = random.Random(seed)
     pieces: list[tuple[AlgebraModule, bool]] = []

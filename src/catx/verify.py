@@ -39,7 +39,7 @@ from catx.weyl import enumerate_biclosed
 
 CHECKS = ("biclosed", "filtration", "order-axioms", "algebra")
 ITHETA_MODES = ("all-subsets", "full-only")
-REPORT_SCHEMA_ID = "catx-report-1"
+REPORT_SCHEMA_ID = "catx-report-2"
 
 ALGEBRA_DIM_MAX = 6
 ALGEBRA_CARTAN_MAX = 5
@@ -71,7 +71,6 @@ class SuiteConfig:
     itheta_mode: str = "all-subsets"
     max_rank: int = 3
     seed: int = 1729
-    sample_triples: int = 10000
     jprime_convention: str = "itheta-minus-j"
     theta_label: str = "theta"
     allow_large: bool = False
@@ -176,12 +175,7 @@ def _order_records(cfg: SuiteConfig) -> list[dict]:
         rs = build_root_system(t, allow_large=cfg.allow_large)
         for itheta in _itheta_sets(rs.rank, cfg.itheta_mode):
             theta = FormalCharacter(cfg.theta_label, itheta)
-            _timed(
-                records,
-                lambda rs=rs, theta=theta: order_axiom_records(
-                    rs, theta, seed=cfg.seed, sample_triples=cfg.sample_triples
-                ),
-            )
+            _timed(records, lambda rs=rs, theta=theta: order_axiom_records(rs, theta))
     return records
 
 

@@ -215,24 +215,6 @@ def _normalize_subset(rs: RootSystem, subset: Iterable[int]) -> frozenset[int]:
     return j
 
 
-@lru_cache(maxsize=None)
-def _enumerate_cached(rs: RootSystem) -> tuple[WeylElement, ...]:
-    gens = [WeylElement.simple_reflection(rs, i) for i in rs.simple_indices]
-    identity = WeylElement.identity(rs)
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for s in gens:
-                v = w * s
-                if v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-        frontier = nxt
-    return tuple(sorted(seen, key=_element_sort_key))
-
-
 def enumerate_weyl(
     rs: RootSystem, *, allow_large: bool = False
 ) -> tuple[WeylElement, ...]:
@@ -247,7 +229,7 @@ def enumerate_weyl(
             f"Weyl group of {rs.cartan_type} has {order} elements; "
             "pass allow_large=True to enumerate anyway"
         )
-    elements = _enumerate_cached(rs)
+    elements = _subgroup_cached(rs, frozenset(rs.simple_indices))
     if len(elements) != order:
         raise AssertionError(
             f"{rs.cartan_type}: enumerated {len(elements)} elements, expected {order}"

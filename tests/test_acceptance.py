@@ -129,14 +129,10 @@ def test_criterion_5_order_axioms_hold_on_the_weight_universe():
         rs = build_root_system(name)
         for itheta in subsets_of(rs.simple_indices):
             theta = FormalCharacter("theta", itheta)
-            records = order_axiom_records(rs, theta, seed=1729, sample_triples=10000)
+            records = order_axiom_records(rs, theta)
             for rec in records:
                 assert rec["passed"], (name, sorted(itheta), rec)
-            mode = records[1]["params"]["mode"]
-            if rs.rank <= 2:
-                assert mode == "exhaustive", name
-            else:
-                assert records[1]["params"]["triples_checked"] >= 10000, name
+            assert records[1]["params"]["mode"] == "exhaustive", name
 
 
 def test_criterion_6_incidence_algebra_invariants():

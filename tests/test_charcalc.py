@@ -18,10 +18,12 @@ from catx.charcalc import (
     verify_filtration,
     weight_lt,
     weight_universe,
+    _order_rows,
+    _order_verdict,
 )
 from catx.errors import InputError
 from catx.rootsystem import build_root_system
-from catx.weyl import WeylElement, element_from_word
+from catx.weyl import WeylElement, element_from_word, weyl_subgroup
 
 
 def theta_for(rs, itheta):
@@ -258,11 +260,102 @@ def test_order_axiom_records():
     assert all(r["passed"] for r in records)
     assert records[1]["params"]["mode"] == "exhaustive"
     rs3 = build_root_system("A3")
-    th3 = theta_for(rs3, [1, 2, 3])
-    records3 = order_axiom_records(rs3, th3, seed=7, sample_triples=500)
+    records3 = order_axiom_records(rs3, theta_for(rs3, [1, 2, 3]))
     assert all(r["passed"] for r in records3)
-    assert records3[1]["params"]["mode"].startswith("sampled(500)")
-    assert records3[1]["params"]["triples_checked"] >= 500
+    assert records3[1]["params"]["mode"] == "exhaustive"
+
+
+def subsets_of(items):
+    out = [frozenset()]
+    for x in sorted(items):
+        out += [s | {x} for s in out]
+    return out
+
+
+def lt_from_definition(a, b):
+    """The strict order read off its definition: some w_b u w_a^{-1}, u in
+    the stabilizer subgroup, maps a's kept roots onto a proper subset of
+    b's kept roots."""
+    if a.tchar.base != b.tchar.base:
+        return False
+    kept_a = [k for k, j in enumerate(a.v.perm) if j >= 0]
+    kept_b = {k for k, j in enumerate(b.v.perm) if j >= 0}
+    wa_inv, wb = a.tchar.coset_rep.inverse(), b.tchar.coset_rep
+    for u in weyl_subgroup(a.v.rs, a.tchar.base.itheta):
+        x = wb * u * wa_inv
+        if {x.perm[k] for k in kept_a} < kept_b:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "C2", "G2", "A3", "B3", "C3"])
+def test_order_rows_match_the_pairwise_order(name):
+    rs = build_root_system(name)
+    for itheta in subsets_of(rs.simple_indices):
+        theta = theta_for(rs, itheta)
+        universe = weight_universe(rs, theta)
+        rows = _order_rows(universe)
+        lt = [[weight_lt(a, b) for b in universe] for a in universe]
+        assert rows == [
+            sum(1 << j for j, related in enumerate(row) if related) for row in lt
+        ], (name, sorted(itheta))
+        assert lt == [
+            [lt_from_definition(a, b) for b in universe] for a in universe
+        ], (name, sorted(itheta))
+        n = len(universe)
+        chains = sum(
+            1
+            for a in range(n)
+            for b in range(n)
+            if lt[a][b]
+            for c in range(n)
+            if lt[b][c]
+        )
+        params = order_axiom_records(rs, theta)[1]["params"]
+        assert params["triples_checked"] == chains, (name, sorted(itheta))
+
+
+def test_order_verdict_catches_a_reflexive_weight():
+    rs = build_root_system("A2")
+    universe = weight_universe(rs, theta_for(rs, [1, 2]))
+    rows = [0] * len(universe)
+    rows[2] = 1 << 2
+    refl, trans = _order_verdict(universe, rows, {})
+    assert not refl["passed"]
+    assert refl["counterexample"] == {"weight": repr(universe[2])}
+    assert trans["passed"]
+
+
+def test_order_verdict_names_the_first_broken_chain():
+    rs = build_root_system("A2")
+    universe = weight_universe(rs, theta_for(rs, [1, 2]))
+    rows = [0] * len(universe)
+    # broken chains 0 < 1 < 4, 0 < 1 < 5 and 0 < 3 < 2; the first in
+    # universe order is (0, 1, 4) even though 2 < 4
+    rows[0] = 1 << 1 | 1 << 3
+    rows[1] = 1 << 4 | 1 << 5
+    rows[3] = 1 << 2
+    refl, trans = _order_verdict(universe, rows, {})
+    assert refl["passed"]
+    assert not trans["passed"]
+    assert trans["counterexample"] == {
+        "triple": [repr(universe[k]) for k in (0, 1, 4)]
+    }
+    assert trans["params"] == {"mode": "exhaustive", "triples_checked": 3}
+
+
+def test_order_verdict_rejects_a_two_cycle():
+    rs = build_root_system("A2")
+    universe = weight_universe(rs, theta_for(rs, [1, 2]))
+    rows = [0] * len(universe)
+    rows[0] = 1 << 1
+    rows[1] = 1 << 0
+    refl, trans = _order_verdict(universe, rows, {})
+    assert refl["passed"]
+    assert not trans["passed"]
+    assert trans["counterexample"] == {
+        "triple": [repr(universe[k]) for k in (0, 1, 0)]
+    }
 
 
 def test_weight_universe():

@@ -194,6 +194,9 @@ def test_argparse_rejections(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["decompose", "--in", "x", "--tie-break", "7"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--sample-triples", "5"])  # the order check is exhaustive
+    assert exc.value.code == 2
     capsys.readouterr()
 
 
@@ -256,6 +259,21 @@ def test_algebra_module_file(capsys, tmp_path):
     assert [(s["total_dim"], s["multiplicity"]) for s in payload["summands"]] == [(4, 1)]
     code, _, err = run_cli(capsys, "algebra", "--n", "1", "--module", str(f))
     assert code == 2 and "over n=2" in err
+
+
+def test_algebra_allow_large_lifts_the_size_guard(capsys, tmp_path):
+    a = build_incidence_algebra(7, allow_large=True)
+    f = tmp_path / "simple.json"
+    f.write_text(module_dumps(interval_module(a, frozenset(), frozenset())))
+    code, _, err = run_cli(capsys, "algebra", "--n", "7", "--module", str(f))
+    assert code == 2 and "guard" in err
+    code, out, _ = run_cli(
+        capsys, "algebra", "--n", "7", "--module", str(f), "--allow-large", "--json"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["dim"] == 2187
+    assert [(s["total_dim"], s["multiplicity"]) for s in payload["summands"]] == [(1, 1)]
 
 
 def test_console_entry_point():

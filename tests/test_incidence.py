@@ -2,6 +2,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from catx import incidence
 from catx.errors import InputError, ResourceGuardError
 from catx.incidence import (
     AlgebraModule,
@@ -39,6 +40,7 @@ def test_algebra_guards():
         build_incidence_algebra(-1)
     with pytest.raises(ResourceGuardError):
         build_incidence_algebra(7)
+    assert build_incidence_algebra(7, allow_large=True).dim == 2187
 
 
 def test_mul_basis():
@@ -262,6 +264,23 @@ def test_krull_schmidt_determinism_and_guards():
     fat = AlgebraModule(a1, {E: 40, S1: 30})
     with pytest.raises(ResourceGuardError):
         krull_schmidt_decompose(a1, fat)
+
+
+def test_allow_large_lifts_the_module_guard(monkeypatch):
+    # splitting a module past the guard takes seconds (a 65-dimensional
+    # sum of two intervals at n = 6 takes 2.5 s), so the splitter is
+    # stubbed: the test shows only that the guard lets the module through
+    reached = []
+
+    def keep_whole(m, rng, out):
+        reached.append(m)
+        out.append((m, True))
+
+    monkeypatch.setattr(incidence, "_split_recursive", keep_whole)
+    a1 = build_incidence_algebra(1)
+    fat = AlgebraModule(a1, {E: 40, S1: 30})
+    assert krull_schmidt_decompose(a1, fat, allow_large=True) == [(fat, 1, True)]
+    assert reached == [fat]
 
 
 def test_simple_module_is_local():

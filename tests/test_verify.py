@@ -64,7 +64,7 @@ def test_run_suite_a1_all_checks():
 
 
 def test_run_suite_record_counts_rank2():
-    report = run_suite(SuiteConfig(max_rank=2, sample_triples=200))
+    report = run_suite(SuiteConfig(max_rank=2))
     assert len(report["records"]) == 217
     assert report["overall_status"] == "pass"
 
@@ -98,6 +98,9 @@ def test_report_matches_schema():
     bad.pop("overall_status")
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate(bad, schema)
+    stale = dict(report, config=dict(report["config"], sample_triples=10000))
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(stale, schema)
 
 
 def test_report_deterministic_modulo_timestamps():

@@ -70,6 +70,7 @@ def test_enumerate_weyl():
         assert elems[0].is_identity
         lengths = [w.length for w in elems]
         assert lengths == sorted(lengths)
+        assert elems == weyl_subgroup(rs, rs.simple_indices), name
 
 
 def test_longest_element_words():
