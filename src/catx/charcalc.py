@@ -19,8 +19,9 @@ subtracting one simple character per step.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Optional
+from functools import lru_cache, reduce
+from operator import and_
+from typing import Iterable, Mapping, Optional
 
 from catx.errors import InputError
 from catx.rootsystem import RootSystem
@@ -201,30 +202,20 @@ class ModuleCharacter:
 # the strict order on weights
 
 
-def _kept_images(a: Weight, t: TwistedCharacter) -> Iterator[int]:
-    """Kept-root bitmask of a under each element that carries a's twist
-    to t and keeps those roots positive.
+def _pulled_roots(a: Weight) -> list[int]:
+    """a's kept roots moved by w_a^{-1}, as numbers of the 2n roots
+    (see `WeylElement.image_bits`)."""
+    w_a_inv = a.tchar.coset_rep.inverse().image_bits
+    return [w_a_inv[k].bit_length() - 1 for k, j in enumerate(a.v.perm) if j >= 0]
 
-    The elements are w_t u w_a^{-1} for u in the stabilizer subgroup of
-    a's character; an element sending a kept root negative yields
-    nothing.  Lazy, so a caller can stop at the first useful image.
-    """
-    va = a.v
-    kept_a = [k for k, j in enumerate(va.perm) if j >= 0]
-    w_a = a.tchar.coset_rep
-    w_t = t.coset_rep
-    w_a_inv = w_a.inverse()
-    both_trivial = w_a.is_identity and w_t.is_identity
-    for u in weyl_subgroup(va.rs, a.tchar.base.itheta):
-        perm = (u if both_trivial else w_t * (u * w_a_inv)).perm
-        image = 0
-        for k in kept_a:
-            j = perm[k]
-            if j < 0:
-                break
-            image |= 1 << j
-        else:
-            yield image
+
+def _target_mask(b: Weight) -> int:
+    """The roots that b's twist w_b carries into b's kept set, as a mask
+    over the 2n roots numbered as in `WeylElement.image_bits`."""
+    plus = b.v.plus_mask
+    return sum(
+        1 << r for r, bit in enumerate(b.tchar.coset_rep.image_bits) if bit & plus
+    )
 
 
 @lru_cache(maxsize=None)
@@ -232,13 +223,20 @@ def weight_lt(a: Weight, b: Weight) -> bool:
     """Strict order: some twist-compatible element carries a's kept-root
     set into a proper subset of b's, staying inside the positive roots.
 
-    A proper subset forces a's kept set to be smaller, so unequal
+    The elements are w_b u w_a^{-1} for u in the stabilizer subgroup of
+    a's character.  Such an element maps a's kept roots into b's kept
+    set exactly when u maps the pulled roots of a into the target mask
+    of b.  A proper subset forces a's kept set to be smaller, so unequal
     lengths are a cheap necessary precheck.
     """
     if a.tchar.base != b.tchar.base or a.v.length <= b.v.length:
         return False
-    outside_b = ~b.v.plus_mask
-    return any(not image & outside_b for image in _kept_images(a, b.tchar))
+    inside = _target_mask(b).__and__
+    pulled = _pulled_roots(a)
+    return any(
+        all(map(inside, map(u.image_bits.__getitem__, pulled)))
+        for u in weyl_subgroup(a.v.rs, a.tchar.base.itheta)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -554,28 +552,55 @@ def weight_universe(rs: RootSystem, theta: FormalCharacter) -> tuple[Weight, ...
 
 
 def _order_rows(universe: tuple[Weight, ...]) -> list[int]:
-    """The weight order on a universe of weights over one character, as
-    one bitset row per weight: bit b of row a is set exactly when
+    """The weight order on a universe of weights as one bitset row per
+    weight: bit b of row a is set exactly when
     weight_lt(universe[a], universe[b]).
 
-    The kept-root images of a are computed once per twist and tested
-    against every shorter weight of that twist.
+    The column of a root holds the weights whose target mask contains
+    it, so the weights that u carries the pulled roots of a into are the
+    intersection of the columns of their images.  Row a joins that over
+    the stabilizer elements u, among the shorter weights over a's
+    character, and stops once it holds all of them.  An element that
+    sends a pulled root outside every target mask is skipped with one
+    mask test.
     """
-    by_twist: dict[TwistedCharacter, list[tuple[int, int, int]]] = {}
+    n_roots = 2 * len(universe[0].v.perm) if universe else 0
+    columns = {1 << r: 0 for r in range(n_roots)}
+    by_length: dict[tuple[FormalCharacter, int], int] = {}
     for b, w in enumerate(universe):
-        by_twist.setdefault(w.tchar, []).append((b, w.v.length, w.v.plus_mask))
+        bit = 1 << b
+        target = _target_mask(w)
+        for root in columns:
+            if root & target:
+                columns[root] |= bit
+        key = (w.tchar.base, w.v.length)
+        by_length[key] = by_length.get(key, 0) | bit
+    # per stabilizer element: its images, and the roots it sends outside
+    # every target mask
+    reach = sum(root for root, weights in columns.items() if weights)
+    systems = {w.tchar.base: w.v.rs for w in universe}
+    stabilizers = {
+        base: [
+            (u.image_bits, sum(1 << r for r, x in enumerate(u.image_bits) if not x & reach))
+            for u in weyl_subgroup(rs, base.itheta)
+        ]
+        for base, rs in systems.items()
+    }
+    column = columns.__getitem__
     rows = []
     for a in universe:
-        length_a = a.v.length
+        base, length = a.tchar.base, a.v.length
+        shorter = sum(m for (c, n), m in by_length.items() if c == base and n < length)
         row = 0
-        for t, group in by_twist.items():
-            shorter = [(b, plus) for b, length, plus in group if length < length_a]
-            if not shorter:
+        pulled = _pulled_roots(a)
+        pulled_mask = sum(1 << r for r in pulled)
+        for images, missed in stabilizers[base] if shorter else ():
+            if pulled_mask & missed:
                 continue
-            images = set(_kept_images(a, t))
-            for b, plus in shorter:
-                if any(not image & ~plus for image in images):
-                    row |= 1 << b
+            fits = map(column, map(images.__getitem__, pulled))
+            row |= reduce(and_, fits, shorter & ~row)
+            if row == shorter:
+                break
         rows.append(row)
     return rows
 
@@ -595,9 +620,11 @@ def _order_verdict(
     violation = None
     checked = 0
     for a in range(n):
-        for b in range(n):
-            if not rows[a] >> b & 1:
-                continue
+        rest = rows[a]
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            b = low.bit_length() - 1
             checked += rows[b].bit_count()
             missing = rows[b] & ~rows[a]
             if missing and violation is None:

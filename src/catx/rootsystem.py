@@ -151,8 +151,9 @@ def _root_sign(root: Root) -> int:
 class RootSystem:
     """All positive roots of a Cartan type, with exact reflection data.
 
-    Instances are immutable once built and hash by Cartan type, so they
-    can key the memo caches used by the Weyl-group layer.
+    Instances hash by Cartan type, so they can key the memo caches used
+    by the Weyl-group layer.  They are immutable once built, except that
+    the Weyl-group layer attaches the group table on first enumeration.
     """
 
     def __init__(self, cartan_type: CartanType, *, allow_large: bool = False):
@@ -177,6 +178,8 @@ class RootSystem:
         self._simple_perm = tuple(
             self._reflection_perm(i) for i in self.simple_indices
         )
+        # the group table, set by catx.weyl.enumerate_weyl on first use
+        self._weyl_table = None
 
     def _generate(self) -> tuple[Root, ...]:
         n = self.rank

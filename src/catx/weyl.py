@@ -6,10 +6,34 @@ with ~j (bitwise complement) marking the negative of positive root j.
 Two elements are equal exactly when they act identically on the simple
 roots, which the permutation encodes in full.
 
-Reduced words are a derived artifact: the canonical word of an element
-repeatedly strips its smallest right descent, and any input word is
-accepted and canonicalized on construction.  Words use 1-based simple
-indices.
+Words use 1-based simple indices.  The canonical word of an element
+strips its smallest right descent first: it is the canonical word of
+w * s_i followed by i, where i is the smallest right descent of w.  Any
+input word is accepted and canonicalized on construction.
+
+Enumerating the group (`enumerate_weyl`) numbers its elements 0, 1, ...
+in the canonical order (length, then inversion set) and stores one
+table on the root system with flat per-id arrays: the interned element
+(its id in `_id`, its word filled in), the permutation -> id index,
+right multiplication by each simple reflection, the inverse id, the
+right-descent bitmask (bit i - 1 for simple index i) and the canonical
+word.  Ids increase with length, so s_i is a right descent of the
+element with id a exactly when rmul[i][a] < a.
+
+Which path runs is decided by the data alone: an element has an id
+exactly when it is the table's copy, and a table exists once the group
+has been enumerated.  Every group within the order guard gets a table on
+its first enumeration, E7 (2,903,040 elements) included; E8 gets one only
+when `allow_large` lets it be enumerated.  Elements with ids multiply,
+invert, build from words and minimize over cosets by walking the table.
+A permutation product in an enumerated group returns the interned
+element, so even the products of elements built before the enumeration
+have ids.  Standard subgroups and longest elements are built on
+permutations and interned once a table exists.  A group that has not
+been enumerated (as for `catx weyl --type E8`, which prints the longest
+word only) keeps the permutation arithmetic, which is also the
+reference the tests check the table against.  Nothing else selects the
+path.
 
 The biclosed subsets of the positive roots (closed, with a closed
 complement) are found by a depth-first search that decides the roots in
@@ -22,59 +46,74 @@ visits about |W| leaves instead of all 2**|positive roots| subsets.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import compress
+from operator import invert, itemgetter
 from typing import Iterable, Optional, Sequence
 
 from catx.errors import InputError, ResourceGuardError
 from catx.rootsystem import WEYL_ORDER_GUARD, Root, RootSystem
 
+Perm = tuple[int, ...]
 
-def _flip(signed: int) -> int:
-    return ~signed
+
+def _perm_mul(p: Perm, q: Perm) -> Perm:
+    """Signed permutation of p * q (q acts first)."""
+    return tuple(p[j] if j >= 0 else ~p[~j] for j in q)
+
+
+def _check_index(rs: RootSystem, i: int) -> None:
+    if i not in rs.simple_indices:
+        raise InputError(f"simple index {i} out of range for {rs.cartan_type}")
 
 
 class WeylElement:
     """One group element, identified by its action on the positive roots."""
 
-    __slots__ = ("rs", "perm", "_word", "_hash")
+    __slots__ = ("rs", "perm", "_id", "_word", "_hash", "_image_bits")
 
-    def __init__(self, rs: RootSystem, perm: tuple[int, ...]):
+    def __init__(self, rs: RootSystem, perm: Perm):
         self.rs = rs
         self.perm = perm
+        self._id: Optional[int] = None
         self._word: Optional[tuple[int, ...]] = None
         self._hash: Optional[int] = None
+        self._image_bits: Optional[tuple[int, ...]] = None
 
     # -- construction --------------------------------------------------
 
     @classmethod
     def identity(cls, rs: RootSystem) -> "WeylElement":
-        return cls(rs, tuple(range(len(rs.positive_roots))))
+        return _interned(rs, tuple(range(len(rs.positive_roots))))
 
     @classmethod
     def simple_reflection(cls, rs: RootSystem, i: int) -> "WeylElement":
-        if i not in rs.simple_indices:
-            raise InputError(f"simple index {i} out of range for {rs.cartan_type}")
-        return cls(rs, rs._simple_perm[i - 1])
+        _check_index(rs, i)
+        return _interned(rs, rs._simple_perm[i - 1])
 
     # -- group structure ----------------------------------------------
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         """Composition: (self * other) acts by other first, then self."""
-        if self.rs is not other.rs and self.rs != other.rs:
-            raise InputError("cannot compose elements of different root systems")
-        sp = self.perm
-        out = tuple(
-            sp[j] if j >= 0 else _flip(sp[~j]) for j in other.perm
-        )
-        return WeylElement(self.rs, out)
+        rs = self.rs
+        if rs is not other.rs:
+            if rs != other.rs:
+                raise InputError("cannot compose elements of different root systems")
+        elif self._id is not None and other._id is not None:
+            table = rs._weyl_table
+            return table.elements[table.product(self._id, other._id)]
+        return _interned(rs, _perm_mul(self.perm, other.perm))
 
     def inverse(self) -> "WeylElement":
+        if self._id is not None:
+            table = self.rs._weyl_table
+            return table.elements[table.inverse[self._id]]
         inv = [0] * len(self.perm)
         for k, j in enumerate(self.perm):
             if j >= 0:
                 inv[j] = k
             else:
                 inv[~j] = ~k
-        return WeylElement(self.rs, tuple(inv))
+        return _interned(self.rs, tuple(inv))
 
     # -- action ---------------------------------------------------------
 
@@ -101,14 +140,34 @@ class WeylElement:
             )
         raise InputError(f"{root} is not a root of {rs.cartan_type}")
 
+    @property
+    def image_bits(self) -> tuple[int, ...]:
+        """The action on all 2n roots as one-bit masks.
+
+        The roots are numbered 0..n-1 (the positive roots) and n..2n-1
+        (n + k is the negative of positive root k); entry r is
+        1 << (number of the image of root r).  The image of a set of
+        roots given by its numbers is the sum of their entries.
+        """
+        if self._image_bits is None:
+            n = len(self.perm)
+            pos = [1 << j if j >= 0 else 1 << (n + ~j) for j in self.perm]
+            neg = [1 << (n + j) if j >= 0 else 1 << ~j for j in self.perm]
+            self._image_bits = tuple(pos + neg)
+        return self._image_bits
+
     # -- derived combinatorics -------------------------------------------
 
     @property
     def length(self) -> int:
+        if self._word is not None:
+            return len(self._word)
         return sum(1 for j in self.perm if j < 0)
 
     @property
     def is_identity(self) -> bool:
+        if self._id is not None:
+            return self._id == 0
         return all(j == k for k, j in enumerate(self.perm))
 
     @property
@@ -136,10 +195,7 @@ class WeylElement:
 
     def descent_set(self) -> frozenset[int]:
         """Simple indices i with (self * s_i) shorter than self."""
-        rs = self.rs
-        return frozenset(
-            i for i in rs.simple_indices if self.perm[rs.simple_root_index(i)] < 0
-        )
+        return frozenset(_perm_descents(self.rs, self.perm))
 
     @property
     def simple_images(self) -> tuple[Root, ...]:
@@ -149,22 +205,17 @@ class WeylElement:
     def word(self) -> tuple[int, ...]:
         """Canonical reduced word (smallest right descent stripped first)."""
         if self._word is None:
-            collected = []
-            cur = self
-            while True:
-                ds = cur.descent_set()
-                if not ds:
-                    break
-                i = min(ds)
-                cur = cur * WeylElement.simple_reflection(self.rs, i)
-                collected.append(i)
-            self._word = tuple(reversed(collected))
+            table = self.rs._weyl_table
+            if table is not None:
+                self._word = table.words[table.index[self.perm]]
+            else:
+                self._word = _strip_descents(self.rs, self.perm)
         return self._word
 
     # -- identity ---------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        return (
+        return self is other or (
             isinstance(other, WeylElement)
             and self.rs.cartan_type == other.rs.cartan_type
             and self.perm == other.perm
@@ -180,12 +231,106 @@ class WeylElement:
         return f"W[{body}]"
 
 
+def _perm_descents(rs: RootSystem, perm: Perm) -> list[int]:
+    """Right descents, ascending: the simple roots the element negates."""
+    return [i for i, k in zip(rs.simple_indices, rs._simple_pos) if perm[k] < 0]
+
+
+def _strip_descents(rs: RootSystem, perm: Perm) -> tuple[int, ...]:
+    """Canonical word by permutation arithmetic alone."""
+    collected = []
+    while down := _perm_descents(rs, perm):
+        perm = _perm_mul(perm, rs._simple_perm[down[0] - 1])
+        collected.append(down[0])
+    return tuple(reversed(collected))
+
+
+def _interned(rs: RootSystem, perm: Perm) -> WeylElement:
+    """The element with this permutation: the table's copy when the
+    group has been enumerated, a fresh one otherwise."""
+    table = rs._weyl_table
+    if table is None:
+        return WeylElement(rs, perm)
+    return table.elements[table.index[perm]]
+
+
+class _GroupTable:
+    """Flat per-id arrays of an enumerated group (see the module docstring).
+
+    rmul[i][a] is the id of element a times s_i; rmul[0] is unused
+    because simple indices are 1-based.
+    """
+
+    __slots__ = ("elements", "index", "rmul", "inverse", "descents", "words")
+
+    def __init__(self, rs: RootSystem):
+        perms, products = _closure(rs, rs.simple_indices)
+        key = _perm_sort_key(rs)
+        order = sorted(range(len(perms)), key=lambda k: key(perms[k]))
+        new_id = [0] * len(perms)
+        for a, k in enumerate(order):
+            new_id[k] = a
+        rmul: list[list[int]] = [[]]
+        for i in rs.simple_indices:
+            row = products.pop(i)  # renumbered and dropped one at a time
+            rmul.append([new_id[row[k]] for k in order])
+        self.rmul = rmul
+        perms = [perms[k] for k in order]
+        del order, new_id  # freed before the per-element arrays are built
+        ids = range(len(perms))
+        descents = [0] * len(perms)
+        for i in rs.simple_indices:
+            bit = 1 << (i - 1)
+            for a, b in zip(ids, rmul[i]):
+                if b < a:
+                    descents[a] |= bit
+        self.descents = descents
+        words: list[tuple[int, ...]] = [()]
+        for a in ids[1:]:
+            d = descents[a]
+            i = (d & -d).bit_length()
+            words.append(words[rmul[i][a]] + (i,))
+        self.words = words
+        self.inverse = [self.walk(0, reversed(word)) for word in words]
+        elements = []
+        for a, perm in enumerate(perms):
+            w = WeylElement(rs, perm)
+            w._id = a
+            w._word = words[a]
+            elements.append(w)
+        self.elements = tuple(elements)
+        self.index = {perm: w._id for perm, w in zip(perms, elements)}
+
+    def walk(self, a: int, word: Iterable[int]) -> int:
+        """Id of element a times the simple reflections of the word."""
+        rmul = self.rmul
+        for i in word:
+            a = rmul[i][a]
+        return a
+
+    def product(self, a: int, b: int) -> int:
+        """Id of a * b, walking the shorter of the two words."""
+        words = self.words
+        if len(words[b]) <= len(words[a]):
+            return self.walk(a, words[b])
+        # a * b = (b^-1 * a^-1)^-1, and a^-1 is the word of a reversed
+        inverse = self.inverse
+        return inverse[self.walk(inverse[b], reversed(words[a]))]
+
+
 def element_from_word(rs: RootSystem, word: Sequence[int]) -> WeylElement:
     """Product of simple reflections; any word is accepted, reduced or not."""
-    acc = WeylElement.identity(rs)
+    table = rs._weyl_table
+    if table is None:
+        acc = WeylElement.identity(rs)
+        for i in word:
+            acc = acc * WeylElement.simple_reflection(rs, i)
+        return acc
+    a = 0
     for i in word:
-        acc = acc * WeylElement.simple_reflection(rs, i)
-    return acc
+        _check_index(rs, i)
+        a = table.rmul[i][a]
+    return table.elements[a]
 
 
 def weyl_act(w: WeylElement, root: Root) -> Root:
@@ -201,8 +346,64 @@ def descent_set(w: WeylElement) -> frozenset[int]:
     return w.descent_set()
 
 
-def _element_sort_key(w: WeylElement):
-    return (w.length, tuple(sorted(w.inverted_roots())))
+_NEGATIVE = (0).__gt__
+
+
+def _perm_sort_key(rs: RootSystem):
+    """Key of the canonical element order on permutations: length, then
+    inversion set, compared as sorted tuples of roots.
+
+    For two sets of one size, that comparison is decided by the smallest
+    root in only one of them, so it equals comparing masks whose highest
+    bit stands for the lexicographically smallest root, larger first:
+    bit n-1-r is set when the root of lexicographic rank r is inverted.
+    """
+    roots = rs.positive_roots
+    n = len(roots)
+    bit = [0] * n
+    for r, k in enumerate(sorted(range(n), key=roots.__getitem__)):
+        bit[k] = 1 << (n - 1 - r)
+
+    def key(perm: Perm) -> tuple[int, int]:
+        mask = sum(compress(bit, map(_NEGATIVE, perm)))
+        return mask.bit_count(), -mask
+
+    return key
+
+
+def _closure(
+    rs: RootSystem, j: Iterable[int]
+) -> tuple[list[Perm], dict[int, list[int]]]:
+    """Breadth-first closure of the identity under right multiplication
+    by the simple reflections of j.
+
+    Returns the permutations in discovery order and, per simple index i,
+    the discovery number of each permutation times s_i.
+    """
+    n = len(rs.positive_roots)
+    gens = []
+    for i in sorted(j):
+        # entry k of w * s_i is w[s_i[k]], or ~w[~s_i[k]] where s_i[k] is
+        # negative: one read of w followed by its negation (entry n + m
+        # of that is ~w[m])
+        source = [k if k >= 0 else n + ~k for k in rs._simple_perm[i - 1]]
+        read = itemgetter(*source)
+        if n == 1:  # itemgetter of one index returns the entry, not a tuple
+            read = lambda w, get=read: (get(w),)
+        gens.append((i, read))
+    index = {tuple(range(n)): 0}
+    queue = list(index)
+    products: dict[int, list[int]] = {i: [] for i, _ in gens}
+    for w in queue:  # grows while iterating: a breadth-first queue
+        signed = w + tuple(map(invert, w))
+        for i, read in gens:
+            v = read(signed)
+            m = index.get(v)
+            if m is None:
+                m = index[v] = len(queue)
+                queue.append(v)
+            products[i].append(m)
+    return queue, products
 
 
 def _normalize_subset(rs: RootSystem, subset: Iterable[int]) -> frozenset[int]:
@@ -215,6 +416,10 @@ def _normalize_subset(rs: RootSystem, subset: Iterable[int]) -> frozenset[int]:
     return j
 
 
+def _index_mask(j: Iterable[int]) -> int:
+    return sum(1 << (i - 1) for i in j)
+
+
 def enumerate_weyl(
     rs: RootSystem, *, allow_large: bool = False
 ) -> tuple[WeylElement, ...]:
@@ -222,6 +427,7 @@ def enumerate_weyl(
 
     Refuses groups beyond the construction guard unless overridden; the
     expected size is known in closed form before any enumeration runs.
+    The first call builds the group table of the root system.
     """
     order = rs.cartan_type.weyl_order()
     if order > WEYL_ORDER_GUARD and not allow_large:
@@ -229,30 +435,34 @@ def enumerate_weyl(
             f"Weyl group of {rs.cartan_type} has {order} elements; "
             "pass allow_large=True to enumerate anyway"
         )
-    elements = _subgroup_cached(rs, frozenset(rs.simple_indices))
-    if len(elements) != order:
-        raise AssertionError(
-            f"{rs.cartan_type}: enumerated {len(elements)} elements, expected {order}"
-        )
-    return elements
+    if rs._weyl_table is None:
+        table = _GroupTable(rs)
+        if len(table.elements) != order:
+            raise AssertionError(
+                f"{rs.cartan_type}: enumerated {len(table.elements)} elements, "
+                f"expected {order}"
+            )
+        rs._weyl_table = table
+    return rs._weyl_table.elements
+
+
+# The memo caches below keep what they computed first and are never
+# cleared.  An entry made before its group was enumerated holds elements
+# without ids; those are equal to and hash like the interned ones, and
+# their products are interned, so a stale entry can cost speed but never
+# change an answer.  Only answers that cover the whole group enumerate
+# it first: the minimal coset representatives, read off the table's
+# descent masks, and the subgroup on every simple index, which is the
+# group itself (the order guard then refuses oversize groups).
 
 
 @lru_cache(maxsize=None)
 def _subgroup_cached(rs: RootSystem, j: frozenset[int]) -> tuple[WeylElement, ...]:
-    gens = [WeylElement.simple_reflection(rs, i) for i in sorted(j)]
-    identity = WeylElement.identity(rs)
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for s in gens:
-                v = w * s
-                if v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-        frontier = nxt
-    return tuple(sorted(seen, key=_element_sort_key))
+    if len(j) == rs.rank:
+        # the whole group: its closure would redo the enumeration
+        return enumerate_weyl(rs)
+    perms, _ = _closure(rs, j)
+    return tuple(_interned(rs, p) for p in sorted(perms, key=_perm_sort_key(rs)))
 
 
 def weyl_subgroup(rs: RootSystem, subset: Iterable[int]) -> tuple[WeylElement, ...]:
@@ -273,34 +483,45 @@ def _longest_cached(rs: RootSystem, j: frozenset[int]) -> WeylElement:
 def longest_element(rs: RootSystem, subset: Iterable[int]) -> WeylElement:
     """Longest element of the standard subgroup on the listed indices.
 
-    Built greedily: extend by any simple reflection in the subset that
-    still increases length.  The result inverts exactly the positive
-    roots supported on the subset.
+    Built greedily: extend by the smallest simple reflection in the
+    subset that still increases length.  The result inverts exactly the
+    positive roots supported on the subset.
     """
     return _longest_cached(rs, _normalize_subset(rs, subset))
 
 
 @lru_cache(maxsize=None)
 def _min_reps_cached(rs: RootSystem, j: frozenset[int]) -> tuple[WeylElement, ...]:
-    pos = [rs.simple_root_index(i) for i in sorted(j)]
+    elements = enumerate_weyl(rs)
+    mask = _index_mask(j)
     return tuple(
-        w for w in enumerate_weyl(rs) if all(w.perm[k] >= 0 for k in pos)
+        w for w, d in zip(elements, rs._weyl_table.descents) if not d & mask
     )
 
 
 def min_coset_reps(rs: RootSystem, subset: Iterable[int]) -> tuple[WeylElement, ...]:
     """Minimal-length representatives of the left cosets of the subgroup.
 
-    An element is kept exactly when it maps every listed simple root to
-    a positive root; the result follows the global enumeration order.
+    An element is kept exactly when it has no right descent in the
+    subset (it maps every listed simple root to a positive root); the
+    result follows the global enumeration order.
     """
     return _min_reps_cached(rs, _normalize_subset(rs, subset))
 
 
 def coset_minimize(w: WeylElement, subset: Iterable[int]) -> WeylElement:
-    """Minimal-length element of w times the subgroup on the subset."""
+    """Minimal-length element of w times the subgroup on the subset.
+
+    Strips the smallest right descent inside the subset until none is
+    left.
+    """
     rs = w.rs
     j = _normalize_subset(rs, subset)
+    if w._id is not None:
+        table, mask, a = rs._weyl_table, _index_mask(j), w._id
+        while down := table.descents[a] & mask:
+            a = table.rmul[(down & -down).bit_length()][a]
+        return table.elements[a]
     pos = {i: rs.simple_root_index(i) for i in sorted(j)}
     cur = w
     while True:

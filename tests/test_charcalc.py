@@ -23,7 +23,13 @@ from catx.charcalc import (
 )
 from catx.errors import InputError
 from catx.rootsystem import build_root_system
-from catx.weyl import WeylElement, element_from_word, weyl_subgroup
+from catx.weyl import (
+    WeylElement,
+    element_from_word,
+    enumerate_weyl,
+    min_coset_reps,
+    weyl_subgroup,
+)
 
 
 def theta_for(rs, itheta):
@@ -313,6 +319,30 @@ def test_order_rows_match_the_pairwise_order(name):
         )
         params = order_axiom_records(rs, theta)[1]["params"]
         assert params["triples_checked"] == chains, (name, sorted(itheta))
+
+
+# every weight of every rank-2 type, not only the sweep universes: twists
+# whose inverse sends a kept root negative reach the signed half of the
+# root masks
+@pytest.mark.parametrize("name", ["A2", "B2", "C2", "G2"])
+def test_order_matches_its_definition_on_every_weight(name):
+    rs = build_root_system(name)
+    group = enumerate_weyl(rs)
+    for itheta in subsets_of(rs.simple_indices):
+        theta = theta_for(rs, itheta)
+        weights = tuple(
+            Weight(TwistedCharacter(theta, rep), v)
+            for rep in min_coset_reps(rs, itheta)
+            for v in group
+        )
+        lt = [[lt_from_definition(a, b) for b in weights] for a in weights]
+        assert [[weight_lt(a, b) for b in weights] for a in weights] == lt, (
+            name,
+            sorted(itheta),
+        )
+        assert _order_rows(weights) == [
+            sum(1 << j for j, related in enumerate(row) if related) for row in lt
+        ], (name, sorted(itheta))
 
 
 def test_order_verdict_catches_a_reflexive_weight():

@@ -1,0 +1,74 @@
+"""Pinned digests of command-line outputs.
+
+The outputs must stay byte-identical apart from timings whatever the
+group layer computes with.  Each digest is the sha256 of the output as
+written by the permutation-only group code.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from catx.cli import main
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def without_timings(x):
+    if isinstance(x, dict):
+        return {
+            k: without_timings(v)
+            for k, v in x.items()
+            if k not in ("generated_at", "wall_time_s")
+        }
+    if isinstance(x, list):
+        return [without_timings(v) for v in x]
+    return x
+
+
+def test_weyl_f4_elements_digest(capsys):
+    assert main(["weyl", "--type", "F4", "--elements", "--json"]) == 0
+    assert (
+        sha256(capsys.readouterr().out)
+        == "9255d40276ad086fdd946469827f85c67a5068d7523d92413a83e93fd4993e38"
+    )
+
+
+def test_verify_rank2_records_digest(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    assert main(["verify", "--max-rank", "2", "--seed", "1", "--out", str(report)]) == 0
+    records = without_timings(json.loads(report.read_text())["records"])
+    assert len(records) == 217
+    canon = json.dumps(records, sort_keys=True, separators=(",", ":"))
+    assert sha256(canon) == "57cd9295562d102f9f21b1bdb83083b51ad2d478d207431f9ecc0076a46c0bc3"
+
+
+@pytest.mark.parametrize(
+    "cartan, kind, itheta, j, digest",
+    [
+        (
+            "B3", "M", "all", "none",
+            "ec1106eed35207fc9f281852f24aa2f9fc96099926f48eb995e80ea10fde5f1b",
+        ),
+        (
+            "C4", "nabla", "1,2,4", "2,4",
+            "16f7ce2779c722abd6b19a906edfa3e1c9860c5a54c571e53d3d8c5bcb0a55fc",
+        ),
+        (
+            "D4", "E", "all", "2",
+            "b37f9ed5462441219a75002507cb5fef3c176eceabf941c03b8c936a76c04a6d",
+        ),
+    ],
+)
+def test_char_decompose_round_trip_digest(tmp_path, capsys, cartan, kind, itheta, j, digest):
+    path = tmp_path / "char.json"
+    argv = ["char", "--type", cartan, "--kind", kind, "--itheta", itheta, "--j", j]
+    assert main([*argv, "--json", "--out", str(path)]) == 0
+    written = path.read_text()
+    assert main(["decompose", "--in", str(path), "--json"]) == 0
+    decomposed = capsys.readouterr().out
+    assert json.loads(decomposed)["ok"] is True
+    assert sha256(written + decomposed) == digest

@@ -1,10 +1,12 @@
 import pytest
 
 from catx.errors import InputError, ResourceGuardError
-from catx.rootsystem import build_root_system
+from catx.rootsystem import CartanType, RootSystem, build_root_system
 from catx.weyl import (
     WeylElement,
     _biclosed_masks,
+    _longest_cached,
+    _subgroup_cached,
     coset_minimize,
     descent_set,
     element_from_word,
@@ -224,3 +226,170 @@ def test_enumerate_weyl_rejects_cross_system_products():
     b2 = build_root_system("B2")
     with pytest.raises(InputError):
         _ = WeylElement.simple_reflection(a2, 1) * WeylElement.simple_reflection(b2, 1)
+    # two equal systems built apart multiply, with or without group tables
+    words = [(), (1,), (2, 3), (3, 2, 3), (1, 2, 3, 2, 1), (3, 3, 1)]
+
+    def check_products(one, other):
+        assert one == other and one is not other
+        for u in words:
+            for v in words:
+                x, y = element_from_word(one, u), element_from_word(other, v)
+                for left, right in ((x, y), (y, x)):
+                    product = left * right
+                    assert product.rs is left.rs
+                    assert product.perm == perm_mul(left.perm, right.perm)
+                    assert product.word == strip_descent_word(one, product.perm)
+
+    check_products(build_root_system("B3"), build_root_system("B3", allow_large=True))
+    b3 = RootSystem(CartanType.parse("B3"))
+    b3_large = RootSystem(CartanType.parse("B3"), allow_large=True)
+    check_products(b3, b3_large)
+    enumerate_weyl(b3)
+    check_products(b3, b3_large)
+    enumerate_weyl(b3_large)
+    check_products(b3, b3_large)
+
+
+# -- the group table against the permutation reference -----------------
+
+
+def perm_mul(p, q):
+    """Signed permutation of p * q (q acts first)."""
+    return tuple(p[j] if j >= 0 else ~p[~j] for j in q)
+
+
+def perm_inverse(p):
+    inv = [0] * len(p)
+    for k, j in enumerate(p):
+        if j >= 0:
+            inv[j] = k
+        else:
+            inv[~j] = ~k
+    return tuple(inv)
+
+
+def perm_descents(rs, p):
+    return [i for i in rs.simple_indices if p[rs.simple_root_index(i)] < 0]
+
+
+def strip_descent_word(rs, p):
+    """Canonical word: repeatedly strip the smallest right descent."""
+    collected = []
+    while down := perm_descents(rs, p):
+        p = perm_mul(p, rs._simple_perm[down[0] - 1])
+        collected.append(down[0])
+    return tuple(reversed(collected))
+
+
+def root_tuple_key(w):
+    """The enumeration order's definition: length, then the sorted
+    tuple of inverted roots."""
+    return (w.length, tuple(sorted(w.inverted_roots())))
+
+
+def all_subsets(indices):
+    out = [()]
+    for i in indices:
+        out += [s + (i,) for s in out]
+    return out
+
+
+# every type with |W| <= 3840
+@pytest.mark.parametrize(
+    "name",
+    ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5", "C3", "C4", "C5",
+     "D4", "D5", "G2", "F4"],
+)
+def test_enumeration_order_matches_the_root_tuple_key(name):
+    elements = enumerate_weyl(build_root_system(name))
+    assert list(elements) == sorted(elements, key=root_tuple_key)
+
+
+# every type with |W| <= 1152
+@pytest.mark.parametrize(
+    "name", ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "G2", "F4"]
+)
+def test_group_table_matches_the_permutation_reference(name):
+    rs = build_root_system(name)
+    elements = enumerate_weyl(rs)
+    table = rs._weyl_table
+    assert len(elements) == rs.cartan_type.weyl_order()
+    for a, w in enumerate(elements):
+        assert w._id == a and table.index[w.perm] == a
+        assert elements[table.inverse[a]].perm == perm_inverse(w.perm)
+        assert w.inverse() is elements[table.inverse[a]]
+        for i in rs.simple_indices:
+            right = perm_mul(w.perm, rs._simple_perm[i - 1])
+            assert elements[table.rmul[i][a]].perm == right
+        assert table.descents[a] == sum(1 << (i - 1) for i in perm_descents(rs, w.perm))
+        assert w.word == table.words[a] == strip_descent_word(rs, w.perm)
+        assert w.length == len(w.word) == w.inversion_mask.bit_count()
+    # products walk the table; compare a spread of pairs with the reference
+    sample = elements[:: max(1, len(elements) // 24)]
+    for w in elements:
+        for v in sample:
+            assert (w * v).perm == perm_mul(w.perm, v.perm)
+            assert (v * w).perm == perm_mul(v.perm, w.perm)
+
+
+@pytest.mark.parametrize(
+    "name", ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "G2", "F4"]
+)
+def test_table_and_permutation_paths_agree(name):
+    rs = build_root_system(name)
+    elements = enumerate_weyl(rs)
+    plain = RootSystem(rs.cartan_type)  # never enumerated: no table
+    assert plain._weyl_table is None
+    subsets = all_subsets(rs.simple_indices)
+    for w in elements:
+        word = w.word
+        assert element_from_word(rs, word) is w
+        slow = element_from_word(plain, word)
+        assert slow._id is None and slow.perm == w.perm
+        # a non-reduced word folds the same way on both paths
+        assert element_from_word(rs, word + (1, 1)) is w
+        assert element_from_word(plain, word + (1, 1)).perm == w.perm
+        for j in subsets:
+            fast = coset_minimize(w, j)
+            assert fast._id is not None
+            assert fast.perm == coset_minimize(slow, j).perm
+    assert plain._weyl_table is None
+    with pytest.raises(InputError):
+        element_from_word(rs, [rs.rank + 1])
+    with pytest.raises(InputError):
+        element_from_word(plain, [0])
+    for j in subsets:
+        # the memo caches compare systems by type, so call past them; the
+        # last subset holds every index, whose subgroup enumerates `plain`
+        group = _subgroup_cached.__wrapped__(rs, frozenset(j))
+        assert [w.perm for w in group] == [
+            w.perm for w in _subgroup_cached.__wrapped__(plain, frozenset(j))
+        ]
+        assert all(w._id is not None for w in group)
+        longest = _longest_cached.__wrapped__(rs, frozenset(j))
+        assert longest.perm == _longest_cached.__wrapped__(plain, frozenset(j)).perm
+        assert list(min_coset_reps(rs, j)) == [
+            w for w in elements if not set(perm_descents(rs, w.perm)) & set(j)
+        ]
+
+
+def test_elements_built_before_enumeration_match_the_interned_ones():
+    rs = RootSystem(CartanType.parse("B3"))
+    words = [(), (1,), (2, 3), (3, 2, 3, 2), (1, 2, 3, 2, 1), (1, 1, 2)]
+    before = [element_from_word(rs, word) for word in words]
+    early_words = [w.word for w in before]
+    early_hashes = [hash(w) for w in before]
+    assert all(w._id is None for w in before)
+    elements = enumerate_weyl(rs)
+    for w, word, h in zip(before, early_words, early_hashes):
+        interned = elements[rs._weyl_table.index[w.perm]]
+        assert w == interned and interned == w
+        assert hash(interned) == h
+        assert interned.word == word == strip_descent_word(rs, w.perm)
+        assert len({w, interned}) == 1
+        # a permutation product in an enumerated group is interned
+        assert w * w.inverse() is elements[0]
+        assert w * interned is interned * interned
+        assert coset_minimize(w, [1, 2]) == coset_minimize(interned, [1, 2])
+    assert WeylElement.identity(rs) is elements[0]
+    assert WeylElement.simple_reflection(rs, 2) is element_from_word(rs, [2])
