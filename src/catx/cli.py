@@ -406,9 +406,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built on the first call to main, not at import, and shared by the
+# later calls of the process: parsing never changes it, and argparse
+# looks sys.stdout and sys.stderr up when it writes.
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except (InputError, ResourceGuardError) as exc:

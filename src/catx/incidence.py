@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as Q
-from itertools import combinations
+from itertools import combinations, zip_longest
+from math import gcd, isqrt, lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
 from catx import linalg
@@ -32,6 +33,9 @@ Pair = tuple[Subset, Subset]
 ALGEBRA_SIZE_GUARD = 6
 MODULE_DIM_GUARD = 64
 DEFAULT_SEED = 1729
+# The largest leading or constant coefficient whose divisors the
+# rational-root search enumerates; beyond it sympy factors instead.
+FACTOR_END_COEFF_LIMIT = 10**6
 
 
 def subset_key(s: Subset) -> tuple[int, tuple[int, ...]]:
@@ -591,8 +595,145 @@ def _min_poly(m: AlgebraModule, endo: Mapping[Subset, list[list[Q]]]) -> list[Q]
         rows.append(flat(nxt))
 
 
+def _poly_trim(p: list[Q]) -> list[Q]:
+    """Drop zero top coefficients; the zero polynomial is []."""
+    while p and not p[-1]:
+        p = p[:-1]
+    return p
+
+
+def _poly_sub(a_: list[Q], b_: list[Q]) -> list[Q]:
+    return _poly_trim([x - y for x, y in zip_longest(a_, b_, fillvalue=Q(0))])
+
+
+def _poly_derivative(p: list[Q]) -> list[Q]:
+    return [k * c for k, c in enumerate(p)][1:]
+
+
+def _poly_divmod(a_: list[Q], b_: list[Q]) -> tuple[list[Q], list[Q]]:
+    """Quotient and remainder of a by a nonzero b, both trimmed."""
+    rem = list(a_)
+    quot = [Q(0)] * max(len(a_) - len(b_) + 1, 0)
+    lead = b_[-1]
+    for k in range(len(quot) - 1, -1, -1):
+        c = rem[k + len(b_) - 1] / lead
+        quot[k] = c
+        if c:
+            for j, y in enumerate(b_):
+                rem[k + j] -= c * y
+    return _poly_trim(quot), _poly_trim(rem[: len(b_) - 1])
+
+
+def _poly_gcd(a_: list[Q], b_: list[Q]) -> list[Q]:
+    """Monic greatest common divisor (Euclid) of two polynomials, not both
+    zero."""
+    while b_:
+        a_, b_ = b_, _poly_divmod(a_, b_)[1]
+    return [c / a_[-1] for c in a_]
+
+
+def _square_free_parts(f: list[Q]) -> list[tuple[list[Q], int]]:
+    """Yun's square-free decomposition of a non-constant f.
+
+    Returns the non-constant a_i with their exponents i, where f is a
+    constant times the product of the a_i**i and the a_i are monic,
+    square-free and pairwise coprime (Yun, "On square-free decomposition
+    algorithms", SYMSAC 1976).
+    """
+    df = _poly_derivative(f)
+    g = _poly_gcd(f, df)
+    b = _poly_divmod(f, g)[0]
+    d = _poly_sub(_poly_divmod(df, g)[0], _poly_derivative(b))
+    parts = []
+    i = 1
+    while len(b) > 1:
+        a = _poly_gcd(b, d)
+        if len(a) > 1:
+            parts.append((a, i))
+        b = _poly_divmod(b, a)[0]
+        c = _poly_divmod(d, a)[0]
+        d = _poly_sub(c, _poly_derivative(b))
+        i += 1
+    return parts
+
+
+def _primitive(p: list[Q]) -> list[int]:
+    """The positive integer multiple of p with coprime coefficients."""
+    den = lcm(*(c.denominator for c in p))
+    z = [c.numerator * (den // c.denominator) for c in p]
+    g = gcd(*z)
+    return [c // g for c in z]
+
+
+def _divisors(n: int) -> list[int]:
+    n = abs(n)
+    small = [k for k in range(1, isqrt(n) + 1) if n % k == 0]
+    return small + [n // k for k in reversed(small) if k * k != n]
+
+
+def _is_root(z: list[int], u: int, v: int) -> bool:
+    """Whether u/v is a root of z: sum of z_k u^k v^(d-k) is zero."""
+    acc, vp = z[-1], 1
+    for c in reversed(z[:-1]):
+        vp *= v
+        acc = acc * u + c * vp
+    return acc == 0
+
+
+def _divide_linear(z: list[int], u: int, v: int) -> list[int]:
+    """Quotient of z by v*x - u, exact over the integers (Gauss's lemma)."""
+    quot = [0] * (len(z) - 1)
+    q = 0
+    for k in range(len(z) - 1, 0, -1):
+        q = (z[k] + u * q) // v
+        quot[k - 1] = q
+    return quot
+
+
 def _factor_rational_poly(coeffs: list[Q]) -> list[tuple[list[Q], int]]:
-    """Irreducible factors (lowest-first coefficients) with exponents."""
+    """Irreducible factors over the rationals, with exponents.
+
+    Each factor is the primitive integer polynomial with a positive
+    leading coefficient (x^2 - x/2 gives 2x - 1 and x), stored lowest
+    degree first as Fractions; the constant is dropped.  Factors are
+    sorted by degree, then by their coefficient lists.
+
+    Yun's square-free decomposition splits off the exponents, and the
+    rational-root theorem strips the linear factors of each square-free
+    part; what is left has no rational root, so at degree 2 or 3 it is
+    irreducible.  The whole polynomial goes to sympy instead when a
+    root-free part of degree 4 or more is left (it may be a product of
+    quadratics), or when a part's primitive form has a leading or
+    constant coefficient above FACTOR_END_COEFF_LIMIT, which bounds the
+    divisor search.
+    """
+    f = _poly_trim([Q(c) for c in coeffs])
+    if len(f) < 2:
+        return []
+    out = []
+    for part, exp in _square_free_parts(f):
+        z = _primitive(part)  # part is monic, so z[-1] > 0
+        if z[0] == 0:
+            out.append(([Q(0), Q(1)], exp))
+            z = z[1:]
+        if max(abs(z[0]), abs(z[-1])) > FACTOR_END_COEFF_LIMIT:
+            return _sympy_factor_rational_poly(f)
+        for v in _divisors(z[-1]):
+            for u0 in _divisors(z[0]):
+                for u in (u0, -u0):
+                    if len(z) > 1 and gcd(u, v) == 1 and _is_root(z, u, v):
+                        out.append(([Q(-u), Q(v)], exp))
+                        z = _divide_linear(z, u, v)
+        if len(z) > 4:
+            return _sympy_factor_rational_poly(f)
+        if len(z) > 1:
+            out.append(([Q(c) for c in z], exp))
+    out.sort(key=lambda fe: (len(fe[0]), [(c.numerator, c.denominator) for c in fe[0]]))
+    return out
+
+
+def _sympy_factor_rational_poly(coeffs: list[Q]) -> list[tuple[list[Q], int]]:
+    """_factor_rational_poly by sympy's factorization over the rationals."""
     import sympy
 
     x = sympy.Symbol("x")

@@ -151,9 +151,10 @@ def _root_sign(root: Root) -> int:
 class RootSystem:
     """All positive roots of a Cartan type, with exact reflection data.
 
-    Instances hash by Cartan type, so they can key the memo caches used
-    by the Weyl-group layer.  They are immutable once built, except that
-    the Weyl-group layer attaches the group table on first enumeration.
+    Instances compare and hash by Cartan type.  They are immutable once
+    built, except that the Weyl-group layer attaches the group table on
+    first enumeration and keeps its memo of per-subset answers on the
+    instance, so two equal systems built apart share neither.
     """
 
     def __init__(self, cartan_type: CartanType, *, allow_large: bool = False):
@@ -178,8 +179,11 @@ class RootSystem:
         self._simple_perm = tuple(
             self._reflection_perm(i) for i in self.simple_indices
         )
-        # the group table, set by catx.weyl.enumerate_weyl on first use
+        # the group table, set by catx.weyl.enumerate_weyl on first use,
+        # and the Weyl layer's memo of subgroups, longest elements and
+        # coset representatives, keyed by (builder, index set)
         self._weyl_table = None
+        self._weyl_memo: dict = {}
 
     def _generate(self) -> tuple[Root, ...]:
         n = self.rank

@@ -45,7 +45,6 @@ visits about |W| leaves instead of all 2**|positive roots| subsets.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import compress
 from operator import invert, itemgetter
 from typing import Iterable, Optional, Sequence
@@ -446,18 +445,28 @@ def enumerate_weyl(
     return rs._weyl_table.elements
 
 
-# The memo caches below keep what they computed first and are never
-# cleared.  An entry made before its group was enumerated holds elements
-# without ids; those are equal to and hash like the interned ones, and
-# their products are interned, so a stale entry can cost speed but never
-# change an answer.  Only answers that cover the whole group enumerate
-# it first: the minimal coset representatives, read off the table's
-# descent masks, and the subgroup on every simple index, which is the
-# group itself (the order guard then refuses oversize groups).
+# The memo below lives on the root system, so its entries live and die
+# with that system and two equal systems built apart share none.  It
+# keeps what it computed first and is never cleared.  An entry made
+# before its group was enumerated holds elements without ids; those are
+# equal to and hash like the interned ones, and their products are
+# interned, so a stale entry can cost speed but never change an answer.
+# Only answers that cover the whole group enumerate it first: the minimal
+# coset representatives, read off the table's descent masks, and the
+# subgroup on every simple index, which is the group itself (the order
+# guard then refuses oversize groups).  The memo holds at most three
+# entries per subset of the simple indices.
 
 
-@lru_cache(maxsize=None)
-def _subgroup_cached(rs: RootSystem, j: frozenset[int]) -> tuple[WeylElement, ...]:
+def _memoized(build, rs: RootSystem, subset: Iterable[int]):
+    key = (build, _normalize_subset(rs, subset))
+    memo = rs._weyl_memo
+    if key not in memo:
+        memo[key] = build(rs, key[1])
+    return memo[key]
+
+
+def _subgroup(rs: RootSystem, j: frozenset[int]) -> tuple[WeylElement, ...]:
     if len(j) == rs.rank:
         # the whole group: its closure would redo the enumeration
         return enumerate_weyl(rs)
@@ -467,11 +476,10 @@ def _subgroup_cached(rs: RootSystem, j: frozenset[int]) -> tuple[WeylElement, ..
 
 def weyl_subgroup(rs: RootSystem, subset: Iterable[int]) -> tuple[WeylElement, ...]:
     """The standard subgroup generated by the listed simple reflections."""
-    return _subgroup_cached(rs, _normalize_subset(rs, subset))
+    return _memoized(_subgroup, rs, subset)
 
 
-@lru_cache(maxsize=None)
-def _longest_cached(rs: RootSystem, j: frozenset[int]) -> WeylElement:
+def _longest(rs: RootSystem, j: frozenset[int]) -> WeylElement:
     w = WeylElement.identity(rs)
     while True:
         up = [i for i in sorted(j) if w.perm[rs.simple_root_index(i)] >= 0]
@@ -487,11 +495,10 @@ def longest_element(rs: RootSystem, subset: Iterable[int]) -> WeylElement:
     subset that still increases length.  The result inverts exactly the
     positive roots supported on the subset.
     """
-    return _longest_cached(rs, _normalize_subset(rs, subset))
+    return _memoized(_longest, rs, subset)
 
 
-@lru_cache(maxsize=None)
-def _min_reps_cached(rs: RootSystem, j: frozenset[int]) -> tuple[WeylElement, ...]:
+def _min_reps(rs: RootSystem, j: frozenset[int]) -> tuple[WeylElement, ...]:
     elements = enumerate_weyl(rs)
     mask = _index_mask(j)
     return tuple(
@@ -506,7 +513,7 @@ def min_coset_reps(rs: RootSystem, subset: Iterable[int]) -> tuple[WeylElement, 
     subset (it maps every listed simple root to a positive root); the
     result follows the global enumeration order.
     """
-    return _min_reps_cached(rs, _normalize_subset(rs, subset))
+    return _memoized(_min_reps, rs, subset)
 
 
 def coset_minimize(w: WeylElement, subset: Iterable[int]) -> WeylElement:

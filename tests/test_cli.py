@@ -7,7 +7,8 @@ import pytest
 
 from catx.charcalc import FormalCharacter, costandard_character
 from catx.chario import character_dumps, module_dumps
-from catx.cli import main
+from catx import cli
+from catx.cli import build_parser, main
 from catx.incidence import build_incidence_algebra, interval_module
 from catx.rootsystem import build_root_system
 
@@ -198,6 +199,48 @@ def test_argparse_rejections(capsys):
         main(["verify", "--sample-triples", "5"])  # the order check is exhaustive
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_one_parser_serves_every_call_of_a_process(capsys, tmp_path):
+    def fresh(argv):
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code
+        return args.func(args)
+
+    def shared(argv):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+    outcomes = {}
+    for run in (shared, fresh):
+        char_file = tmp_path / f"{run.__name__}.json"
+        calls = [
+            ["char", "--type", "A2"],  # missing --kind
+            ["char", "--type", "B2", "--kind", "nabla", "--j", "1,2",
+             "--json", "--out", str(char_file)],
+            ["decompose", "--in", str(char_file), "--json"],
+        ]
+        got = []
+        for argv in calls:
+            code = run(argv)
+            captured = capsys.readouterr()
+            got.append((code, captured.out, captured.err))
+        outcomes[run.__name__] = (got, char_file.read_text())
+        parser = cli._parser
+        assert parser is not None and main(["roots", "--type", "A1"]) == 0
+        assert cli._parser is parser
+        capsys.readouterr()
+    assert outcomes["shared"] == outcomes["fresh"]
+    (bad, bad_out, bad_err), (char_code, _, _), (dec_code, dec_out, _) = (
+        outcomes["shared"][0]
+    )
+    assert (bad, char_code, dec_code) == (2, 0, 0)
+    assert bad_out == "" and "--kind" in bad_err
+    assert json.loads(dec_out)["ok"] is True
 
 
 def test_verify_quick_pass(capsys, tmp_path):

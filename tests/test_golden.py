@@ -1,8 +1,10 @@
 """Pinned digests of command-line outputs.
 
 The outputs must stay byte-identical apart from timings whatever the
-group layer computes with.  Each digest is the sha256 of the output as
-written by the permutation-only group code.
+group layer computes with, and whichever way minimal polynomials are
+factored.  Each group-layer digest is the sha256 of the output as written
+by the permutation-only group code; each incidence digest, of the output
+as written when sympy factored every minimal polynomial.
 """
 
 import hashlib
@@ -72,3 +74,15 @@ def test_char_decompose_round_trip_digest(tmp_path, capsys, cartan, kind, itheta
     decomposed = capsys.readouterr().out
     assert json.loads(decomposed)["ok"] is True
     assert sha256(written + decomposed) == digest
+
+
+@pytest.mark.parametrize(
+    "n, digest",
+    [
+        (2, "f2e71e1a9ed39c6ef291b332fea8c9e2734741e8b6c3e727e833fe7fbeca61e9"),
+        (3, "15663c8c25b6e6c337a2dd3746402d5534bc001ab52befcc7ced95404e19dabb"),
+    ],
+)
+def test_algebra_regular_split_digest(capsys, n, digest):
+    assert main(["algebra", "--n", str(n), "--json"]) == 0
+    assert sha256(capsys.readouterr().out) == digest

@@ -1,4 +1,10 @@
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction as Q
+from math import prod
+from pathlib import Path
 
 import pytest
 
@@ -290,3 +296,120 @@ def test_simple_module_is_local():
     assert len(out) == 1
     m, mult, cert = out[0]
     assert m.total_dim == 1 and mult == 1 and cert
+
+
+reference = incidence._sympy_factor_rational_poly
+
+
+def _rational_factor(rng, degree):
+    coeffs = [Q(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(degree)]
+    return coeffs + [Q(rng.choice([-1, 1]) * rng.randint(1, 5), rng.randint(1, 5))]
+
+
+def _needs_sympy(factors):
+    """The fallback rule, read off the reference factorization: some
+    square-free part (the factors of one exponent) has a root-free part of
+    degree 4 or more, or an end coefficient of its primitive form, without
+    the factor x, above the limit."""
+    for exp in {e for _, e in factors}:
+        part = [f for f, e in factors if e == exp and f != [0, 1]]
+        root_free = sum(len(f) - 1 for f in part if len(f) > 2)
+        ends = (prod(f[0] for f in part), prod(f[-1] for f in part))
+        if root_free >= 4 or max(map(abs, ends)) > incidence.FACTOR_END_COEFF_LIMIT:
+            return True
+    return False
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The polynomials the factorizer hands to sympy, in call order."""
+    calls = []
+
+    def counted(coeffs):
+        calls.append(coeffs)
+        return reference(coeffs)
+
+    monkeypatch.setattr(incidence, "_sympy_factor_rational_poly", counted)
+    return calls
+
+
+def test_factorizer_matches_sympy_on_a_seeded_corpus(fallbacks):
+    rng = random.Random(20240501)
+    corpus = [[Q(0), Q(-1, 2), Q(1)]]  # x^2 - x/2: factors 2x - 1 and x
+    for _ in range(150):
+        poly = [Q(rng.randint(1, 9) * rng.choice([-1, 1]), rng.randint(1, 9))]
+        for _ in range(rng.randint(1, 3)):
+            factor = _rational_factor(rng, rng.randint(1, 4))
+            poly = incidence._poly_mul(
+                poly, incidence._poly_pow(factor, rng.randint(1, 3))
+            )
+        corpus.append(poly)
+    for poly in corpus:
+        before = len(fallbacks)
+        got = incidence._factor_rational_poly(poly)
+        want = reference(poly)
+        assert (len(fallbacks) > before) == _needs_sympy(want)
+        assert got == want
+        assert [[(c.numerator, c.denominator) for c in f] for f, _ in got] == [
+            [(c.numerator, c.denominator) for c in f] for f, _ in want
+        ]
+        assert all(type(e) is int for _, e in got)
+    assert incidence._factor_rational_poly(corpus[0]) == [
+        ([Q(-1), Q(2)], 1),
+        ([Q(0), Q(1)], 1),
+    ]
+    assert 0 < len(fallbacks) < len(corpus)
+
+
+def test_factorizer_falls_back_on_quartic_parts_and_large_ends(fallbacks):
+    factor = incidence._factor_rational_poly
+    # (x^2 + 1)(x^2 + 2): root free, degree 4, a product of quadratics
+    quartic = [Q(2), Q(0), Q(3), Q(0), Q(1)]
+    assert factor(quartic) == [([Q(1), Q(0), Q(1)], 1), ([Q(2), Q(0), Q(1)], 1)]
+    assert fallbacks == [quartic]
+    big = incidence.FACTOR_END_COEFF_LIMIT + 1
+    large_end = incidence._poly_mul([Q(-big), Q(1)], [Q(1), Q(3)])
+    assert factor(large_end) == [([Q(-big), Q(1)], 1), ([Q(1), Q(3)], 1)]
+    assert fallbacks == [quartic, large_end]
+    # at the limit itself the divisor search runs, and so do cubic parts
+    # without a rational root, squared
+    at_limit = incidence._poly_mul([Q(-big + 1), Q(1)], [Q(1), Q(3)])
+    assert factor(at_limit) == reference(at_limit)
+    cubic = incidence._poly_pow([Q(-2), Q(0), Q(0), Q(1)], 2)
+    assert factor(cubic) == [([Q(-2), Q(0), Q(0), Q(1)], 2)]
+    assert fallbacks == [quartic, large_end]
+    assert factor([]) == factor([Q(5)]) == factor([Q(5), Q(0)]) == []
+
+
+def test_splitting_modules_does_not_import_sympy(tmp_path):
+    script = "\n".join(
+        [
+            "import sys",
+            "from catx import incidence",
+            "from catx.cli import main",
+            "calls = []",
+            "factor = incidence._factor_rational_poly",
+            "incidence._factor_rational_poly = lambda c: calls.append(c) or factor(c)",
+            "for argv in sys.argv[1:]:",
+            "    assert main(argv.split()) == 0",
+            "    print(len(calls), 'sympy' in sys.modules)",
+        ]
+    )
+    src = Path(incidence.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [
+            sys.executable, "-c", script,
+            f"verify --types A1 --checks algebra --out {tmp_path / 'report.json'}",
+            f"algebra --n 2 --json --out {tmp_path / 'algebra.json'}",
+        ],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    after_verify, after_algebra = proc.stdout.split("\n")[-3:-1]
+    # both commands factored minimal polynomials, and neither imported sympy
+    verify_calls, verify_sympy = after_verify.split()
+    algebra_calls, algebra_sympy = after_algebra.split()
+    assert 0 < int(verify_calls) < int(algebra_calls)
+    assert verify_sympy == algebra_sympy == "False"

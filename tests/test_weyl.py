@@ -5,8 +5,8 @@ from catx.rootsystem import CartanType, RootSystem, build_root_system
 from catx.weyl import (
     WeylElement,
     _biclosed_masks,
-    _longest_cached,
-    _subgroup_cached,
+    _longest,
+    _subgroup,
     coset_minimize,
     descent_set,
     element_from_word,
@@ -359,15 +359,16 @@ def test_table_and_permutation_paths_agree(name):
     with pytest.raises(InputError):
         element_from_word(plain, [0])
     for j in subsets:
-        # the memo caches compare systems by type, so call past them; the
-        # last subset holds every index, whose subgroup enumerates `plain`
-        group = _subgroup_cached.__wrapped__(rs, frozenset(j))
+        # call the uncached builders, so that `plain` runs the permutation
+        # code; the last subset holds every index, whose subgroup
+        # enumerates `plain`
+        group = _subgroup(rs, frozenset(j))
         assert [w.perm for w in group] == [
-            w.perm for w in _subgroup_cached.__wrapped__(plain, frozenset(j))
+            w.perm for w in _subgroup(plain, frozenset(j))
         ]
         assert all(w._id is not None for w in group)
-        longest = _longest_cached.__wrapped__(rs, frozenset(j))
-        assert longest.perm == _longest_cached.__wrapped__(plain, frozenset(j)).perm
+        longest = _longest(rs, frozenset(j))
+        assert longest.perm == _longest(plain, frozenset(j)).perm
         assert list(min_coset_reps(rs, j)) == [
             w for w in elements if not set(perm_descents(rs, w.perm)) & set(j)
         ]
@@ -393,3 +394,25 @@ def test_elements_built_before_enumeration_match_the_interned_ones():
         assert coset_minimize(w, [1, 2]) == coset_minimize(interned, [1, 2])
     assert WeylElement.identity(rs) is elements[0]
     assert WeylElement.simple_reflection(rs, 2) is element_from_word(rs, [2])
+
+
+def test_memo_answers_belong_to_their_own_root_system():
+    plain = build_root_system("B3")
+    large = build_root_system("B3", allow_large=True)
+    assert plain == large and plain is not large
+    elements = enumerate_weyl(large)
+    for rs in (plain, large):
+        group = weyl_subgroup(rs, [1, 2])
+        longest = longest_element(rs, [1, 2])
+        reps = min_coset_reps(rs, [1, 2])
+        assert all(w.rs is rs for w in (*group, longest, *reps))
+        assert weyl_subgroup(rs, [2, 1]) is group
+        assert longest_element(rs, [2, 1]) is longest
+        assert min_coset_reps(rs, [1, 2]) is reps
+    # the second system's answers are its own interned elements, so their
+    # products walk its table
+    group = weyl_subgroup(large, [1, 2])
+    assert all(w is elements[w._id] for w in group)
+    assert all((w * v)._id is not None for w in group for v in elements[:8])
+    longest = longest_element(large, [1, 2])
+    assert longest._id is not None and longest is elements[longest._id]
