@@ -228,6 +228,10 @@ def weight_lt(a: Weight, b: Weight) -> bool:
     set exactly when u maps the pulled roots of a into the target mask
     of b.  A proper subset forces a's kept set to be smaller, so unequal
     lengths are a cheap necessary precheck.
+
+    This is the readable pairwise definition.  The decomposition and the
+    order check read the bitset rows of `_order_rows` instead, and the
+    tests hold the two equal.
     """
     if a.tchar.base != b.tchar.base or a.v.length <= b.v.length:
         return False
@@ -289,6 +293,17 @@ def simple_character(
     return _character(rs, theta, simple_coset_reps(rs, theta, jj), longest_element(rs, jj))
 
 
+def _jprime(
+    rs: RootSystem, theta: FormalCharacter, j: frozenset[int], convention: str
+) -> frozenset[int]:
+    """The index set J' that the costandard family at (theta, J) is
+    induced from: itheta minus J under the adopted convention, I minus J
+    under the rejected one."""
+    if convention == "itheta-minus-j":
+        return theta.itheta - j
+    return frozenset(rs.simple_indices) - j
+
+
 def costandard_character(
     rs: RootSystem,
     theta: FormalCharacter,
@@ -310,11 +325,7 @@ def costandard_character(
             f"unknown jprime convention {jprime_convention!r}; "
             f"expected one of {JPRIME_CONVENTIONS}"
         )
-    jj = _check_j(rs, theta, j)
-    if jprime_convention == "itheta-minus-j":
-        jprime = theta.itheta - jj
-    else:
-        jprime = frozenset(rs.simple_indices) - jj
+    jprime = _jprime(rs, theta, _check_j(rs, theta, j), jprime_convention)
     return _character(
         rs, theta, min_coset_reps(rs, jprime), WeylElement.identity(rs)
     )
@@ -363,10 +374,14 @@ def decompose_character(
     Each round selects a maximal weight of longest-element shape
     (untwisted character, v = w_J with J inside itheta) and subtracts
     the simple character at (theta, J).  Maximality is taken against
-    every weight still present.  Incomparable maxima are ordered by
-    (|J| descending, J lexicographic, label); tie_break in {0, 1, 2}
-    picks the first, last, or middle entry of that order, and results
-    must not depend on the choice.
+    every weight still present: the order rows of the candidates
+    against the character's own weights are built once (subtraction
+    never adds a weight), a bitmask tracks the weights still present,
+    and a candidate is maximal when it is present and its row misses
+    that mask.  Incomparable maxima are ordered by (|J| descending, J
+    lexicographic, label), ties kept in the character's insertion
+    order; tie_break in {0, 1, 2} picks the first, last, or middle
+    entry of that order, and results must not depend on the choice.
 
     A subtraction that would drive a multiplicity negative stops the
     loop, leaving the offending weights in the remainder and naming
@@ -375,17 +390,21 @@ def decompose_character(
     if tie_break not in (0, 1, 2):
         raise InputError("tie_break must be 0, 1, or 2")
     work = char.mapping
+    weights = tuple(work)
+    bit = {weight: 1 << k for k, weight in enumerate(weights)}
+    cands = []
+    for weight in weights:
+        j = _candidate_label(rs, weight)
+        if j is not None:
+            cands.append((bit[weight], weight, j))
+    rows = _order_rows(weights, [weight for _, weight, _ in cands])
+    present = (1 << len(weights)) - 1
     out = Decomposition()
     while work:
-        cands = []
-        for weight in work:
-            j = _candidate_label(rs, weight)
-            if j is not None:
-                cands.append((weight, j))
         maximal = [
             (weight, j)
-            for weight, j in cands
-            if not any(other != weight and weight_lt(weight, other) for other in work)
+            for (own, weight, j), row in zip(cands, rows)
+            if own & present and not row & present
         ]
         if not maximal:
             out.diagnostic = (
@@ -412,19 +431,11 @@ def decompose_character(
                 work[pw] = left
             else:
                 del work[pw]
+                present &= ~bit[pw]
         key = (weight.tchar.base, j)
         out.factors[key] = out.factors.get(key, 0) + 1
     out.remainder = ModuleCharacter(work)
     return out
-
-
-def simple_label_lt(
-    a: tuple[FormalCharacter, Iterable[int]], b: tuple[FormalCharacter, Iterable[int]]
-) -> bool:
-    """Strict order on simple-character labels: same character, first
-    index set strictly contains the second."""
-    (ta, ja), (tb, jb) = a, b
-    return ta == tb and frozenset(ja) > frozenset(jb)
 
 
 # ----------------------------------------------------------------------
@@ -486,11 +497,7 @@ def verify_filtration(
             }
         )
 
-        if jprime_convention == "itheta-minus-j":
-            jprime = theta.itheta - j
-        else:
-            jprime = frozenset(rs.simple_indices) - j
-        lhs = len(min_coset_reps(rs, jprime))
+        lhs = len(min_coset_reps(rs, _jprime(rs, theta, j, jprime_convention)))
         rhs = sum(len(simple_coset_reps(rs, theta, k)) for k in _subsets(j))
         records.append(
             {
@@ -551,10 +558,13 @@ def weight_universe(rs: RootSystem, theta: FormalCharacter) -> tuple[Weight, ...
     return tuple(sorted(seen, key=weight_sort_key))
 
 
-def _order_rows(universe: tuple[Weight, ...]) -> list[int]:
+def _order_rows(
+    universe: tuple[Weight, ...], _sources: Optional[Iterable[Weight]] = None
+) -> list[int]:
     """The weight order on a universe of weights as one bitset row per
-    weight: bit b of row a is set exactly when
-    weight_lt(universe[a], universe[b]).
+    source weight: bit b of row a is set exactly when
+    weight_lt(sources[a], universe[b]).  The sources default to the
+    universe itself; `decompose_character` passes its candidates.
 
     The column of a root holds the weights whose target mask contains
     it, so the weights that u carries the pulled roots of a into are the
@@ -588,7 +598,7 @@ def _order_rows(universe: tuple[Weight, ...]) -> list[int]:
     }
     column = columns.__getitem__
     rows = []
-    for a in universe:
+    for a in universe if _sources is None else _sources:
         base, length = a.tchar.base, a.v.length
         shorter = sum(m for (c, n), m in by_length.items() if c == base and n < length)
         row = 0
@@ -654,49 +664,3 @@ def order_axiom_records(rs: RootSystem, theta: FormalCharacter) -> list[dict]:
     universe = weight_universe(rs, theta)
     params = {"type": str(rs.cartan_type), "itheta": sorted(theta.itheta)}
     return _order_verdict(universe, _order_rows(universe), params)
-
-
-def successive_weight_diagnostic(
-    rs: RootSystem, theta: FormalCharacter, j: Iterable[int]
-) -> dict:
-    """Non-asserted probe of the successive-weight phenomenon.
-
-    For the simple character at (theta, J), scan length-increasing
-    chains v < s v < r s v between indexing representatives and count
-    how often the intermediate predicted weight is present, under both
-    readings of the twist (right product v*s versus left product s*v).
-    Offered as a diagnostic only; neither reading is an invariant of
-    this model.
-    """
-    jj = _check_j(rs, theta, j)
-    reps = set(simple_coset_reps(rs, theta, jj))
-    wj = longest_element(rs, jj)
-    char = simple_character(rs, theta, jj)
-    present = set(char.mapping)
-    simples = [WeylElement.simple_reflection(rs, i) for i in rs.simple_indices]
-    triples = 0
-    hits_right = 0
-    hits_left = 0
-    for v in sorted(reps, key=lambda w: (w.length, w.word)):
-        for s in simples:
-            sv = s * v
-            if sv.length != v.length + 1:
-                continue
-            for r in simples:
-                w = r * sv
-                if w.length != sv.length + 1 or w not in reps:
-                    continue
-                triples += 1
-                vcomp = wj * v.inverse() * s
-                right = Weight(TwistedCharacter.of(theta, v * s), vcomp)
-                left = Weight(TwistedCharacter.of(theta, sv), vcomp)
-                hits_right += right in present
-                hits_left += left in present
-    return {
-        "type": str(rs.cartan_type),
-        "itheta": sorted(theta.itheta),
-        "j": sorted(jj),
-        "triples": triples,
-        "hits_right_product": hits_right,
-        "hits_left_product": hits_left,
-    }

@@ -116,10 +116,6 @@ class WeylElement:
 
     # -- action ---------------------------------------------------------
 
-    def act_index(self, k: int) -> int:
-        """Signed image index of positive root k (~j encodes a negative)."""
-        return self.perm[k]
-
     def act(self, root: Root) -> Root:
         """Image of a root, positive or negative."""
         rs = self.rs
@@ -195,10 +191,6 @@ class WeylElement:
     def descent_set(self) -> frozenset[int]:
         """Simple indices i with (self * s_i) shorter than self."""
         return frozenset(_perm_descents(self.rs, self.perm))
-
-    @property
-    def simple_images(self) -> tuple[Root, ...]:
-        return tuple(self.act(self.rs.simple_root(i)) for i in self.rs.simple_indices)
 
     @property
     def word(self) -> tuple[int, ...]:
@@ -330,19 +322,6 @@ def element_from_word(rs: RootSystem, word: Sequence[int]) -> WeylElement:
         _check_index(rs, i)
         a = table.rmul[i][a]
     return table.elements[a]
-
-
-def weyl_act(w: WeylElement, root: Root) -> Root:
-    return w.act(root)
-
-
-def inversion_set(w: WeylElement) -> tuple[frozenset[Root], frozenset[Root]]:
-    """(roots sent negative, roots kept positive); sizes sum to all roots."""
-    return w.inverted_roots(), w.preserved_roots()
-
-
-def descent_set(w: WeylElement) -> frozenset[int]:
-    return w.descent_set()
 
 
 _NEGATIVE = (0).__gt__

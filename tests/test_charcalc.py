@@ -13,11 +13,10 @@ from catx.charcalc import (
     order_axiom_records,
     simple_character,
     simple_coset_reps,
-    simple_label_lt,
-    successive_weight_diagnostic,
     verify_filtration,
     weight_lt,
     weight_universe,
+    _candidate_label,
     _order_rows,
     _order_verdict,
 )
@@ -213,16 +212,6 @@ def test_decompose_empty_character():
     assert dec.ok and dec.factors == {}
 
 
-def test_simple_label_lt():
-    rs = build_root_system("A2")
-    th = theta_for(rs, [1, 2])
-    assert simple_label_lt((th, [1, 2]), (th, [1]))
-    assert not simple_label_lt((th, [1]), (th, [1, 2]))
-    assert not simple_label_lt((th, [1]), (th, [1]))
-    other = FormalCharacter("eta", frozenset([1, 2]))
-    assert not simple_label_lt((th, [1, 2]), (other, [1]))
-
-
 def test_verify_filtration_passes_rank2():
     for name in ("A2", "B2", "G2"):
         rs = build_root_system(name)
@@ -397,24 +386,120 @@ def test_weight_universe():
     assert len(set(uni)) == 6
 
 
-def test_successive_weight_diagnostic_shape():
-    rs = build_root_system("B2")
-    th = theta_for(rs, [1, 2])
-    out = successive_weight_diagnostic(rs, th, [1, 2])
-    assert set(out) == {
-        "type",
-        "itheta",
-        "j",
-        "triples",
-        "hits_right_product",
-        "hits_left_product",
-    }
-    assert 0 <= out["hits_right_product"] <= out["triples"]
-    assert 0 <= out["hits_left_product"] <= out["triples"]
-
-
 def test_decomposition_ok_property():
     d = Decomposition()
     assert d.ok
     d.diagnostic = "stopped"
     assert not d.ok
+
+
+def reference_decomposition(rs, char, tie_break=0):
+    """The pairwise decomposition: each round tests every longest-element-
+    shaped weight with weight_lt against every weight still present."""
+    work = char.mapping
+    out = Decomposition()
+    while work:
+        cands = []
+        for weight in work:
+            j = _candidate_label(rs, weight)
+            if j is not None:
+                cands.append((weight, j))
+        maximal = [
+            (weight, j)
+            for weight, j in cands
+            if not any(other != weight and weight_lt(weight, other) for other in work)
+        ]
+        if not maximal:
+            out.diagnostic = (
+                "no maximal weight of longest-element shape remains; "
+                f"{sum(work.values())} weight(s) left"
+            )
+            break
+        maximal.sort(
+            key=lambda wj: (-len(wj[1]), tuple(sorted(wj[1])), wj[0].tchar.base.label)
+        )
+        pick = {0: 0, 1: len(maximal) - 1, 2: len(maximal) // 2}[tie_break]
+        weight, j = maximal[pick]
+        piece = simple_character(rs, weight.tchar.base, j)
+        missing = [pw for pw, pm in piece.items() if work.get(pw, 0) < pm]
+        if missing:
+            out.diagnostic = (
+                f"subtracting the simple character at J={sorted(j)} needs "
+                f"weight(s) {missing!r} not present with enough multiplicity"
+            )
+            break
+        for pw, pm in piece.items():
+            left = work[pw] - pm
+            if left:
+                work[pw] = left
+            else:
+                del work[pw]
+        key = (weight.tchar.base, j)
+        out.factors[key] = out.factors.get(key, 0) + 1
+    out.remainder = ModuleCharacter(work)
+    return out
+
+
+def assert_matches_reference(rs, char, label):
+    for tie_break in (0, 1, 2):
+        got = decompose_character(rs, char, tie_break=tie_break)
+        want = reference_decomposition(rs, char, tie_break)
+        assert got.factors == want.factors, (label, tie_break)
+        assert got.remainder == want.remainder, (label, tie_break)
+        assert got.diagnostic == want.diagnostic, (label, tie_break)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3"])
+def test_decomposition_matches_the_pairwise_scan(name):
+    rs = build_root_system(name)
+    for itheta in subsets_of(rs.simple_indices):
+        theta = theta_for(rs, itheta)
+        for j in subsets_of(itheta):
+            for kind, build in (
+                ("M", induced_character),
+                ("E", simple_character),
+                ("nabla", costandard_character),
+            ):
+                label = (kind, sorted(itheta), sorted(j))
+                assert_matches_reference(rs, build(rs, theta, j), label)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3"])
+def test_decomposition_matches_the_pairwise_scan_off_the_families(name):
+    rs = build_root_system(name)
+    full = theta_for(rs, rs.simple_indices)
+    eta = FormalCharacter("eta", frozenset([1, 2]))
+    # two thetas at once: maxima of both labels compete in the tie order
+    mixed = ModuleCharacter.sum(
+        [
+            induced_character(rs, full, [1]),
+            costandard_character(rs, eta, [2]),
+            induced_character(rs, eta, []),
+        ]
+    )
+    assert_matches_reference(rs, mixed, "two thetas")
+    nabla = costandard_character(rs, full, [1, 3])
+    for weight, mult in nabla.items():
+        # one weight removed: a subtraction runs short somewhere
+        removed = nabla.mapping
+        del removed[weight]
+        assert_matches_reference(rs, ModuleCharacter(removed), ("removed", weight))
+        # one multiplicity doubled: a copy is left over or blocks a maximum
+        doubled = nabla.mapping
+        doubled[weight] = 2 * mult
+        assert_matches_reference(rs, ModuleCharacter(doubled), ("doubled", weight))
+
+
+def test_decomposition_and_filtration_never_call_weight_lt(monkeypatch):
+    def refuse(a, b):
+        raise AssertionError("weight_lt called on the decomposition path")
+
+    monkeypatch.setattr("catx.charcalc.weight_lt", refuse)
+    rs = build_root_system("B3")
+    records = verify_filtration(rs, theta_for(rs, rs.simple_indices))
+    assert records and all(r["passed"] for r in records)
+    rs4 = build_root_system("C4")
+    theta = theta_for(rs4, rs4.simple_indices)
+    dec = decompose_character(rs4, costandard_character(rs4, theta, [1, 2, 4]))
+    assert dec.ok
+    assert dec.factors == {(theta, k): 1 for k in subsets_of([1, 2, 4])}
