@@ -14,20 +14,34 @@ strict order on weights moves the root set into a strictly smaller one
 through any group element compatible with the twist, and the
 decomposition peels maximal weights of longest-element shape,
 subtracting one simple character per step.
+
+Inside this module and `catx.chario` a weight is one int.  With the ids
+of the group table (`catx.weyl`), the weight with coset representative
+id r and second component id v packs as r * |W| + v, and a
+`ModuleCharacter` stores {torus character: {packed weight: mult}}.  The
+character builders, the simple-character memo, the decomposition, the
+order rows and verdict, and the character files all run on these ints.
+`Weight` and `TwistedCharacter` objects are built only at the edges: the
+public accessors of `ModuleCharacter`, `weight_universe`, `weight_lt`,
+and the repr of a weight named in a counterexample or diagnostic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
+from itertools import compress
 from operator import and_
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from catx.errors import InputError
 from catx.rootsystem import RootSystem
 from catx.weyl import (
     WeylElement,
+    _index_mask,
+    _memoized,
     coset_minimize,
+    group_table,
     longest_element,
     min_coset_reps,
     weyl_subgroup,
@@ -140,50 +154,138 @@ def weight_sort_key(w: Weight):
     )
 
 
-class ModuleCharacter:
-    """A finite multiset of weights with positive multiplicities."""
+# ----------------------------------------------------------------------
+# weights as packed integer ids
 
-    __slots__ = ("_entries",)
+
+def _element_id(table, w: WeylElement) -> int:
+    """The table id of an element; elements built before the group was
+    enumerated carry none, and are found by their permutation."""
+    return w._id if w._id is not None else table.index[w.perm]
+
+
+def _weight_of(rs: RootSystem, base: FormalCharacter, packed: int) -> Weight:
+    """The weight object of a packed id (built at the edges only)."""
+    elements = rs._weyl_table.elements
+    rep, v = divmod(packed, len(elements))
+    return Weight(TwistedCharacter(base, elements[rep]), elements[v])
+
+
+def _id_sort_key(rs: RootSystem) -> Callable[[int], int]:
+    """Sort key on the packed ids of one base that orders them exactly as
+    `weight_sort_key` orders their weights: the rank of each id when the
+    ids are sorted by (len(word), word), kept on the root system's memo,
+    one list per system."""
+    memo = rs._weyl_memo
+    if _id_sort_key not in memo:
+        words = rs._weyl_table.words
+        rank = memo[_id_sort_key] = [0] * len(words)
+        ordered = sorted(range(len(words)), key=lambda a: (len(words[a]), words[a]))
+        for k, a in enumerate(ordered):
+            rank[a] = k
+    rank = memo[_id_sort_key]
+    n = len(rank)
+    return lambda p: rank[p // n] * n + rank[p % n]
+
+
+def _base_key(base: FormalCharacter):
+    return base.label, tuple(sorted(base.itheta))
+
+
+class ModuleCharacter:
+    """A finite multiset of weights with positive multiplicities.
+
+    Stored over one root system as {torus character: {packed weight:
+    multiplicity}} (see the module docstring), in insertion order within
+    each torus character; no inner dict is empty.  Weights given as
+    objects are packed on construction, enumerating the group of a
+    system that has no table yet under its order guard.  The accessors
+    `mapping`, `items`, `weights` and `get` speak in `Weight` objects and
+    build them on each call; `items` orders them by `weight_sort_key`.
+    """
+
+    __slots__ = ("_rs", "_entries")
 
     def __init__(self, entries: Mapping[Weight, int] | Iterable[tuple[Weight, int]] = ()):
-        data: dict[Weight, int] = {}
+        self._rs: Optional[RootSystem] = None
+        self._entries: dict[FormalCharacter, dict[int, int]] = {}
         items = entries.items() if isinstance(entries, Mapping) else entries
         for weight, mult in items:
             if not isinstance(mult, int) or mult < 1:
                 raise InputError(f"multiplicity for {weight!r} must be a positive int")
-            data[weight] = data.get(weight, 0) + mult
-        self._entries = data
+            rs = weight.v.rs
+            if self._rs is None:
+                self._rs = rs
+            elif rs is not self._rs and rs != self._rs:
+                raise InputError("cannot mix weights of different root systems")
+            packed = self._packed(weight)
+            inner = self._entries.setdefault(weight.tchar.base, {})
+            inner[packed] = inner.get(packed, 0) + mult
+
+    def _packed(self, weight: Weight) -> int:
+        table = group_table(self._rs)
+        rep = _element_id(table, weight.tchar.coset_rep)
+        return rep * len(table.elements) + _element_id(table, weight.v)
+
+    @classmethod
+    def _of(
+        cls, rs: RootSystem, entries: dict[FormalCharacter, dict[int, int]]
+    ) -> "ModuleCharacter":
+        """A character over packed ids, taking ownership of the dicts."""
+        out = cls.__new__(cls)
+        out._entries = {base: inner for base, inner in entries.items() if inner}
+        out._rs = rs if out._entries else None
+        return out
+
+    def _sorted_ids(self, base: FormalCharacter) -> list[int]:
+        """The packed ids over one torus character, in `items` order."""
+        inner = self._entries.get(base)
+        return sorted(inner, key=_id_sort_key(self._rs)) if inner else []
 
     @property
     def mapping(self) -> dict[Weight, int]:
-        return dict(self._entries)
+        rs = self._rs
+        return {
+            _weight_of(rs, base, p): m
+            for base, inner in self._entries.items()
+            for p, m in inner.items()
+        }
 
     def items(self) -> list[tuple[Weight, int]]:
-        return sorted(self._entries.items(), key=lambda kv: weight_sort_key(kv[0]))
+        rs = self._rs
+        return [
+            (_weight_of(rs, base, p), self._entries[base][p])
+            for base in sorted(self._entries, key=_base_key)
+            for p in self._sorted_ids(base)
+        ]
 
     def weights(self) -> list[Weight]:
         return [w for w, _ in self.items()]
 
     def get(self, weight: Weight) -> int:
-        return self._entries.get(weight, 0)
+        inner = self._entries.get(weight.tchar.base)
+        if inner is None or weight.v.rs != self._rs:
+            return 0
+        return inner.get(self._packed(weight), 0)
 
     def total(self) -> int:
-        return sum(self._entries.values())
+        return sum(sum(inner.values()) for inner in self._entries.values())
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return sum(map(len, self._entries.values()))
 
     def __bool__(self) -> bool:
         return bool(self._entries)
 
     def __add__(self, other: "ModuleCharacter") -> "ModuleCharacter":
-        out = dict(self._entries)
-        for w, m in other._entries.items():
-            out[w] = out.get(w, 0) + m
-        return ModuleCharacter(out)
+        return ModuleCharacter.sum((self, other))
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, ModuleCharacter) and self._entries == other._entries
+        return (
+            isinstance(other, ModuleCharacter)
+            and self._entries == other._entries
+            and (not self._entries or self._rs == other._rs)
+        )
 
     def __repr__(self) -> str:
         body = ", ".join(f"{w!r}:{m}" for w, m in self.items())
@@ -191,11 +293,20 @@ class ModuleCharacter:
 
     @staticmethod
     def sum(pieces: Iterable["ModuleCharacter"]) -> "ModuleCharacter":
-        out: dict[Weight, int] = {}
+        rs = None
+        out: dict[FormalCharacter, dict[int, int]] = {}
         for piece in pieces:
-            for w, m in piece._entries.items():
-                out[w] = out.get(w, 0) + m
-        return ModuleCharacter(out)
+            if not piece._entries:
+                continue
+            if rs is None:
+                rs = piece._rs
+            elif piece._rs is not rs and piece._rs != rs:
+                raise InputError("cannot mix weights of different root systems")
+            for base, inner in piece._entries.items():
+                acc = out.setdefault(base, {})
+                for p, m in inner.items():
+                    acc[p] = acc.get(p, 0) + m
+        return ModuleCharacter._of(rs, out)
 
 
 # ----------------------------------------------------------------------
@@ -247,14 +358,26 @@ def weight_lt(a: Weight, b: Weight) -> bool:
 # characters of the standard families
 
 
-def _character(
-    rs: RootSystem, theta: FormalCharacter, reps: Iterable[WeylElement], wj: WeylElement
+def _weight_ids(
+    table, theta: FormalCharacter, reps: Iterable[int], wj: int
+) -> list[int]:
+    """The packed weights of theta twisted by each w in reps, paired with
+    wj * w^{-1}.  Distinct reps give distinct second components, so each
+    weight has multiplicity one."""
+    n = len(table.elements)
+    mask = _index_mask(theta.itheta)
+    minimize, product, inverse = table.minimize, table.product, table.inverse
+    return [minimize(w, mask) * n + product(wj, inverse[w]) for w in reps]
+
+
+def _family(
+    rs: RootSystem, theta: FormalCharacter, ids: Iterable[int]
 ) -> ModuleCharacter:
-    out: dict[Weight, int] = {}
-    for w in reps:
-        weight = Weight(TwistedCharacter.of(theta, w), wj * w.inverse())
-        out[weight] = out.get(weight, 0) + 1
-    return ModuleCharacter(out)
+    return ModuleCharacter._of(rs, {theta: dict.fromkeys(ids, 1)})
+
+
+def _rep_ids(rs: RootSystem, j: Iterable[int]) -> list[int]:
+    return [w._id for w in min_coset_reps(rs, j)]
 
 
 def induced_character(
@@ -266,7 +389,21 @@ def induced_character(
     paired with w_J w^{-1}.
     """
     jj = _check_j(rs, theta, j)
-    return _character(rs, theta, min_coset_reps(rs, jj), longest_element(rs, jj))
+    table = group_table(rs)
+    wj = _element_id(table, longest_element(rs, jj))
+    return _family(rs, theta, _weight_ids(table, theta, _rep_ids(rs, jj), wj))
+
+
+def _simple_rep_ids(
+    rs: RootSystem, theta: FormalCharacter, jj: frozenset[int]
+) -> list[int]:
+    """Ids of the minimal coset representatives w of J whose product with
+    w_J has every right descent inside J or outside itheta."""
+    table = group_table(rs)
+    refused = _index_mask(theta.itheta - jj)
+    wj = _element_id(table, longest_element(rs, jj))
+    descents, product = table.descents, table.product
+    return [w for w in _rep_ids(rs, jj) if not descents[product(w, wj)] & refused]
 
 
 def simple_coset_reps(
@@ -278,11 +415,23 @@ def simple_coset_reps(
     has every right descent inside J or outside itheta.
     """
     jj = _check_j(rs, theta, j)
-    allowed = jj | (frozenset(rs.simple_indices) - theta.itheta)
-    wj = longest_element(rs, jj)
-    return tuple(
-        w for w in min_coset_reps(rs, jj) if (w * wj).descent_set() <= allowed
-    )
+    elements = group_table(rs).elements
+    return tuple(elements[w] for w in _simple_rep_ids(rs, theta, jj))
+
+
+def _simple_ids(
+    rs: RootSystem, theta: FormalCharacter, jj: frozenset[int]
+) -> tuple[int, ...]:
+    """The packed weights of the simple character at (theta, J), each of
+    multiplicity one, memoised on the root system under (theta, mask of
+    J)."""
+    memo = rs._weyl_memo
+    key = (theta, _index_mask(jj))
+    if key not in memo:
+        table = group_table(rs)
+        wj = _element_id(table, longest_element(rs, jj))
+        memo[key] = tuple(_weight_ids(table, theta, _simple_rep_ids(rs, theta, jj), wj))
+    return memo[key]
 
 
 def simple_character(
@@ -290,7 +439,7 @@ def simple_character(
 ) -> ModuleCharacter:
     """Character of the simple quotient at (theta, J)."""
     jj = _check_j(rs, theta, j)
-    return _character(rs, theta, simple_coset_reps(rs, theta, jj), longest_element(rs, jj))
+    return _family(rs, theta, _simple_ids(rs, theta, jj))
 
 
 def _jprime(
@@ -326,9 +475,8 @@ def costandard_character(
             f"expected one of {JPRIME_CONVENTIONS}"
         )
     jprime = _jprime(rs, theta, _check_j(rs, theta, j), jprime_convention)
-    return _character(
-        rs, theta, min_coset_reps(rs, jprime), WeylElement.identity(rs)
-    )
+    ids = _weight_ids(group_table(rs), theta, _rep_ids(rs, jprime), 0)
+    return _family(rs, theta, ids)
 
 
 # ----------------------------------------------------------------------
@@ -354,18 +502,6 @@ class Decomposition:
         return not self.remainder and self.diagnostic is None
 
 
-def _candidate_label(rs: RootSystem, weight: Weight) -> Optional[frozenset[int]]:
-    """J such that the weight reads (untwisted theta, w_J), if any."""
-    if not weight.tchar.is_untwisted:
-        return None
-    j = weight.v.descent_set()
-    if not j <= weight.tchar.base.itheta:
-        return None
-    if weight.v != longest_element(rs, j):
-        return None
-    return j
-
-
 def decompose_character(
     rs: RootSystem, char: ModuleCharacter, *, tie_break: int = 0
 ) -> Decomposition:
@@ -389,52 +525,73 @@ def decompose_character(
     """
     if tie_break not in (0, 1, 2):
         raise InputError("tie_break must be 0, 1, or 2")
-    work = char.mapping
-    weights = tuple(work)
-    bit = {weight: 1 << k for k, weight in enumerate(weights)}
-    cands = []
-    for weight in weights:
-        j = _candidate_label(rs, weight)
-        if j is not None:
-            cands.append((bit[weight], weight, j))
-    rows = _order_rows(weights, [weight for _, weight, _ in cands])
-    present = (1 << len(weights)) - 1
     out = Decomposition()
-    while work:
+    if not char:
+        return out
+    if char._rs != rs:
+        raise InputError(
+            f"character is over {char._rs.cartan_type}, not {rs.cartan_type}"
+        )
+    table = group_table(rs)
+    work = {base: dict(inner) for base, inner in char._entries.items()}
+    # one bit per weight, the bases in turn; rows only relate weights of
+    # one base, so each base's rows are built on its own and shifted
+    bits: dict[FormalCharacter, dict[int, int]] = {}
+    cands = []
+    offset = 0
+    for base, inner in work.items():
+        weights = list(inner)
+        bits[base] = {p: 1 << (offset + k) for k, p in enumerate(weights)}
+        longest = {
+            _element_id(table, longest_element(rs, k)): k for k in _subsets(base.itheta)
+        }
+        here = [(p, longest[p]) for p in weights if p in longest]  # rep id 0, v = w_J
+        rows = _order_rows(rs, base, weights, [p for p, _ in here])
+        cands += [
+            (bits[base][p], row << offset, base, j) for (p, j), row in zip(here, rows)
+        ]
+        offset += len(weights)
+    present = (1 << offset) - 1
+    while present:
         maximal = [
-            (weight, j)
-            for (own, weight, j), row in zip(cands, rows)
+            (base, j)
+            for own, row, base, j in cands
             if own & present and not row & present
         ]
         if not maximal:
+            left = sum(sum(inner.values()) for inner in work.values())
             out.diagnostic = (
                 "no maximal weight of longest-element shape remains; "
-                f"{sum(work.values())} weight(s) left"
+                f"{left} weight(s) left"
             )
             break
         maximal.sort(
-            key=lambda wj: (-len(wj[1]), tuple(sorted(wj[1])), wj[0].tchar.base.label)
+            key=lambda bj: (-len(bj[1]), tuple(sorted(bj[1])), bj[0].label)
         )
         pick = {0: 0, 1: len(maximal) - 1, 2: len(maximal) // 2}[tie_break]
-        weight, j = maximal[pick]
-        piece = simple_character(rs, weight.tchar.base, j)
-        missing = [pw for pw, pm in piece.items() if work.get(pw, 0) < pm]
-        if missing:
+        base, j = maximal[pick]
+        piece = _simple_ids(rs, base, j)
+        inner = work[base]
+        short = [p for p in piece if p not in inner]
+        if short:
+            short.sort(key=_id_sort_key(rs))
+            missing = [_weight_of(rs, base, p) for p in short]
             out.diagnostic = (
                 f"subtracting the simple character at J={sorted(j)} needs "
                 f"weight(s) {missing!r} not present with enough multiplicity"
             )
             break
-        for pw, pm in piece.items():
-            left = work[pw] - pm
+        own = bits[base]
+        for p in piece:
+            left = inner[p] - 1
             if left:
-                work[pw] = left
+                inner[p] = left
             else:
-                del work[pw]
-                present &= ~bit[pw]
-        key = (weight.tchar.base, j)
+                del inner[p]
+                present &= ~own[p]
+        key = (base, j)
         out.factors[key] = out.factors.get(key, 0) + 1
-    out.remainder = ModuleCharacter(work)
+    out.remainder = ModuleCharacter._of(rs, work)
     return out
 
 
@@ -451,10 +608,17 @@ def _subsets(items: Iterable[int]) -> list[frozenset[int]]:
 
 
 def _weight_diff(a: ModuleCharacter, b: ModuleCharacter) -> dict[str, int]:
+    """Multiplicity differences a - b, keyed by weight repr, in `items`
+    order within each torus character."""
     diff: dict[str, int] = {}
-    for w in set(a.mapping) | set(b.mapping):
-        if a.get(w) != b.get(w):
-            diff[repr(w)] = a.get(w) - b.get(w)
+    if a == b:
+        return diff
+    rs = a._rs or b._rs
+    for base in {**a._entries, **b._entries}:
+        x, y = a._entries.get(base, {}), b._entries.get(base, {})
+        for p in sorted(x.keys() | y.keys(), key=_id_sort_key(rs)):
+            if x.get(p, 0) != y.get(p, 0):
+                diff[repr(_weight_of(rs, base, p))] = x.get(p, 0) - y.get(p, 0)
     return diff
 
 
@@ -468,10 +632,12 @@ def verify_filtration(
 
     Per J: the costandard character equals the sum of the simple
     characters over all subsets of J (as multisets); the representative
-    counts satisfy the matching counting identity; decomposing the
-    costandard character returns exactly the subsets of J with
-    multiplicity one; decomposing the induced character returns exactly
-    the supersets of J inside itheta with multiplicity one.
+    counts satisfy the matching counting identity (a simple character
+    has one weight of multiplicity one per representative, so its total
+    is their count); decomposing the costandard character returns exactly
+    the subsets of J with multiplicity one; decomposing the induced
+    character returns exactly the supersets of J inside itheta with
+    multiplicity one.
 
     Returns one JSON-ready record per (J, check).
     """
@@ -486,8 +652,8 @@ def verify_filtration(
             "jprime_convention": jprime_convention,
         }
         nabla = costandard_character(rs, theta, j, jprime_convention=jprime_convention)
-        total = ModuleCharacter.sum(simple_character(rs, theta, k) for k in _subsets(j))
-        diff = _weight_diff(nabla, total)
+        simples = [simple_character(rs, theta, k) for k in _subsets(j)]
+        diff = _weight_diff(nabla, ModuleCharacter.sum(simples))
         records.append(
             {
                 "check": "filtration-multiset",
@@ -498,7 +664,7 @@ def verify_filtration(
         )
 
         lhs = len(min_coset_reps(rs, _jprime(rs, theta, j, jprime_convention)))
-        rhs = sum(len(simple_coset_reps(rs, theta, k)) for k in _subsets(j))
+        rhs = sum(simple.total() for simple in simples)
         records.append(
             {
                 "check": "filtration-counting",
@@ -550,64 +716,104 @@ def verify_filtration(
     return records
 
 
+def _universe_ids(rs: RootSystem, theta: FormalCharacter) -> list[int]:
+    """The packed weights of the costandard sweep of theta, in `items`
+    order."""
+    seen: set[int] = set()
+    for j in _subsets(theta.itheta):
+        seen.update(costandard_character(rs, theta, j)._entries.get(theta, ()))
+    return sorted(seen, key=_id_sort_key(rs))
+
+
 def weight_universe(rs: RootSystem, theta: FormalCharacter) -> tuple[Weight, ...]:
     """Every weight appearing across the costandard sweep of theta."""
-    seen: set[Weight] = set()
-    for j in _subsets(theta.itheta):
-        seen.update(costandard_character(rs, theta, j).mapping)
-    return tuple(sorted(seen, key=weight_sort_key))
+    return tuple(_weight_of(rs, theta, p) for p in _universe_ids(rs, theta))
+
+
+def _stabilizer_images(
+    rs: RootSystem, itheta: frozenset[int]
+) -> tuple[tuple, tuple, tuple]:
+    """Per element u of the stabilizer subgroup on itheta: the images of
+    the 2n roots under u and under u^{-1} (see `WeylElement.image_bits`),
+    and the mask of the roots that u sends to negative roots.  Kept on
+    the root system's memo, one triple per subset."""
+    group = weyl_subgroup(rs, itheta)
+    n = len(rs.positive_roots)
+    preimages = tuple(u.inverse().image_bits for u in group)
+    negative = tuple(sum(pre[n:]) for pre in preimages)
+    return tuple(u.image_bits for u in group), preimages, negative
+
+
+_KEPT = (0).__le__
 
 
 def _order_rows(
-    universe: tuple[Weight, ...], _sources: Optional[Iterable[Weight]] = None
+    rs: RootSystem,
+    theta: FormalCharacter,
+    universe: list[int],
+    _sources: Optional[Iterable[int]] = None,
 ) -> list[int]:
-    """The weight order on a universe of weights as one bitset row per
-    source weight: bit b of row a is set exactly when
-    weight_lt(sources[a], universe[b]).  The sources default to the
-    universe itself; `decompose_character` passes its candidates.
+    """The weight order on a universe of packed weights over theta as one
+    bitset row per source weight: bit b of row a is set exactly when
+    sources[a] lies below universe[b] (`weight_lt`).  The sources default
+    to the universe itself; `decompose_character` passes its candidates.
 
-    The column of a root holds the weights whose target mask contains
-    it, so the weights that u carries the pulled roots of a into are the
-    intersection of the columns of their images.  Row a joins that over
-    the stabilizer elements u, among the shorter weights over a's
-    character, and stops once it holds all of them.  An element that
-    sends a pulled root outside every target mask is skipped with one
-    mask test.
+    Each weight gives one mask over the 2n roots: its kept roots moved
+    by the inverse of its twist.  As the lower weight these are its
+    pulled roots, as the upper one its target mask.  The column of a
+    root holds the weights whose target mask contains it, so the weights
+    that u carries the pulled roots of a into are the intersection of
+    the columns of their images.  Row a joins that over the stabilizer
+    elements u, among the shorter weights, and stops once it holds all
+    of them.  An element that sends a pulled root outside every target
+    mask is skipped with one mask test; those roots are the preimages
+    under u of the roots outside the reach of the universe.
     """
-    n_roots = 2 * len(universe[0].v.perm) if universe else 0
+    table = group_table(rs)
+    n = len(table.elements)
+    elements, inverse, words = table.elements, table.inverse, table.words
+
+    def roots(p: int) -> int:  # the kept roots of p moved by its twist's inverse
+        rep, v = divmod(p, n)
+        kept = map(_KEPT, elements[v].perm)
+        return sum(compress(elements[inverse[rep]].image_bits, kept))
+
+    n_roots = 2 * len(rs.positive_roots)
     columns = {1 << r: 0 for r in range(n_roots)}
-    by_length: dict[tuple[FormalCharacter, int], int] = {}
-    for b, w in enumerate(universe):
+    by_length: dict[int, int] = {}
+    masks = {}
+    for b, p in enumerate(universe):
         bit = 1 << b
-        target = _target_mask(w)
-        for root in columns:
-            if root & target:
-                columns[root] |= bit
-        key = (w.tchar.base, w.v.length)
-        by_length[key] = by_length.get(key, 0) | bit
-    # per stabilizer element: its images, and the roots it sends outside
-    # every target mask
+        rest = masks[p] = roots(p)
+        while rest:
+            root = rest & -rest
+            rest ^= root
+            columns[root] |= bit
+        length = len(words[p % n])
+        by_length[length] = by_length.get(length, 0) | bit
+    # the roots u sends outside the reach: those it sends negative,
+    # corrected on the few roots where the reach is not the positive ones
     reach = sum(root for root, weights in columns.items() if weights)
-    systems = {w.tchar.base: w.v.rs for w in universe}
-    stabilizers = {
-        base: [
-            (u.image_bits, sum(1 << r for r, x in enumerate(u.image_bits) if not x & reach))
-            for u in weyl_subgroup(rs, base.itheta)
+    flip_mask = reach ^ ((1 << len(rs.positive_roots)) - 1)
+    flips = [r for r in range(n_roots) if flip_mask >> r & 1]
+    images, preimages, missed = _memoized(_stabilizer_images, rs, theta.itheta)
+    if flips:
+        missed = [
+            m ^ sum(map(pre.__getitem__, flips)) for m, pre in zip(missed, preimages)
         ]
-        for base, rs in systems.items()
-    }
+    stabilizer = list(zip(images, missed))
     column = columns.__getitem__
     rows = []
     for a in universe if _sources is None else _sources:
-        base, length = a.tchar.base, a.v.length
-        shorter = sum(m for (c, n), m in by_length.items() if c == base and n < length)
+        length = len(words[a % n])
+        shorter = sum(m for k, m in by_length.items() if k < length)
         row = 0
-        pulled = _pulled_roots(a)
-        pulled_mask = sum(1 << r for r in pulled)
-        for images, missed in stabilizers[base] if shorter else ():
-            if pulled_mask & missed:
+        pulled_mask = masks[a] if a in masks else roots(a)
+        pulled = [r for r in range(n_roots) if pulled_mask >> r & 1]
+        for u_images, u_missed in stabilizer if shorter else ():
+            if pulled_mask & u_missed:
                 continue
-            fits = map(column, map(images.__getitem__, pulled))
+            fits = map(column, map(u_images.__getitem__, pulled))
             row |= reduce(and_, fits, shorter & ~row)
             if row == shorter:
                 break
@@ -616,17 +822,18 @@ def _order_rows(
 
 
 def _order_verdict(
-    universe: tuple[Weight, ...], rows: list[int], params: dict
+    rows: list[int], params: dict, name: Callable[[int], str]
 ) -> list[dict]:
     """Irreflexivity and transitivity records of a bitset relation.
 
     Irreflexive means no diagonal bit.  Transitive means row b lies
     inside row a for every b in row a (Warshall's bitset form); the
     first failing chain a < b < c in universe order is the witness,
-    a == c included.  Every chain a < b < c is counted.
+    a == c included.  Every chain a < b < c is counted.  name(k) is the
+    text that names universe element k in a counterexample.
     """
-    n = len(universe)
-    refl = [universe[a] for a in range(n) if rows[a] >> a & 1]
+    n = len(rows)
+    refl = [a for a in range(n) if rows[a] >> a & 1]
     violation = None
     checked = 0
     for a in range(n):
@@ -639,20 +846,20 @@ def _order_verdict(
             missing = rows[b] & ~rows[a]
             if missing and violation is None:
                 c = (missing & -missing).bit_length() - 1
-                violation = (universe[a], universe[b], universe[c])
+                violation = (a, b, c)
     return [
         {
             "check": "order-irreflexive",
             "params": dict(params),
             "passed": not refl,
-            "counterexample": {"weight": repr(refl[0])} if refl else None,
+            "counterexample": {"weight": name(refl[0])} if refl else None,
         },
         {
             "check": "order-transitive",
             "params": {**params, "mode": "exhaustive", "triples_checked": checked},
             "passed": violation is None,
             "counterexample": (
-                None if violation is None else {"triple": [repr(x) for x in violation]}
+                None if violation is None else {"triple": [name(x) for x in violation]}
             ),
         },
     ]
@@ -661,6 +868,9 @@ def _order_verdict(
 def order_axiom_records(rs: RootSystem, theta: FormalCharacter) -> list[dict]:
     """Irreflexivity and transitivity of the weight order on the sweep
     universe of theta, checked exhaustively on its bitset relation."""
-    universe = weight_universe(rs, theta)
+    universe = _universe_ids(rs, theta)
     params = {"type": str(rs.cartan_type), "itheta": sorted(theta.itheta)}
-    return _order_verdict(universe, _order_rows(universe), params)
+    rows = _order_rows(rs, theta, universe)
+    return _order_verdict(
+        rows, params, lambda k: repr(_weight_of(rs, theta, universe[k]))
+    )

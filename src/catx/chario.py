@@ -12,17 +12,21 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction as Q
+from itertools import repeat
 from typing import Optional
 
-from catx.charcalc import FormalCharacter, ModuleCharacter, TwistedCharacter, Weight
+from catx.charcalc import FormalCharacter, ModuleCharacter
 from catx.errors import InputError
 from catx.incidence import AlgebraModule, build_incidence_algebra
 from catx.rootsystem import RootSystem
-from catx.weyl import element_from_word
+from catx.weyl import _index_mask, element_from_word, group_table
+
+
+_WEIGHT_KEYS = frozenset({"coset_rep", "v", "mult"})
 
 
 def _word_list(value, what: str) -> list[int]:
-    if not isinstance(value, list) or not all(isinstance(x, int) for x in value):
+    if not isinstance(value, list) or not all(map(isinstance, value, repeat(int))):
         raise InputError(f"{what} must be a list of simple indices")
     return value
 
@@ -30,7 +34,7 @@ def _word_list(value, what: str) -> list[int]:
 def character_to_json(
     rs: RootSystem, char: ModuleCharacter, *, base: Optional[FormalCharacter] = None
 ) -> dict:
-    bases = {w.tchar.base for w in char.mapping}
+    bases = set(char._entries)
     if len(bases) > 1:
         raise InputError("cannot serialize a character with mixed torus characters")
     if bases:
@@ -40,14 +44,19 @@ def character_to_json(
         base = found
     if base is None:
         raise InputError("an empty character needs an explicit base to record")
-    weights = [
-        {
-            "coset_rep": list(w.tchar.coset_rep.word),
-            "v": list(w.v.word),
-            "mult": mult,
-        }
-        for w, mult in char.items()
-    ]
+    weights = []
+    if char:
+        words = char._rs._weyl_table.words
+        n = len(words)
+        mults = char._entries[base]
+        weights = [
+            {
+                "coset_rep": list(words[p // n]),
+                "v": list(words[p % n]),
+                "mult": mults[p],
+            }
+            for p in char._sorted_ids(base)
+        ]
     return {
         "type": str(rs.cartan_type),
         "label": base.label,
@@ -56,10 +65,39 @@ def character_to_json(
     }
 
 
+def _int_list(items: list[int], indent: str) -> str:
+    """A list of ints laid out as json.dumps(indent=2) lays it out when
+    its opening bracket sits on a line indented by `indent`."""
+    if not items:
+        return "[]"
+    inner = "\n" + indent + "  "
+    return "[" + inner + ("," + inner).join(map(str, items)) + "\n" + indent + "]"
+
+
 def character_dumps(
     rs: RootSystem, char: ModuleCharacter, *, base: Optional[FormalCharacter] = None
 ) -> str:
-    return json.dumps(character_to_json(rs, char, base=base), indent=2) + "\n"
+    """`character_to_json` as text, byte for byte what
+    json.dumps(..., indent=2) writes plus a newline, formatted directly
+    for the fixed layout of a character payload."""
+    data = character_to_json(rs, char, base=base)
+    weights = ",\n".join(
+        "    {\n"
+        f'      "coset_rep": {_int_list(w["coset_rep"], "      ")},\n'
+        f'      "v": {_int_list(w["v"], "      ")},\n'
+        f'      "mult": {w["mult"]}\n'
+        "    }"
+        for w in data["weights"]
+    )
+    weights = "[\n" + weights + "\n  ]" if weights else "[]"
+    return (
+        "{\n"
+        f'  "type": {json.dumps(data["type"])},\n'
+        f'  "label": {json.dumps(data["label"])},\n'
+        f'  "itheta": {_int_list(data["itheta"], "  ")},\n'
+        f'  "weights": {weights}\n'
+        "}\n"
+    )
 
 
 def character_from_json(
@@ -67,6 +105,9 @@ def character_from_json(
 ) -> tuple[ModuleCharacter, FormalCharacter, list[str]]:
     """Parse a character payload; returns the character, its base, and
     any canonicalization warnings (strict mode turns those into errors).
+
+    Words are walked through the group table, and the representative is
+    made canonical by stripping its right descents inside itheta.
     """
     if not isinstance(data, dict):
         raise InputError("character payload must be a JSON object")
@@ -87,38 +128,40 @@ def character_from_json(
     if bad:
         raise InputError(f"itheta indices {sorted(bad)} out of range")
     warnings: list[str] = []
-    entries: dict[Weight, int] = {}
+    entries: dict[int, int] = {}
     if not isinstance(data["weights"], list):
         raise InputError("weights must be a list")
+    mask = _index_mask(base.itheta)
     for k, entry in enumerate(data["weights"]):
+        table = group_table(rs)  # only a character with weights needs it
         if not isinstance(entry, dict):
             raise InputError(f"weight #{k} must be an object")
-        missing = {"coset_rep", "v", "mult"} - set(entry)
-        if missing:
+        if not entry.keys() >= _WEIGHT_KEYS:
+            missing = _WEIGHT_KEYS - entry.keys()
             raise InputError(f"weight #{k} missing keys {sorted(missing)}")
         mult = entry["mult"]
         if not isinstance(mult, int) or mult < 1:
             raise InputError(f"weight #{k}: mult must be a positive int")
         rep_word = _word_list(entry["coset_rep"], f"weight #{k}: coset_rep")
         v_word = _word_list(entry["v"], f"weight #{k}: v")
-        rep = element_from_word(rs, rep_word)
-        tc = TwistedCharacter.of(base, rep)
-        if tc.coset_rep != rep:
+        rep = element_from_word(rs, rep_word)._id
+        canon = table.minimize(rep, mask)
+        if canon != rep:
             message = (
                 f"weight #{k}: coset_rep {rep_word} is not canonical; "
-                f"replaced by {list(tc.coset_rep.word)}"
+                f"replaced by {list(table.words[canon])}"
             )
             if strict:
                 raise InputError(message)
             warnings.append(message)
-        weight = Weight(tc, element_from_word(rs, v_word))
+        weight = canon * len(table.elements) + element_from_word(rs, v_word)._id
         if weight in entries:
             message = f"weight #{k} duplicates an earlier entry; multiplicities merged"
             if strict:
                 raise InputError(message)
             warnings.append(message)
         entries[weight] = entries.get(weight, 0) + mult
-    return ModuleCharacter(entries), base, warnings
+    return ModuleCharacter._of(rs, {base: entries}), base, warnings
 
 
 def character_loads(

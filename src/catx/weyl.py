@@ -299,6 +299,15 @@ class _GroupTable:
             a = rmul[i][a]
         return a
 
+    def minimize(self, a: int, mask: int) -> int:
+        """Id of the minimal element of a's coset modulo the subgroup on
+        the simple indices of the mask: strips the smallest right descent
+        inside the mask until none is left."""
+        descents, rmul = self.descents, self.rmul
+        while down := descents[a] & mask:
+            a = rmul[(down & -down).bit_length()][a]
+        return a
+
     def product(self, a: int, b: int) -> int:
         """Id of a * b, walking the shorter of the two words."""
         words = self.words
@@ -317,11 +326,10 @@ def element_from_word(rs: RootSystem, word: Sequence[int]) -> WeylElement:
         for i in word:
             acc = acc * WeylElement.simple_reflection(rs, i)
         return acc
-    a = 0
-    for i in word:
-        _check_index(rs, i)
-        a = table.rmul[i][a]
-    return table.elements[a]
+    if not all(map(rs.simple_indices.__contains__, word)):
+        for i in word:
+            _check_index(rs, i)  # raises at the first index out of range
+    return table.elements[table.walk(0, word)]
 
 
 _NEGATIVE = (0).__gt__
@@ -424,6 +432,14 @@ def enumerate_weyl(
     return rs._weyl_table.elements
 
 
+def group_table(rs: RootSystem) -> _GroupTable:
+    """The group table of the root system, enumerating the group under
+    its order guard first if it has none yet."""
+    if rs._weyl_table is None:
+        enumerate_weyl(rs)
+    return rs._weyl_table
+
+
 # The memo below lives on the root system, so its entries live and die
 # with that system and two equal systems built apart share none.  It
 # keeps what it computed first and is never cleared.  An entry made
@@ -434,7 +450,9 @@ def enumerate_weyl(
 # coset representatives, read off the table's descent masks, and the
 # subgroup on every simple index, which is the group itself (the order
 # guard then refuses oversize groups).  The memo holds at most three
-# entries per subset of the simple indices.
+# entries per subset of the simple indices.  `catx.charcalc` keeps its
+# own entries here too: the stabilizer images per subset, one word rank,
+# and one simple character per (theta, J), held as packed integer ids.
 
 
 def _memoized(build, rs: RootSystem, subset: Iterable[int]):
@@ -504,10 +522,8 @@ def coset_minimize(w: WeylElement, subset: Iterable[int]) -> WeylElement:
     rs = w.rs
     j = _normalize_subset(rs, subset)
     if w._id is not None:
-        table, mask, a = rs._weyl_table, _index_mask(j), w._id
-        while down := table.descents[a] & mask:
-            a = table.rmul[(down & -down).bit_length()][a]
-        return table.elements[a]
+        table = rs._weyl_table
+        return table.elements[table.minimize(w._id, _index_mask(j))]
     pos = {i: rs.simple_root_index(i) for i in sorted(j)}
     cur = w
     while True:

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from catx.charcalc import (
@@ -15,17 +17,20 @@ from catx.charcalc import (
     simple_coset_reps,
     verify_filtration,
     weight_lt,
+    weight_sort_key,
     weight_universe,
-    _candidate_label,
     _order_rows,
     _order_verdict,
+    _universe_ids,
 )
-from catx.errors import InputError
-from catx.rootsystem import build_root_system
+from catx.cli import main
+from catx.errors import InputError, ResourceGuardError
+from catx.rootsystem import CartanType, RootSystem, build_root_system
 from catx.weyl import (
     WeylElement,
     element_from_word,
     enumerate_weyl,
+    longest_element,
     min_coset_reps,
     weyl_subgroup,
 )
@@ -289,7 +294,11 @@ def test_order_rows_match_the_pairwise_order(name):
     for itheta in subsets_of(rs.simple_indices):
         theta = theta_for(rs, itheta)
         universe = weight_universe(rs, theta)
-        rows = _order_rows(universe)
+        ids = _universe_ids(rs, theta)
+        assert ModuleCharacter({w: 1 for w in universe})._entries.get(theta, {}) == {
+            p: 1 for p in ids
+        }
+        rows = _order_rows(rs, theta, ids)
         lt = [[weight_lt(a, b) for b in universe] for a in universe]
         assert rows == [
             sum(1 << j for j, related in enumerate(row) if related) for row in lt
@@ -324,12 +333,17 @@ def test_order_matches_its_definition_on_every_weight(name):
             for rep in min_coset_reps(rs, itheta)
             for v in group
         )
+        ids = [
+            rep._id * len(group) + v._id
+            for rep in min_coset_reps(rs, itheta)
+            for v in group
+        ]
         lt = [[lt_from_definition(a, b) for b in weights] for a in weights]
         assert [[weight_lt(a, b) for b in weights] for a in weights] == lt, (
             name,
             sorted(itheta),
         )
-        assert _order_rows(weights) == [
+        assert _order_rows(rs, theta, ids) == [
             sum(1 << j for j, related in enumerate(row) if related) for row in lt
         ], (name, sorted(itheta))
 
@@ -339,7 +353,7 @@ def test_order_verdict_catches_a_reflexive_weight():
     universe = weight_universe(rs, theta_for(rs, [1, 2]))
     rows = [0] * len(universe)
     rows[2] = 1 << 2
-    refl, trans = _order_verdict(universe, rows, {})
+    refl, trans = _order_verdict(rows, {}, lambda k: repr(universe[k]))
     assert not refl["passed"]
     assert refl["counterexample"] == {"weight": repr(universe[2])}
     assert trans["passed"]
@@ -354,7 +368,7 @@ def test_order_verdict_names_the_first_broken_chain():
     rows[0] = 1 << 1 | 1 << 3
     rows[1] = 1 << 4 | 1 << 5
     rows[3] = 1 << 2
-    refl, trans = _order_verdict(universe, rows, {})
+    refl, trans = _order_verdict(rows, {}, lambda k: repr(universe[k]))
     assert refl["passed"]
     assert not trans["passed"]
     assert trans["counterexample"] == {
@@ -369,7 +383,7 @@ def test_order_verdict_rejects_a_two_cycle():
     rows = [0] * len(universe)
     rows[0] = 1 << 1
     rows[1] = 1 << 0
-    refl, trans = _order_verdict(universe, rows, {})
+    refl, trans = _order_verdict(rows, {}, lambda k: repr(universe[k]))
     assert refl["passed"]
     assert not trans["passed"]
     assert trans["counterexample"] == {
@@ -393,6 +407,18 @@ def test_decomposition_ok_property():
     assert not d.ok
 
 
+def candidate_label(rs, weight):
+    """J such that the weight reads (untwisted theta, w_J), if any."""
+    if not weight.tchar.is_untwisted:
+        return None
+    j = weight.v.descent_set()
+    if not j <= weight.tchar.base.itheta:
+        return None
+    if weight.v != longest_element(rs, j):
+        return None
+    return j
+
+
 def reference_decomposition(rs, char, tie_break=0):
     """The pairwise decomposition: each round tests every longest-element-
     shaped weight with weight_lt against every weight still present."""
@@ -401,7 +427,7 @@ def reference_decomposition(rs, char, tie_break=0):
     while work:
         cands = []
         for weight in work:
-            j = _candidate_label(rs, weight)
+            j = candidate_label(rs, weight)
             if j is not None:
                 cands.append((weight, j))
         maximal = [
@@ -503,3 +529,100 @@ def test_decomposition_and_filtration_never_call_weight_lt(monkeypatch):
     dec = decompose_character(rs4, costandard_character(rs4, theta, [1, 2, 4]))
     assert dec.ok
     assert dec.factors == {(theta, k): 1 for k in subsets_of([1, 2, 4])}
+
+
+def test_hot_paths_build_no_weight_objects(monkeypatch, tmp_path, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a weight object was built on a hot path")
+
+    for module in ("catx.charcalc", "catx.chario"):
+        monkeypatch.setattr(f"{module}.Weight", refuse, raising=False)
+    monkeypatch.setattr(TwistedCharacter, "of", classmethod(refuse))
+    monkeypatch.setattr("catx.charcalc.weight_lt", refuse)
+    # a system of its own, so the simple characters are built here
+    rs = RootSystem(CartanType.parse("B3"))
+    theta = theta_for(rs, rs.simple_indices)
+    records = verify_filtration(rs, theta) + order_axiom_records(rs, theta)
+    assert records and all(r["passed"] for r in records)
+    path = tmp_path / "nabla.json"
+    argv = ["char", "--type", "C4", "--kind", "nabla", "--itheta", "all", "--j", "1,2,4"]
+    assert main([*argv, "--json", "--out", str(path)]) == 0
+    assert main(["decompose", "--in", str(path), "--json"]) == 0
+    decomposed = json.loads(capsys.readouterr().out)
+    assert decomposed["ok"] and len(decomposed["factors"]) == 8
+
+
+@pytest.mark.parametrize(
+    "name", ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "G2", "F4"]
+)
+def test_packed_weights_round_trip_and_sort_by_weight_sort_key(name):
+    rs = build_root_system(name)
+    group = enumerate_weyl(rs)
+    n = len(group)
+    # with an empty itheta every element is a canonical representative
+    theta = theta_for(rs, [])
+    if n <= 128:
+        pairs = [(a, b) for a in range(n) for b in range(n)]
+    else:
+        # every id in each slot, against a spread of ids in the other
+        spread = range(0, n, n // 7)
+        pairs = [(a, b) for a in range(n) for b in spread]
+        pairs += [(a, b) for a in spread for b in range(n)]
+    weights = [Weight(TwistedCharacter(theta, group[a]), group[b]) for a, b in pairs]
+    char = ModuleCharacter({w: 1 for w in weights})
+    assert list(char._entries[theta]) == list(dict.fromkeys(a * n + b for a, b in pairs))
+    assert list(char.mapping) == list(dict.fromkeys(weights))
+    assert char.items() == sorted(
+        char.mapping.items(), key=lambda kv: weight_sort_key(kv[0])
+    )
+
+
+def test_weights_of_a_system_without_a_table_pack_like_the_enumerated_one():
+    rs = build_root_system("B3")
+    theta = theta_for(rs, [1, 2])
+    want = costandard_character(rs, theta, [1])
+    fresh = RootSystem(CartanType.parse("B3"))
+    assert fresh._weyl_table is None
+    weights = {
+        Weight(
+            TwistedCharacter.of(theta, element_from_word(fresh, w.tchar.coset_rep.word)),
+            element_from_word(fresh, w.v.word),
+        ): m
+        for w, m in want.items()
+    }
+    assert all(w.v._id is None for w in weights)
+    char = ModuleCharacter(weights)
+    assert fresh._weyl_table is not None
+    assert char == want
+    assert char.items() == want.items()
+    assert decompose_character(fresh, char).factors == {
+        (theta, frozenset()): 1,
+        (theta, frozenset({1})): 1,
+    }
+    # beyond the order guard, packing refuses before it enumerates anything
+    e8 = RootSystem(CartanType.parse("E8"), allow_large=True)
+    identity = WeylElement.identity(e8)
+    top = Weight(TwistedCharacter.of(theta_for(e8, []), identity), identity)
+    with pytest.raises(ResourceGuardError):
+        ModuleCharacter({top: 1})
+    assert e8._weyl_table is None
+
+
+def test_simple_character_memo_belongs_to_its_system():
+    one = RootSystem(CartanType.parse("C3"))
+    two = RootSystem(CartanType.parse("C3"))
+    enumerate_weyl(two)
+    before = set(two._weyl_memo)
+    theta = theta_for(one, one.simple_indices)
+    first = simple_character(one, theta, [1])
+    assert set(two._weyl_memo) == before
+    assert simple_character(two, theta, [1]) == first
+    # changing a returned character, even in place, changes no later answer
+    want = first.items()
+    for p in first._entries[theta]:
+        first._entries[theta][p] += 4
+    first.mapping.clear()
+    assert simple_character(one, theta, [1]).items() == want
+    dec = decompose_character(one, costandard_character(one, theta, [1]))
+    assert dec.ok
+    assert dec.factors == {(theta, frozenset()): 1, (theta, frozenset({1})): 1}

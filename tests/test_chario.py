@@ -3,7 +3,13 @@ from fractions import Fraction as Q
 
 import pytest
 
-from catx.charcalc import FormalCharacter, ModuleCharacter, costandard_character
+from catx.charcalc import (
+    FormalCharacter,
+    ModuleCharacter,
+    costandard_character,
+    induced_character,
+    simple_character,
+)
 from catx.chario import (
     character_dumps,
     character_loads,
@@ -105,6 +111,53 @@ def test_mixed_bases_rejected():
         character_to_json(rs, c1 + c2)
     with pytest.raises(InputError):
         character_to_json(rs, c1, base=th2)
+
+
+def encoder_dumps(rs, char, base=None):
+    """The character file as the json module's indent encoder writes it."""
+    return json.dumps(character_to_json(rs, char, base=base), indent=2) + "\n"
+
+
+def subsets_of(items):
+    out = [frozenset()]
+    for x in sorted(items):
+        out += [s | {x} for s in out]
+    return out
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C4"])
+def test_character_dumps_matches_the_json_encoder(name):
+    rs = build_root_system(name)
+    for itheta in subsets_of(rs.simple_indices):
+        theta = FormalCharacter("theta", itheta)
+        for j in subsets_of(itheta):
+            for build in (induced_character, simple_character, costandard_character):
+                char = build(rs, theta, j)
+                assert character_dumps(rs, char) == encoder_dumps(rs, char), (
+                    build.__name__,
+                    sorted(itheta),
+                    sorted(j),
+                )
+
+
+def test_character_dumps_matches_the_json_encoder_on_odd_labels_and_empties():
+    rs = build_root_system("B3")
+    for label in ('say "hi"', "back\\slash", "tab\tnew\nline", "θ-ü-€-😀", "\x7f\x00"):
+        for itheta in (frozenset(), frozenset({2}), frozenset({1, 2, 3})):
+            theta = FormalCharacter(label, itheta)
+            # the costandard character at J = itheta holds the weight with
+            # two empty words
+            for char in (
+                costandard_character(rs, theta, itheta),
+                induced_character(rs, theta, []),
+            ):
+                assert character_dumps(rs, char) == encoder_dumps(rs, char)
+            empty = ModuleCharacter()
+            assert character_dumps(rs, empty, base=theta) == encoder_dumps(
+                rs, empty, base=theta
+            )
+            loaded, base, _ = character_loads(rs, character_dumps(rs, empty, base=theta))
+            assert not loaded and base == theta
 
 
 def test_module_roundtrip_byte_identical():

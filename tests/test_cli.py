@@ -175,6 +175,15 @@ def test_decompose_type_crosscheck(capsys, tmp_path):
     assert code == 2 and "no such file" in err
 
 
+def test_decompose_empty_character_beyond_the_order_guard(capsys, tmp_path):
+    # an empty character needs no group table, so E8 is never enumerated
+    f = tmp_path / "char.json"
+    f.write_text(json.dumps({"type": "E8", "label": "t", "itheta": [], "weights": []}))
+    code, out, _ = run_cli(capsys, "decompose", "--in", str(f), "--json", "--allow-large")
+    assert code == 0
+    assert json.loads(out)["ok"] is True and json.loads(out)["factors"] == []
+
+
 def test_input_errors_exit_2(capsys):
     code, _, err = run_cli(capsys, "roots", "--type", "Z9")
     assert code == 2 and "error:" in err

@@ -48,6 +48,18 @@ def test_verify_rank2_records_digest(tmp_path, capsys):
     assert sha256(canon) == "57cd9295562d102f9f21b1bdb83083b51ad2d478d207431f9ecc0076a46c0bc3"
 
 
+def test_verify_d4_rank4_records_digest(tmp_path):
+    # the rank-4 weight ids under the filtration and order checks
+    report = tmp_path / "report.json"
+    argv = ["verify", "--types", "D4", "--max-rank", "4"]
+    argv += ["--checks", "filtration,order-axioms", "--seed", "1", "--out", str(report)]
+    assert main(argv) == 0
+    records = without_timings(json.loads(report.read_text())["records"])
+    assert len(records) == 356
+    canon = json.dumps(records, sort_keys=True, separators=(",", ":"))
+    assert sha256(canon) == "99cdfed2a5dfbd49635db3145544c43cdc6cffcbb20c3740f519cec5465a7b46"
+
+
 @pytest.mark.parametrize(
     "cartan, kind, itheta, j, digest",
     [
