@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from itertools import compress
 from operator import and_
 from typing import Callable, Iterable, Mapping, Optional
 
@@ -42,6 +41,7 @@ from catx.weyl import (
     _memoized,
     coset_minimize,
     group_table,
+    kept_masks,
     longest_element,
     min_coset_reps,
     weyl_subgroup,
@@ -744,9 +744,6 @@ def _stabilizer_images(
     return tuple(u.image_bits for u in group), preimages, negative
 
 
-_KEPT = (0).__le__
-
-
 def _order_rows(
     rs: RootSystem,
     theta: FormalCharacter,
@@ -760,36 +757,48 @@ def _order_rows(
 
     Each weight gives one mask over the 2n roots: its kept roots moved
     by the inverse of its twist.  As the lower weight these are its
-    pulled roots, as the upper one its target mask.  The column of a
-    root holds the weights whose target mask contains it, so the weights
-    that u carries the pulled roots of a into are the intersection of
-    the columns of their images.  Row a joins that over the stabilizer
-    elements u, among the shorter weights, and stops once it holds all
-    of them.  An element that sends a pulled root outside every target
-    mask is skipped with one mask test; those roots are the preimages
-    under u of the roots outside the reach of the universe.
+    pulled roots, as the upper one its target mask.  With K the kept-root
+    masks of `kept_masks`, a root lies in the mask of the weight (w, v)
+    exactly when w and then v keep it positive, so the mask is
+    K[w] & K[v * w].  The column of a root holds the weights whose target
+    mask contains it, so the weights that u carries the pulled roots of a
+    into are the intersection of the columns of their images.  Row a
+    joins that over the stabilizer elements u, among the shorter weights,
+    and stops once it holds all of them.  An element that sends a pulled
+    root outside every target mask is skipped with one mask test; those
+    roots are the preimages under u of the roots outside the reach of the
+    universe.  A source lies below shorter weights only, so given sources,
+    the weights no shorter than the longest of them keep their bits but
+    enter no column.
     """
     table = group_table(rs)
     n = len(table.elements)
-    elements, inverse, words = table.elements, table.inverse, table.words
+    words, product = table.words, table.product
+    kept = kept_masks(rs)
 
     def roots(p: int) -> int:  # the kept roots of p moved by its twist's inverse
         rep, v = divmod(p, n)
-        kept = map(_KEPT, elements[v].perm)
-        return sum(compress(elements[inverse[rep]].image_bits, kept))
+        return kept[rep] & kept[product(v, rep) if rep else v]
 
+    if _sources is None:
+        sources, limit = universe, None
+    else:
+        sources = list(_sources)
+        limit = max((len(words[a % n]) for a in sources), default=0)
     n_roots = 2 * len(rs.positive_roots)
     columns = {1 << r: 0 for r in range(n_roots)}
     by_length: dict[int, int] = {}
     masks = {}
     for b, p in enumerate(universe):
+        length = len(words[p % n])
+        if limit is not None and length >= limit:
+            continue
         bit = 1 << b
         rest = masks[p] = roots(p)
         while rest:
             root = rest & -rest
             rest ^= root
             columns[root] |= bit
-        length = len(words[p % n])
         by_length[length] = by_length.get(length, 0) | bit
     # the roots u sends outside the reach: those it sends negative,
     # corrected on the few roots where the reach is not the positive ones
@@ -804,7 +813,7 @@ def _order_rows(
     stabilizer = list(zip(images, missed))
     column = columns.__getitem__
     rows = []
-    for a in universe if _sources is None else _sources:
+    for a in sources:
         length = len(words[a % n])
         shorter = sum(m for k, m in by_length.items() if k < length)
         row = 0

@@ -31,9 +31,11 @@ def _word_list(value, what: str) -> list[int]:
     return value
 
 
-def character_to_json(
-    rs: RootSystem, char: ModuleCharacter, *, base: Optional[FormalCharacter] = None
-) -> dict:
+def _single_base(
+    char: ModuleCharacter, base: Optional[FormalCharacter]
+) -> FormalCharacter:
+    """The one torus character of a character to be written; an empty
+    character needs it given."""
     bases = set(char._entries)
     if len(bases) > 1:
         raise InputError("cannot serialize a character with mixed torus characters")
@@ -44,6 +46,13 @@ def character_to_json(
         base = found
     if base is None:
         raise InputError("an empty character needs an explicit base to record")
+    return base
+
+
+def character_to_json(
+    rs: RootSystem, char: ModuleCharacter, *, base: Optional[FormalCharacter] = None
+) -> dict:
+    base = _single_base(char, base)
     weights = []
     if char:
         words = char._rs._weyl_table.words
@@ -74,27 +83,56 @@ def _int_list(items: list[int], indent: str) -> str:
     return "[" + inner + ("," + inner).join(map(str, items)) + "\n" + indent + "]"
 
 
+def _word_texts(rs: RootSystem) -> list[str]:
+    """Per element id, its canonical word as `character_dumps` lays out
+    the words of a weight; one entry per element of the enumerated
+    group, kept on the root system's memo."""
+    memo = rs._weyl_memo
+    if _word_texts not in memo:
+        words = rs._weyl_table.words
+        memo[_word_texts] = [_int_list(list(word), "      ") for word in words]
+    return memo[_word_texts]
+
+
+def _word_ids(rs: RootSystem) -> dict[tuple[int, ...], int]:
+    """The id of every canonical word of the enumerated group, kept on
+    the root system's memo."""
+    memo = rs._weyl_memo
+    if _word_ids not in memo:
+        words = rs._weyl_table.words
+        memo[_word_ids] = {word: a for a, word in enumerate(words)}
+    return memo[_word_ids]
+
+
 def character_dumps(
     rs: RootSystem, char: ModuleCharacter, *, base: Optional[FormalCharacter] = None
 ) -> str:
     """`character_to_json` as text, byte for byte what
     json.dumps(..., indent=2) writes plus a newline, formatted directly
-    for the fixed layout of a character payload."""
-    data = character_to_json(rs, char, base=base)
-    weights = ",\n".join(
-        "    {\n"
-        f'      "coset_rep": {_int_list(w["coset_rep"], "      ")},\n'
-        f'      "v": {_int_list(w["v"], "      ")},\n'
-        f'      "mult": {w["mult"]}\n'
-        "    }"
-        for w in data["weights"]
-    )
-    weights = "[\n" + weights + "\n  ]" if weights else "[]"
+    for the fixed layout of a character payload from the text of each
+    element's word."""
+    base = _single_base(char, base)
+    weights = "[]"
+    if char:
+        texts = _word_texts(char._rs)
+        n = len(texts)
+        mults = char._entries[base]
+        blocks = []
+        for p in char._sorted_ids(base):
+            rep, v = divmod(p, n)
+            blocks.append(
+                "    {\n"
+                f'      "coset_rep": {texts[rep]},\n'
+                f'      "v": {texts[v]},\n'
+                f'      "mult": {mults[p]}\n'
+                "    }"
+            )
+        weights = "[\n" + ",\n".join(blocks) + "\n  ]"
     return (
         "{\n"
-        f'  "type": {json.dumps(data["type"])},\n'
-        f'  "label": {json.dumps(data["label"])},\n'
-        f'  "itheta": {_int_list(data["itheta"], "  ")},\n'
+        f'  "type": {json.dumps(str(rs.cartan_type))},\n'
+        f'  "label": {json.dumps(base.label)},\n'
+        f'  "itheta": {_int_list(sorted(base.itheta), "  ")},\n'
         f'  "weights": {weights}\n'
         "}\n"
     )
@@ -106,8 +144,10 @@ def character_from_json(
     """Parse a character payload; returns the character, its base, and
     any canonicalization warnings (strict mode turns those into errors).
 
-    Words are walked through the group table, and the representative is
-    made canonical by stripping its right descents inside itheta.
+    A canonical word is looked up by its id; any other word (not reduced,
+    not canonical, or with an index out of range) is walked through the
+    group table.  The representative is made canonical by stripping its
+    right descents inside itheta.
     """
     if not isinstance(data, dict):
         raise InputError("character payload must be a JSON object")
@@ -131,9 +171,11 @@ def character_from_json(
     entries: dict[int, int] = {}
     if not isinstance(data["weights"], list):
         raise InputError("weights must be a list")
+    if data["weights"]:  # only a character with weights needs the group
+        table = group_table(rs)
+        word_ids = _word_ids(rs)
     mask = _index_mask(base.itheta)
     for k, entry in enumerate(data["weights"]):
-        table = group_table(rs)  # only a character with weights needs it
         if not isinstance(entry, dict):
             raise InputError(f"weight #{k} must be an object")
         if not entry.keys() >= _WEIGHT_KEYS:
@@ -142,9 +184,13 @@ def character_from_json(
         mult = entry["mult"]
         if not isinstance(mult, int) or mult < 1:
             raise InputError(f"weight #{k}: mult must be a positive int")
+        # the type checks run before the lookups, since (1.0,) equals and
+        # hashes like (1,); a bool is an int and reads as one either way
         rep_word = _word_list(entry["coset_rep"], f"weight #{k}: coset_rep")
         v_word = _word_list(entry["v"], f"weight #{k}: v")
-        rep = element_from_word(rs, rep_word)._id
+        rep = word_ids.get(tuple(rep_word))
+        if rep is None:
+            rep = element_from_word(rs, rep_word)._id
         canon = table.minimize(rep, mask)
         if canon != rep:
             message = (
@@ -154,7 +200,10 @@ def character_from_json(
             if strict:
                 raise InputError(message)
             warnings.append(message)
-        weight = canon * len(table.elements) + element_from_word(rs, v_word)._id
+        v = word_ids.get(tuple(v_word))
+        if v is None:
+            v = element_from_word(rs, v_word)._id
+        weight = canon * len(table.elements) + v
         if weight in entries:
             message = f"weight #{k} duplicates an earlier entry; multiplicities merged"
             if strict:

@@ -595,63 +595,101 @@ def _min_poly(m: AlgebraModule, endo: Mapping[Subset, list[list[Q]]]) -> list[Q]
         rows.append(flat(nxt))
 
 
-def _poly_trim(p: list[Q]) -> list[Q]:
+def _poly_trim(p: list) -> list:
     """Drop zero top coefficients; the zero polynomial is []."""
     while p and not p[-1]:
         p = p[:-1]
     return p
 
 
-def _poly_sub(a_: list[Q], b_: list[Q]) -> list[Q]:
-    return _poly_trim([x - y for x, y in zip_longest(a_, b_, fillvalue=Q(0))])
+# The square-free decomposition works on integer polynomials: lists of
+# ints, lowest degree first, with no zero top coefficient; the zero
+# polynomial is [].
 
 
-def _poly_derivative(p: list[Q]) -> list[Q]:
+def _poly_sub(a_: list[int], b_: list[int]) -> list[int]:
+    return _poly_trim([x - y for x, y in zip_longest(a_, b_, fillvalue=0)])
+
+
+def _poly_derivative(p: list[int]) -> list[int]:
     return [k * c for k, c in enumerate(p)][1:]
 
 
-def _poly_divmod(a_: list[Q], b_: list[Q]) -> tuple[list[Q], list[Q]]:
-    """Quotient and remainder of a by a nonzero b, both trimmed."""
+def _poly_normal(p: list[int]) -> list[int]:
+    """p over the gcd of its coefficients, with a positive leading
+    coefficient (the zero polynomial stays zero)."""
+    if not p:
+        return p
+    g = gcd(*p) if p[-1] > 0 else -gcd(*p)
+    return [c // g for c in p]
+
+
+def _poly_exact_quotient(a_: list[int], b_: list[int]) -> list[int]:
+    """a / b for a primitive b that divides a over the rationals; by
+    Gauss's lemma the quotient has integer coefficients, so every step
+    divides exactly."""
     rem = list(a_)
-    quot = [Q(0)] * max(len(a_) - len(b_) + 1, 0)
+    quot = [0] * max(len(a_) - len(b_) + 1, 0)
     lead = b_[-1]
     for k in range(len(quot) - 1, -1, -1):
-        c = rem[k + len(b_) - 1] / lead
+        c = rem[k + len(b_) - 1] // lead
         quot[k] = c
         if c:
             for j, y in enumerate(b_):
                 rem[k + j] -= c * y
-    return _poly_trim(quot), _poly_trim(rem[: len(b_) - 1])
+    return quot
 
 
-def _poly_gcd(a_: list[Q], b_: list[Q]) -> list[Q]:
-    """Monic greatest common divisor (Euclid) of two polynomials, not both
-    zero."""
+def _poly_pseudo_rem(a_: list[int], b_: list[int]) -> list[int]:
+    """A nonzero integer multiple of the remainder of a by a nonzero b:
+    each step scales the running remainder by b's leading coefficient
+    and cancels its top term."""
+    rem = list(a_)
+    lead = b_[-1]
+    while len(rem) >= len(b_):
+        c, k = rem[-1], len(rem) - len(b_)
+        rem = [lead * x for x in rem]
+        for j, y in enumerate(b_):
+            rem[k + j] -= c * y
+        rem = _poly_trim(rem)
+    return rem
+
+
+def _poly_gcd(a_: list[int], b_: list[int]) -> list[int]:
+    """Greatest common divisor of two integer polynomials, not both zero,
+    primitive with a positive leading coefficient.  Euclid on the
+    primitive parts of pseudo-remainders (the primitive remainder
+    sequence), so the coefficients stay as small as the divisors allow
+    instead of growing as Fractions do over the rationals."""
+    a_, b_ = _poly_normal(a_), _poly_normal(b_)
     while b_:
-        a_, b_ = b_, _poly_divmod(a_, b_)[1]
-    return [c / a_[-1] for c in a_]
+        a_, b_ = b_, _poly_normal(_poly_pseudo_rem(a_, b_))
+    return a_
 
 
-def _square_free_parts(f: list[Q]) -> list[tuple[list[Q], int]]:
-    """Yun's square-free decomposition of a non-constant f.
+def _square_free_parts(f: list[int]) -> list[tuple[list[int], int]]:
+    """Yun's square-free decomposition of a non-constant integer
+    polynomial f.
 
     Returns the non-constant a_i with their exponents i, where f is a
-    constant times the product of the a_i**i and the a_i are monic,
-    square-free and pairwise coprime (Yun, "On square-free decomposition
-    algorithms", SYMSAC 1976).
+    constant times the product of the a_i**i and the a_i are primitive
+    with positive leading coefficients, square-free and pairwise coprime
+    (Yun, "On square-free decomposition algorithms", SYMSAC 1976).  Every
+    divisor is a primitive gcd, so every quotient is exact over the
+    integers.
     """
     df = _poly_derivative(f)
     g = _poly_gcd(f, df)
-    b = _poly_divmod(f, g)[0]
-    d = _poly_sub(_poly_divmod(df, g)[0], _poly_derivative(b))
+    b = _poly_exact_quotient(f, g)
+    d = _poly_sub(_poly_exact_quotient(df, g), _poly_derivative(b))
     parts = []
     i = 1
     while len(b) > 1:
         a = _poly_gcd(b, d)
         if len(a) > 1:
             parts.append((a, i))
-        b = _poly_divmod(b, a)[0]
-        c = _poly_divmod(d, a)[0]
+        b = _poly_exact_quotient(b, a)
+        c = _poly_exact_quotient(d, a)
         d = _poly_sub(c, _poly_derivative(b))
         i += 1
     return parts
@@ -711,8 +749,7 @@ def _factor_rational_poly(coeffs: list[Q]) -> list[tuple[list[Q], int]]:
     if len(f) < 2:
         return []
     out = []
-    for part, exp in _square_free_parts(f):
-        z = _primitive(part)  # part is monic, so z[-1] > 0
+    for z, exp in _square_free_parts(_primitive(f)):
         if z[0] == 0:
             out.append(([Q(0), Q(1)], exp))
             z = z[1:]

@@ -450,9 +450,12 @@ def group_table(rs: RootSystem) -> _GroupTable:
 # coset representatives, read off the table's descent masks, and the
 # subgroup on every simple index, which is the group itself (the order
 # guard then refuses oversize groups).  The memo holds at most three
-# entries per subset of the simple indices.  `catx.charcalc` keeps its
-# own entries here too: the stabilizer images per subset, one word rank,
-# and one simple character per (theta, J), held as packed integer ids.
+# entries per subset of the simple indices, plus the per-element kept-root
+# masks below.  `catx.charcalc` keeps its own entries here too: the
+# stabilizer images per subset, one word rank, and one simple character
+# per (theta, J), held as packed integer ids; `catx.chario` keeps the
+# text of every canonical word and the id of every canonical word.  Each
+# per-element table holds one entry per group element.
 
 
 def _memoized(build, rs: RootSystem, subset: Iterable[int]):
@@ -461,6 +464,38 @@ def _memoized(build, rs: RootSystem, subset: Iterable[int]):
     if key not in memo:
         memo[key] = build(rs, key[1])
     return memo[key]
+
+
+def kept_masks(rs: RootSystem) -> list[int]:
+    """Per element id x, the mask over the 2n roots (numbered as in
+    `WeylElement.image_bits`) of the roots that x sends to positive
+    roots: bit k when x keeps positive root k positive, bit n + k when x
+    sends positive root k negative, so its negative positive.  The low n
+    bits are the element's `plus_mask`.  Built once per enumerated group,
+    enumerating it under its order guard first, and kept on the root
+    system's memo.
+
+    The inversion sets come from the table in id order: an element a
+    other than the identity is s_i * b for b shorter, with s_i its
+    smallest left descent, and then a inverts what b inverts plus the
+    root b^{-1}(alpha_i), the one root that b sends to alpha_i.
+    """
+    memo = rs._weyl_memo
+    if kept_masks not in memo:
+        table = group_table(rs)
+        rmul, inverse, descents = table.rmul, table.inverse, table.descents
+        simple_pos = (None,) + rs._simple_pos
+        perms = [w.perm for w in table.elements]
+        inverted = [0] * len(perms)
+        for a in range(1, len(perms)):
+            d = descents[inverse[a]]  # the left descents of a
+            i = (d & -d).bit_length()
+            b = inverse[rmul[i][inverse[a]]]
+            inverted[a] = inverted[b] | 1 << perms[b].index(simple_pos[i])
+        n = len(rs.positive_roots)
+        full = (1 << n) - 1
+        memo[kept_masks] = [full ^ m | m << n for m in inverted]
+    return memo[kept_masks]
 
 
 def _subgroup(rs: RootSystem, j: frozenset[int]) -> tuple[WeylElement, ...]:
@@ -572,11 +607,28 @@ def enumerate_biclosed(
     theory says the witness always exists; the search does not assume it.
     Sets come in increasing order of their root-index bitmask.
     """
-    witness = {w.plus_mask: w for w in enumerate_weyl(rs, allow_large=allow_large)}
+    elements = enumerate_weyl(rs, allow_large=allow_large)
     roots = rs.positive_roots
-    n = len(roots)
-    out = []
-    for mask in _biclosed_masks(n, rs.sum_triples()):
-        members = frozenset(roots[k] for k in range(n) if mask & (1 << k))
-        out.append((members, witness.get(mask)))
-    return out
+    full = (1 << len(roots)) - 1
+    witness = {m & full: w for m, w in zip(kept_masks(rs), elements)}
+    masks = _biclosed_masks(len(roots), rs.sum_triples())
+    # each set is the union of the sets of its mask's bytes, each of
+    # those built once, so no root is hashed once per set
+    byte_sets = []
+    for s in range(0, len(roots), 8):
+        values = {mask >> s & 255 for mask in masks}
+        byte_sets.append((s, {b: _members(roots[s : s + 8], b) for b in values}))
+    return [
+        (
+            frozenset().union(*[sets[mask >> s & 255] for s, sets in byte_sets]),
+            witness.get(mask),
+        )
+        for mask in masks
+    ]
+
+
+def _members(roots: Sequence[Root], mask: int) -> frozenset[Root]:
+    """The roots at the set bits of the mask.  Its bits, lowest first,
+    are the characters of its binary text reversed; compress stops at
+    the last root."""
+    return frozenset(compress(roots, map("1".__eq__, reversed(bin(mask)))))

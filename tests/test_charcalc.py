@@ -1,4 +1,5 @@
 import json
+from itertools import compress
 
 import pytest
 
@@ -22,6 +23,7 @@ from catx.charcalc import (
     _order_rows,
     _order_verdict,
     _universe_ids,
+    _weight_of,
 )
 from catx.cli import main
 from catx.errors import InputError, ResourceGuardError
@@ -30,6 +32,8 @@ from catx.weyl import (
     WeylElement,
     element_from_word,
     enumerate_weyl,
+    group_table,
+    kept_masks,
     longest_element,
     min_coset_reps,
     weyl_subgroup,
@@ -514,6 +518,78 @@ def test_decomposition_matches_the_pairwise_scan_off_the_families(name):
         doubled = nabla.mapping
         doubled[weight] = 2 * mult
         assert_matches_reference(rs, ModuleCharacter(doubled), ("doubled", weight))
+
+
+def candidate_rows_hold(rs, char, label):
+    """The rows `decompose_character` asks for, one per candidate (an
+    untwisted weight whose v is w_J for some J inside itheta) against all
+    of the character's weights, equal the weight_lt rows.  A packed id
+    below |W| has the identity as its representative."""
+    for base, inner in char._entries.items():
+        ids = list(inner)
+        longest = {longest_element(rs, k)._id for k in subsets_of(base.itheta)}
+        sources = [p for p in ids if p in longest]
+        weights = [_weight_of(rs, base, p) for p in ids]
+        want = [
+            sum(
+                1 << b
+                for b, upper in enumerate(weights)
+                if weight_lt(_weight_of(rs, base, a), upper)
+            )
+            for a in sources
+        ]
+        assert _order_rows(rs, base, ids, sources) == want, (label, base)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3"])
+def test_decomposition_rows_match_weight_lt_on_failing_characters_too(name):
+    rs = build_root_system(name)
+    full = theta_for(rs, rs.simple_indices)
+    eta = FormalCharacter("eta", frozenset([1, 2]))
+    for itheta in subsets_of(rs.simple_indices):
+        theta = theta_for(rs, itheta)
+        for j in subsets_of(itheta):
+            for build in (induced_character, simple_character, costandard_character):
+                candidate_rows_hold(rs, build(rs, theta, j), (sorted(itheta), sorted(j)))
+    induced = induced_character(rs, full, [1])
+    failed = 0
+    for weight in induced.weights():
+        # one weight short: mostly the decomposition stops part way
+        removed = induced.mapping
+        del removed[weight]
+        char = ModuleCharacter(removed)
+        candidate_rows_hold(rs, char, ("removed", weight))
+        failed += not decompose_character(rs, char).ok
+    assert failed
+    two = ModuleCharacter.sum(
+        [induced_character(rs, full, []), costandard_character(rs, eta, [2])]
+    )
+    candidate_rows_hold(rs, two, "two bases")
+    assert set(two._entries) == {full, eta}
+    # a base whose one weight is a candidate, beside a base with weights
+    # longer than every candidate, which enter no column
+    single = ModuleCharacter.sum(
+        [simple_character(rs, full, rs.simple_indices), induced_character(rs, eta, [])]
+    )
+    candidate_rows_hold(rs, single, "lone candidate")
+
+
+@pytest.mark.parametrize("name", ["B3", "C4"])
+def test_kept_masks_give_the_root_masks_of_every_sweep_weight(name):
+    """K[rep] & K[v * rep] is the kept-root set of v moved by rep^{-1},
+    read off the permutations and image bits as the order rows did
+    before the mask table."""
+    rs = build_root_system(name)
+    table = group_table(rs)
+    n = len(table.elements)
+    kept = kept_masks(rs)
+    assert len(kept) == n
+    for itheta in subsets_of(rs.simple_indices):
+        for p in _universe_ids(rs, theta_for(rs, itheta)):
+            rep, v = divmod(p, n)
+            bits = table.elements[table.inverse[rep]].image_bits
+            want = sum(compress(bits, map((0).__le__, table.elements[v].perm)))
+            assert kept[rep] & kept[table.product(v, rep)] == want, (sorted(itheta), p)
 
 
 def test_decomposition_and_filtration_never_call_weight_lt(monkeypatch):

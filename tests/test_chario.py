@@ -12,6 +12,7 @@ from catx.charcalc import (
 )
 from catx.chario import (
     character_dumps,
+    character_from_json,
     character_loads,
     character_to_json,
     module_dumps,
@@ -99,6 +100,73 @@ def test_character_payload_validation():
             character_loads(rs, json.dumps(corrupt))
     with pytest.raises(InputError):
         character_loads(rs, "{not json")
+
+
+def weights_payload(itheta, *weights):
+    return {
+        "type": "A3",
+        "label": "theta",
+        "itheta": itheta,
+        "weights": [{"coset_rep": r, "v": v, "mult": 1} for r, v in weights],
+    }
+
+
+def loaded_words(rs, payload, **kwargs):
+    char, _, warnings = character_loads(rs, json.dumps(payload), **kwargs)
+    return sorted((w.tchar.coset_rep.word, w.v.word) for w in char.weights()), warnings
+
+
+def test_character_letters_are_checked_before_any_word_lookup():
+    rs = build_root_system("A3")
+    for bad in ([1.0], [2, 1.0], [0], [False], [4], [-1], [2**70], ["1"], [None], [[1]]):
+        for weight in (([], bad), (bad, [])):
+            with pytest.raises(InputError):
+                character_from_json(rs, weights_payload([], weight))
+    # 1.0 equals 1 and hashes like it, so it must be refused before a
+    # lookup of canonical words could accept it
+    with pytest.raises(InputError, match="list of simple indices"):
+        character_from_json(rs, weights_payload([], ([], [1.0])))
+    with pytest.raises(InputError, match="out of range"):
+        character_from_json(rs, weights_payload([], ([2], [4])))
+    # a bool is an int, and reads as one
+    assert loaded_words(rs, weights_payload([], ([True], [2]))) == (
+        [((1,), (2,))],
+        [],
+    )
+
+
+def test_character_words_that_are_not_canonical_load_through_the_walk():
+    rs = build_root_system("A3")
+    # not reduced, and reduced but not the canonical word (s1 s3, whose
+    # canonical word ends in its smallest right descent: 3 1)
+    words, warnings = loaded_words(
+        rs, weights_payload([], ([1, 1], [1, 2, 2]), ([1, 3], [2, 1, 2]))
+    )
+    assert words == [((), (1,)), ((3, 1), (1, 2, 1))]
+    assert warnings == []
+    # a non-reduced word whose element is not canonical for itheta warns,
+    # names the canonical word, and raises under strict
+    payload = weights_payload([1], ([2, 2, 1], []))
+    words, warnings = loaded_words(rs, payload)
+    assert words == [((), ())]
+    assert warnings == [
+        "weight #0: coset_rep [2, 2, 1] is not canonical; replaced by []"
+    ]
+    with pytest.raises(InputError, match="not canonical"):
+        loaded_words(rs, payload, strict=True)
+    # two spellings of one weight merge with a warning, and raise under strict
+    payload = weights_payload([1], ([], [1, 3]), ([1], [3, 1, 2, 2]))
+    char, _, warnings = character_loads(rs, json.dumps(payload))
+    assert char.total() == 2 and len(char) == 1
+    assert warnings == [
+        "weight #1: coset_rep [1] is not canonical; replaced by []",
+        "weight #1 duplicates an earlier entry; multiplicities merged",
+    ]
+    with pytest.raises(InputError, match="not canonical"):
+        character_loads(rs, json.dumps(payload), strict=True)
+    payload = weights_payload([], ([2], [1, 3]), ([2, 1, 1], [3, 1]))
+    with pytest.raises(InputError, match="duplicates"):
+        character_loads(rs, json.dumps(payload), strict=True)
 
 
 def test_mixed_bases_rejected():

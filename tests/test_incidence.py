@@ -381,6 +381,45 @@ def test_factorizer_falls_back_on_quartic_parts_and_large_ends(fallbacks):
     assert factor([]) == factor([Q(5)]) == factor([Q(5), Q(0)]) == []
 
 
+def _high_degree_corpus(rng):
+    """Products of powers of small rational linear factors and of
+    quadratics without a rational root, of degrees 2 to 48, the shape
+    of minimal polynomials with many repeated eigenvalues."""
+    corpus = []
+    for target in range(2, 49, 2):
+        poly = [Q(rng.randint(1, 9) * rng.choice([-1, 1]), rng.randint(1, 9))]
+        while len(poly) <= target:
+            if rng.random() < 0.75:
+                factor = [Q(rng.randint(-6, 6), rng.randint(1, 4)), Q(1)]
+            else:
+                factor = [Q(rng.randint(1, 6)), Q(rng.randint(-1, 1)), Q(1)]
+            e = rng.randint(1, min(6, max(1, (target - len(poly) + 1) // (len(factor) - 1))))
+            poly = incidence._poly_mul(poly, incidence._poly_pow(factor, e))
+        corpus.append(poly)
+    return corpus
+
+
+def test_square_free_parts_match_sympy_up_to_degree_48(fallbacks):
+    import sympy
+
+    x = sympy.Symbol("x")
+    corpus = _high_degree_corpus(random.Random(20241018))
+    assert max(len(p) - 1 for p in corpus) >= 48
+    for poly in corpus:
+        z = incidence._primitive(poly)
+        _, parts = sympy.Poly(list(reversed(z)), x, domain="ZZ").sqf_list()
+        want = []
+        for f, e in parts:
+            coeffs = [int(c) for c in reversed(f.all_coeffs())]
+            want.append((coeffs if coeffs[-1] > 0 else [-c for c in coeffs], e))
+        assert sorted(incidence._square_free_parts(z)) == sorted(want)
+        before = len(fallbacks)
+        got = incidence._factor_rational_poly(poly)
+        want_factors = reference(poly)
+        assert got == want_factors
+        assert (len(fallbacks) > before) == _needs_sympy(want_factors)
+
+
 def test_splitting_modules_does_not_import_sympy(tmp_path):
     script = "\n".join(
         [

@@ -11,6 +11,7 @@ from catx.weyl import (
     element_from_word,
     enumerate_biclosed,
     enumerate_weyl,
+    kept_masks,
     longest_element,
     min_coset_reps,
     weyl_subgroup,
@@ -157,6 +158,18 @@ def test_biclosed_matches_group_order():
         assert len(set(witnesses)) == len(witnesses)
         for members, w in pairs:
             assert w.preserved_roots() == members
+
+
+@pytest.mark.parametrize("name", ["A1", "A3", "B3", "C4", "D4", "G2", "F4"])
+def test_kept_masks_match_the_permutations(name):
+    rs = build_root_system(name)
+    group = enumerate_weyl(rs)
+    n = len(rs.positive_roots)
+    masks = kept_masks(rs)
+    assert len(masks) == len(group)
+    assert masks == [w.plus_mask | w.inversion_mask << n for w in group]
+    # the same list on every call, kept on the root system
+    assert kept_masks(rs) is masks
 
 
 def _brute_force_biclosed(n, triples):
