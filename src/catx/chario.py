@@ -236,7 +236,9 @@ def _parse_subset(tag: str, n: int, what: str) -> frozenset[int]:
         items = json.loads(tag)
     except json.JSONDecodeError as exc:
         raise InputError(f"{what}: bad subset key {tag!r}") from exc
-    if not isinstance(items, list) or not all(isinstance(x, int) for x in items):
+    if not isinstance(items, list) or not all(
+        isinstance(x, int) and not isinstance(x, bool) for x in items
+    ):
         raise InputError(f"{what}: bad subset key {tag!r}")
     out = frozenset(items)
     if len(out) != len(items) or not out <= set(range(1, n + 1)):
@@ -282,7 +284,7 @@ def module_from_json(data: dict, *, allow_large: bool = False) -> AlgebraModule:
     if missing:
         raise InputError(f"module payload missing keys {sorted(missing)}")
     n = data["n"]
-    if not isinstance(n, int):
+    if isinstance(n, bool) or not isinstance(n, int):
         raise InputError("n must be an int")
     algebra = build_incidence_algebra(n, allow_large=allow_large)
     if not isinstance(data["dims"], dict) or not isinstance(data["maps"], dict):
@@ -290,7 +292,7 @@ def module_from_json(data: dict, *, allow_large: bool = False) -> AlgebraModule:
     dims = {}
     for tag, d in data["dims"].items():
         y = _parse_subset(tag, n, "dims")
-        if not isinstance(d, int) or d < 0:
+        if isinstance(d, bool) or not isinstance(d, int) or d < 0:
             raise InputError(f"dims[{tag!r}] must be a non-negative int")
         dims[y] = d
     maps = {}

@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
+from catx import linalg
 from catx.charcalc import (
     JPRIME_CONVENTIONS,
     FormalCharacter,
@@ -30,7 +31,6 @@ from catx.incidence import (
     algebra_radical,
     build_incidence_algebra,
     cartan_and_ext,
-    cartan_determinant,
     heredity_chain_check,
     krull_schmidt_decompose,
     regular_module,
@@ -259,6 +259,7 @@ def _cmd_algebra(args) -> int:
     a = build_incidence_algebra(args.n, allow_large=args.allow_large)
     _, series = algebra_radical(a)
     cartan, ext1 = cartan_and_ext(a)
+    cartan_det = linalg.det(cartan)
     heredity = heredity_chain_check(a)
     if args.module:
         module = module_loads(_read_in(args.module), allow_large=args.allow_large)
@@ -278,7 +279,7 @@ def _cmd_algebra(args) -> int:
             "n": a.n,
             "dim": a.dim,
             "radical_series": series,
-            "cartan_determinant": str(cartan_determinant(a)),
+            "cartan_determinant": str(cartan_det),
             "ext1_count": len(ext1),
             "heredity_passed": heredity["passed"],
             "heredity_layers": heredity["layers"],
@@ -302,7 +303,7 @@ def _cmd_algebra(args) -> int:
     lines = [
         f"incidence algebra on {a.n} points: dim {a.dim}",
         f"radical power dims: {series}",
-        f"cartan determinant: {cartan_determinant(a)}",
+        f"cartan determinant: {cartan_det}",
         f"ext^1 arrows: {len(ext1)}",
         f"heredity chain: {'pass' if heredity['passed'] else 'FAIL'}",
         f"indecomposable summands of the {source}:",

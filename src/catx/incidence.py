@@ -413,7 +413,7 @@ def projective_injective_dims(a: IncidenceAlgebra) -> dict:
 
 
 class _HomSpace:
-    """Basis of module homomorphisms with coordinate bookkeeping."""
+    """Basis of module homomorphisms, flattened vertex block by vertex block."""
 
     def __init__(self, source: AlgebraModule, target: AlgebraModule):
         a = source.algebra
@@ -481,20 +481,6 @@ class _HomSpace:
                     vec[j] += coeff * x
         return self.matrices(vec)
 
-    def flatten(self, endo: Mapping[Subset, Sequence[Sequence[Q]]]) -> list[Q]:
-        vec = [Q(0)] * self.width
-        for y in self.verts:
-            base = self.offsets[y]
-            d2 = self.target.dims[y]
-            m = endo[y]
-            for r, row in enumerate(m):
-                for c, x in enumerate(row):
-                    vec[base + r * d2 + c] = Q(x)
-        return vec
-
-    def coords(self, endo: Mapping[Subset, Sequence[Sequence[Q]]]) -> list[Q]:
-        return linalg.coords_in_span(self.vectors, self.free_cols, self.flatten(endo))
-
 
 def hom_basis(
     source: AlgebraModule, target: AlgebraModule
@@ -503,52 +489,28 @@ def hom_basis(
     return [space.matrices(v) for v in space.vectors]
 
 
-def _endo_identity(m: AlgebraModule) -> dict[Subset, list[list[Q]]]:
-    return {
-        y: linalg.identity(m.dims[y]) for y in m.algebra.subsets if m.dims[y] > 0
-    }
-
-
-def _endo_compose(
-    m: AlgebraModule,
-    a_: Mapping[Subset, list[list[Q]]],
-    b_: Mapping[Subset, list[list[Q]]],
-) -> dict[Subset, list[list[Q]]]:
-    return {
-        y: linalg.mat_mul(a_[y], b_[y]) for y in a_
-    }
-
-
 def _is_local_end(space: _HomSpace) -> bool:
     """Sound certificate that the endomorphism algebra is local: the
     semisimple quotient is one dimensional over the rationals.
 
-    The trace form of the regular representation has the radical as its
-    null space in characteristic zero, so the quotient dimension is the
-    form's rank.  Rank one certifies locality; a local algebra whose
+    End(M) acts faithfully on M, and in characteristic zero the trace
+    form (f, g) -> tr_M(fg), the sum over vertices y of tr(f_y g_y), of a
+    faithful representation has exactly the radical as its null space
+    (Dickson's criterion; Curtis-Reiner 1962).  So the rank of its Gram
+    matrix on the hom-space basis is the dimension of the semisimple
+    quotient, and rank one certifies locality; a local algebra whose
     residue division algebra is bigger than the rationals is not
     certified here and surfaces as an honest uncertified summand.
     """
-    m = space.dim
-    if m == 1:
+    if space.dim == 1:
         return True
-    endos = [space.matrices(v) for v in space.vectors]
-    struct = []
-    for ei in endos:
-        row = []
-        for ej in endos:
-            row.append(space.coords(_endo_compose(space.source, ei, ej)))
-        struct.append(row)
-    regular_trace = [
-        sum(struct[k][i][i] for i in range(m)) for k in range(m)
-    ]
-    gram = [
-        [
-            sum(struct[i][j][k] * regular_trace[k] for k in range(m))
-            for j in range(m)
-        ]
-        for i in range(m)
-    ]
+    # tr(f_y g_y) pairs entry (r, c) of f_y with entry (c, r) of g_y
+    transposed = []
+    for y in space.verts:
+        d, base = space.source.dims[y], space.offsets[y]
+        transposed += [base + c * d + r for r in range(d) for c in range(d)]
+    entries = [[(t, x) for x, t in zip(f, transposed) if x] for f in space.vectors]
+    gram = [[sum(x * g[t] for t, x in e) for g in space.vectors] for e in entries]
     return linalg.rank(gram) == 1
 
 
@@ -569,30 +531,20 @@ def _poly_pow(p: list[Q], e: int) -> list[Q]:
 
 
 def _min_poly(m: AlgebraModule, endo: Mapping[Subset, list[list[Q]]]) -> list[Q]:
-    """Monic minimal polynomial, coefficients lowest degree first."""
-    space_dims = [
-        (y, m.dims[y]) for y in m.algebra.subsets if m.dims[y] > 0
-    ]
+    """Monic minimal polynomial, coefficients lowest degree first.
 
-    def flat(e: Mapping[Subset, list[list[Q]]]) -> list[Q]:
-        vec: list[Q] = []
-        for y, _ in space_dims:
-            for row in e[y]:
-                vec.extend(Q(x) for x in row)
-        return vec
-
-    powers = [_endo_identity(m)]
-    rows = [flat(powers[0])]
+    Stacks the flattened powers I, A, A^2, ... as columns until they are
+    dependent.  The powers before the newest are independent, so the null
+    space is one vector with 1 at the newest power: the minimal polynomial.
+    """
+    power = {y: linalg.identity(m.dims[y]) for y in m.algebra.subsets if m.dims[y]}
+    cols: list[list[Q]] = []
     while True:
-        nxt = _endo_compose(m, powers[-1], endo)
-        coeffs = linalg.express_in_rowspace(rows, flat(nxt))
-        if coeffs is not None:
-            k = len(rows)
-            out = [-c for c in coeffs] + [Q(1)]
-            assert len(out) == k + 1
-            return out
-        powers.append(nxt)
-        rows.append(flat(nxt))
+        cols.append([x for block in power.values() for row in block for x in row])
+        null, _ = linalg.nullspace([list(r) for r in zip(*cols)], ncols=len(cols))
+        if null:
+            return null[0]
+        power = {y: linalg.mat_mul(power[y], endo[y]) for y in power}
 
 
 def _poly_trim(p: list) -> list:

@@ -136,49 +136,3 @@ def coords_in_span(basis: list[list[Q]], free_cols: list[int], vector) -> list[Q
         raise ValueError("vector is not in the span of the basis")
     return coeffs
 
-
-def express_in_rowspace(rows, target) -> list[Q] | None:
-    """Coefficients writing the target as a combination of the given rows,
-    or None when it lies outside their span.
-
-    Eliminates with identity bookkeeping so the returned coefficients
-    refer to the original rows, which need not be independent.
-    """
-    m = mat(rows)
-    t = [Q(x) for x in target]
-    nr = len(m)
-    if nr == 0:
-        return [] if not any(t) else None
-    ncols = len(m[0])
-    if len(t) != ncols:
-        raise ValueError("target length does not match row width")
-    aug = [row[:] + [Q(1) if i == j else Q(0) for j in range(nr)] for i, row in enumerate(m)]
-    echelon: list[tuple[int, list[Q]]] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nr) if aug[i][c]), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(nr):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        echelon.append((c, aug[r]))
-        r += 1
-        if r == nr:
-            break
-    coeffs = [Q(0)] * nr
-    residual = t[:]
-    for c, row in echelon:
-        if residual[c]:
-            f = residual[c]
-            for j in range(ncols):
-                residual[j] -= f * row[j]
-            for j in range(nr):
-                coeffs[j] += f * row[ncols + j]
-    if any(residual):
-        return None
-    return coeffs

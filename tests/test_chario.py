@@ -268,3 +268,14 @@ def test_module_payload_validation():
             module_loads(json.dumps(corrupt))
     with pytest.raises(InputError):
         module_loads("[1,2]")
+    # JSON true is a Python int, so an unchecked reader builds n=True;
+    # each payload below loads once every true is written as 1
+    for corrupt in (
+        {"n": True, "dims": {"[]": 1}, "maps": {}},
+        {"n": 1, "dims": {"[]": True}, "maps": {}},
+        {"n": 1, "dims": {"[true]": 1}, "maps": {}},
+        {"n": 1, "dims": {"[]": 1, "[1]": 1}, "maps": {"[]->[true]": [[1]]}},
+    ):
+        with pytest.raises(InputError):
+            module_loads(json.dumps(corrupt))
+        module_loads(json.dumps(corrupt).replace("true", "1"))

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from catx import incidence
+from catx import incidence, linalg
 from catx.errors import InputError, ResourceGuardError
 from catx.incidence import (
     AlgebraModule,
@@ -296,6 +296,160 @@ def test_simple_module_is_local():
     assert len(out) == 1
     m, mult, cert = out[0]
     assert m.total_dim == 1 and mult == 1 and cert
+
+
+def _flat(endo):
+    return [x for block in endo.values() for row in block for x in row]
+
+
+def _semisimple_rank_by_structure_constants(space):
+    """dim End/rad as the certificate first computed it: structure
+    constants of End(M) read at the hom space's free columns, then the
+    rank of the trace form of End(M)'s regular representation."""
+    endos = [space.matrices(v) for v in space.vectors]
+    struct = [
+        [
+            linalg.coords_in_span(
+                space.vectors,
+                space.free_cols,
+                _flat({y: linalg.mat_mul(ei[y], ej[y]) for y in space.verts}),
+            )
+            for ej in endos
+        ]
+        for ei in endos
+    ]
+    m = space.dim
+    regular_trace = [sum(struct[k][i][i] for i in range(m)) for k in range(m)]
+    gram = [
+        [sum(c * t for c, t in zip(struct[i][j], regular_trace)) for j in range(m)]
+        for i in range(m)
+    ]
+    return linalg.rank(gram)
+
+
+def _scrambled(module, rng):
+    """An isomorphic copy: a random invertible change of basis at every
+    vertex, so the covering maps are no longer block diagonal."""
+    a = module.algebra
+    change, inverse = {}, {}
+    for y in a.subsets:
+        d = module.dims[y]
+        # lower unitriangular times upper triangular with a nonzero diagonal
+        lower = [[rng.randint(-2, 2) if j < i else int(i == j) for j in range(d)] for i in range(d)]
+        upper = [
+            [rng.randint(-2, 2) if j > i else rng.choice([-2, 1, 3]) * (i == j) for j in range(d)]
+            for i in range(d)
+        ]
+        change[y] = linalg.mat_mul(linalg.mat(lower), linalg.mat(upper))
+        red, _ = linalg.rref([row + e for row, e in zip(change[y], linalg.identity(d))])
+        inverse[y] = [row[d:] for row in red]
+    maps = {
+        (y, z): linalg.mat_mul(linalg.mat_mul(inverse[y], m), change[z])
+        for (y, z), m in module.nonzero_maps().items()
+    }
+    return AlgebraModule(a, dict(module.dims), maps)
+
+
+def test_locality_trace_form_on_the_module_matches_structure_constants(monkeypatch):
+    seen = []
+    trace_form = incidence._is_local_end
+
+    def recorded(space):
+        local = trace_form(space)
+        seen.append((space, local))
+        return local
+
+    monkeypatch.setattr(incidence, "_is_local_end", recorded)
+    for n in (2, 3):
+        a = build_incidence_algebra(n)
+        krull_schmidt_decompose(a, regular_module(a))
+    rng = random.Random(5)
+    a2 = build_incidence_algebra(2)
+    lattice = list(a2.subsets)
+    for _ in range(4):
+        chosen = [interval_module(a2, E, S12)]
+        for _ in range(rng.randint(1, 3)):
+            lo = rng.choice(lattice)
+            chosen.append(interval_module(a2, lo, rng.choice([z for z in lattice if lo <= z])))
+        scrambled = _scrambled(direct_sum(a2, chosen), rng)
+        assert scrambled.nonzero_maps() != direct_sum(a2, chosen).nonzero_maps()
+        krull_schmidt_decompose(a2, scrambled)
+    assert {local for _, local in seen} == {True, False}
+    for space, local in seen:
+        assert local == (_semisimple_rank_by_structure_constants(space) == 1)
+
+
+def test_locality_of_an_end_with_a_radical():
+    # End(P(0) + P({1})) is the upper triangular 2x2 matrices: dimension
+    # 3, a one-dimensional radical and a semisimple quotient of dimension 2
+    a = build_incidence_algebra(1)
+    m = direct_sum(a, [interval_module(a, E, S1), interval_module(a, S1, S1)])
+    space = incidence._HomSpace(m, m)
+    assert space.dim == 3
+    assert _semisimple_rank_by_structure_constants(space) == 2
+    assert not incidence._is_local_end(space)
+    # one summand alone: End(P(0)) is the rationals
+    p = interval_module(a, E, S1)
+    assert incidence._is_local_end(incidence._HomSpace(p, p))
+
+
+def _tube_module():
+    """A local endomorphism algebra that is not a field.  The six middle
+    subsets of the cube form a hexagon with no relations among its
+    arrows; put Q^2 on each, the identity on every arrow but one and a
+    Jordan block J there.  The endomorphisms are the polynomials in J,
+    so End = Q[t]/t^2: local, with a one-dimensional radical."""
+    a = build_incidence_algebra(3)
+    hexagon = [y for y in a.subsets if len(y) in (1, 2)]
+    dims = {y: 2 if y in hexagon else 0 for y in a.subsets}
+    maps = {(y, z): linalg.identity(2) for y in hexagon for z in hexagon if y < z}
+    maps[(S1, S12)] = linalg.mat([[2, 1], [0, 2]])
+    return AlgebraModule(a, dims, maps)
+
+
+def test_locality_of_a_local_end_with_a_radical():
+    m = _tube_module()
+    space = incidence._HomSpace(m, m)
+    assert space.dim == 2
+    assert _semisimple_rank_by_structure_constants(space) == 1
+    assert incidence._is_local_end(space)
+    assert krull_schmidt_decompose(m.algebra, m) == [(m, 1, True)]
+
+
+def test_min_poly_annihilates_and_has_least_degree():
+    a = build_incidence_algebra(1)
+    # P(0) + P({1}): components ordered P(0) first at every vertex
+    m = direct_sum(a, [interval_module(a, E, S1), interval_module(a, S1, S1)])
+    ident = {E: linalg.identity(1), S1: linalg.identity(2)}
+    zero = {E: linalg.zeros(1, 1), S1: linalg.zeros(2, 2)}
+    # the map P({1}) -> P(0) composed into an endomorphism: square zero
+    nilpotent = {E: linalg.zeros(1, 1), S1: linalg.mat([[0, 0], [1, 0]])}
+    # 2 on P(0) and -3 on P({1}): two coprime linear factors
+    split = {E: linalg.mat([[2]]), S1: linalg.mat([[2, 0], [0, -3]])}
+    # the Jordan block at every vertex of the tube module: (x - 2)^2
+    tube = _tube_module()
+    jordan = {y: linalg.mat([[2, 1], [0, 2]]) for y in tube.dims if tube.dims[y]}
+    expected = [
+        (m, ident, [-1, 1]),
+        (m, zero, [0, 1]),
+        (m, nilpotent, [0, 0, 1]),
+        (m, split, [-6, 1, 1]),
+        (tube, jordan, [4, -4, 1]),
+    ]
+    for module, endo, poly in expected:
+        assert incidence._min_poly(module, endo) == poly
+    regular = regular_module(build_incidence_algebra(2))
+    cases = [(module, endo) for module, endo, _ in expected]
+    for module in (m, regular, tube):
+        cases += [(module, endo) for endo in hom_basis(module, module)]
+    for module, endo in cases:
+        poly = incidence._min_poly(module, endo)
+        assert poly[-1] == 1
+        assert not any(_flat(incidence._poly_at_endo(module, endo, poly)))
+        powers = [{y: linalg.identity(len(b)) for y, b in endo.items()}]
+        for _ in range(len(poly) - 2):
+            powers.append({y: linalg.mat_mul(powers[-1][y], endo[y]) for y in endo})
+        assert linalg.rank([_flat(p) for p in powers]) == len(poly) - 1
 
 
 reference = incidence._sympy_factor_rational_poly

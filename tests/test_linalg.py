@@ -55,14 +55,3 @@ def test_coords_in_span_roundtrip():
     with pytest.raises(ValueError):
         linalg.coords_in_span(basis, free, [Q(1), Q(0), Q(0)])
 
-
-def test_express_in_rowspace():
-    rows = [[Q(1), Q(0), Q(1)], [Q(0), Q(1), Q(1)], [Q(1), Q(1), Q(2)]]
-    target = [Q(2), Q(3), Q(5)]
-    coeffs = linalg.express_in_rowspace(rows, target)
-    assert coeffs is not None
-    recon = [sum(c * rows[i][j] for i, c in enumerate(coeffs)) for j in range(3)]
-    assert recon == target
-    assert linalg.express_in_rowspace(rows, [Q(1), Q(0), Q(0)]) is None
-    assert linalg.express_in_rowspace([], [Q(0), Q(0)]) == []
-    assert linalg.express_in_rowspace([], [Q(1)]) is None
