@@ -340,9 +340,10 @@ def weight_lt(a: Weight, b: Weight) -> bool:
     of b.  A proper subset forces a's kept set to be smaller, so unequal
     lengths are a cheap necessary precheck.
 
-    This is the readable pairwise definition.  The decomposition and the
-    order check read the bitset rows of `_order_rows` instead, and the
-    tests hold the two equal.
+    This is the readable pairwise definition; no catx code calls it.  The
+    order check reads the bitset rows of `_order_rows`, and the
+    decomposition reads its candidates' rows off their closed form
+    (`_candidate_rows`); the tests hold both equal to this.
     """
     if a.tchar.base != b.tchar.base or a.v.length <= b.v.length:
         return False
@@ -502,6 +503,53 @@ class Decomposition:
         return not self.remainder and self.diagnostic is None
 
 
+def _supports(rs: RootSystem) -> list[int]:
+    """Per element id, the mask of the simple indices its word uses: the
+    least J whose standard subgroup holds the element.  Built once per
+    enumerated group and kept on the root system's memo."""
+    memo = rs._weyl_memo
+    if _supports not in memo:
+        memo[_supports] = [_index_mask(set(word)) for word in group_table(rs).words]
+    return memo[_supports]
+
+
+def _candidate_rows(
+    rs: RootSystem, base: FormalCharacter, weights: list[int]
+) -> list[tuple[frozenset[int], int, int]]:
+    """The decomposition candidates among packed weights over one base,
+    with their up-sets: a triple (K, k, row) for each K inside itheta
+    whose weight (theta, w_K) is weights[k], where bit b of the row is
+    set exactly when that weight lies below weights[b] (`weight_lt`).
+
+    The up-set has a closed form: (theta, w_K) lies below (theta^r, v)
+    exactly when r = 1 and v lies in W_K but is not w_K.  With g = r u,
+    u in W_itheta, the order asks g and v g to keep every positive root
+    outside Phi_K positive.  The first makes g an element of W_K, so
+    r = 1, as r is a minimal coset representative; then the second puts
+    v in W_K.  Conversely u = 1 works, as W_K permutes those roots, and
+    the length test leaves out only v = w_K.  (The parabolic
+    factorisation w = w^K w_K; Bjorner-Brenti, Combinatorics of Coxeter
+    Groups, section 2.4.)  So a row is the union of the untwisted weights
+    (ids below |W|) whose v has its support inside K, less the candidate.
+    """
+    table = group_table(rs)
+    n = len(table.elements)
+    support = _supports(rs)
+    at = {p: k for k, p in enumerate(weights)}
+    by_support: dict[int, int] = {}
+    for k, p in enumerate(weights):
+        if p < n:
+            by_support[support[p]] = by_support.get(support[p], 0) | 1 << k
+    out = []
+    for j in _subsets(base.itheta):
+        k = at.get(_element_id(table, longest_element(rs, j)))
+        if k is not None:
+            mask = _index_mask(j)
+            row = sum(bits for s, bits in by_support.items() if not s & ~mask)
+            out.append((j, k, row ^ 1 << k))
+    return out
+
+
 def decompose_character(
     rs: RootSystem, char: ModuleCharacter, *, tie_break: int = 0
 ) -> Decomposition:
@@ -510,14 +558,15 @@ def decompose_character(
     Each round selects a maximal weight of longest-element shape
     (untwisted character, v = w_J with J inside itheta) and subtracts
     the simple character at (theta, J).  Maximality is taken against
-    every weight still present: the order rows of the candidates
-    against the character's own weights are built once (subtraction
-    never adds a weight), a bitmask tracks the weights still present,
-    and a candidate is maximal when it is present and its row misses
-    that mask.  Incomparable maxima are ordered by (|J| descending, J
-    lexicographic, label), ties kept in the character's insertion
-    order; tie_break in {0, 1, 2} picks the first, last, or middle
-    entry of that order, and results must not depend on the choice.
+    every weight still present: the rows of the candidates against the
+    character's own weights are read off their closed form
+    (`_candidate_rows`) once per call, since subtraction never adds a
+    weight; a bitmask tracks the weights still present, and a candidate
+    is maximal when it is present and its row misses that mask.
+    Incomparable maxima are ordered by (|J| descending, J lexicographic,
+    label), ties kept in the character's insertion order; tie_break in
+    {0, 1, 2} picks the first, last, or middle entry of that order, and
+    results must not depend on the choice.
 
     A subtraction that would drive a multiplicity negative stops the
     loop, leaving the offending weights in the remainder and naming
@@ -532,7 +581,6 @@ def decompose_character(
         raise InputError(
             f"character is over {char._rs.cartan_type}, not {rs.cartan_type}"
         )
-    table = group_table(rs)
     work = {base: dict(inner) for base, inner in char._entries.items()}
     # one bit per weight, the bases in turn; rows only relate weights of
     # one base, so each base's rows are built on its own and shifted
@@ -542,13 +590,9 @@ def decompose_character(
     for base, inner in work.items():
         weights = list(inner)
         bits[base] = {p: 1 << (offset + k) for k, p in enumerate(weights)}
-        longest = {
-            _element_id(table, longest_element(rs, k)): k for k in _subsets(base.itheta)
-        }
-        here = [(p, longest[p]) for p in weights if p in longest]  # rep id 0, v = w_J
-        rows = _order_rows(rs, base, weights, [p for p, _ in here])
         cands += [
-            (bits[base][p], row << offset, base, j) for (p, j), row in zip(here, rows)
+            (1 << (offset + k), row << offset, base, j)
+            for j, k, row in _candidate_rows(rs, base, weights)
         ]
         offset += len(weights)
     present = (1 << offset) - 1
@@ -718,11 +762,10 @@ def verify_filtration(
 
 def _universe_ids(rs: RootSystem, theta: FormalCharacter) -> list[int]:
     """The packed weights of the costandard sweep of theta, in `items`
-    order."""
-    seen: set[int] = set()
-    for j in _subsets(theta.itheta):
-        seen.update(costandard_character(rs, theta, j)._entries.get(theta, ()))
-    return sorted(seen, key=_id_sort_key(rs))
+    order.  Every costandard family of the sweep lies inside the one at
+    J = itheta: there J' is empty, so its representatives are all of W,
+    and a representative's weight does not depend on J."""
+    return costandard_character(rs, theta, theta.itheta)._sorted_ids(theta)
 
 
 def weight_universe(rs: RootSystem, theta: FormalCharacter) -> tuple[Weight, ...]:
@@ -745,15 +788,11 @@ def _stabilizer_images(
 
 
 def _order_rows(
-    rs: RootSystem,
-    theta: FormalCharacter,
-    universe: list[int],
-    _sources: Optional[Iterable[int]] = None,
+    rs: RootSystem, theta: FormalCharacter, universe: list[int]
 ) -> list[int]:
     """The weight order on a universe of packed weights over theta as one
-    bitset row per source weight: bit b of row a is set exactly when
-    sources[a] lies below universe[b] (`weight_lt`).  The sources default
-    to the universe itself; `decompose_character` passes its candidates.
+    bitset row per weight: bit b of row a is set exactly when universe[a]
+    lies below universe[b] (`weight_lt`).
 
     Each weight gives one mask over the 2n roots: its kept roots moved
     by the inverse of its twist.  As the lower weight these are its
@@ -767,38 +806,27 @@ def _order_rows(
     and stops once it holds all of them.  An element that sends a pulled
     root outside every target mask is skipped with one mask test; those
     roots are the preimages under u of the roots outside the reach of the
-    universe.  A source lies below shorter weights only, so given sources,
-    the weights no shorter than the longest of them keep their bits but
-    enter no column.
+    universe.
     """
     table = group_table(rs)
     n = len(table.elements)
     words, product = table.words, table.product
     kept = kept_masks(rs)
-
-    def roots(p: int) -> int:  # the kept roots of p moved by its twist's inverse
-        rep, v = divmod(p, n)
-        return kept[rep] & kept[product(v, rep) if rep else v]
-
-    if _sources is None:
-        sources, limit = universe, None
-    else:
-        sources = list(_sources)
-        limit = max((len(words[a % n]) for a in sources), default=0)
     n_roots = 2 * len(rs.positive_roots)
     columns = {1 << r: 0 for r in range(n_roots)}
     by_length: dict[int, int] = {}
-    masks = {}
+    masks = []
     for b, p in enumerate(universe):
-        length = len(words[p % n])
-        if limit is not None and length >= limit:
-            continue
+        rep, v = divmod(p, n)
+        # the kept roots of p moved by its twist's inverse
+        rest = kept[rep] & kept[product(v, rep) if rep else v]
+        masks.append(rest)
         bit = 1 << b
-        rest = masks[p] = roots(p)
         while rest:
             root = rest & -rest
             rest ^= root
             columns[root] |= bit
+        length = len(words[v])
         by_length[length] = by_length.get(length, 0) | bit
     # the roots u sends outside the reach: those it sends negative,
     # corrected on the few roots where the reach is not the positive ones
@@ -813,11 +841,10 @@ def _order_rows(
     stabilizer = list(zip(images, missed))
     column = columns.__getitem__
     rows = []
-    for a in sources:
+    for a, pulled_mask in zip(universe, masks):
         length = len(words[a % n])
         shorter = sum(m for k, m in by_length.items() if k < length)
         row = 0
-        pulled_mask = masks[a] if a in masks else roots(a)
         pulled = [r for r in range(n_roots) if pulled_mask >> r & 1]
         for u_images, u_missed in stabilizer if shorter else ():
             if pulled_mask & u_missed:
@@ -830,32 +857,87 @@ def _order_rows(
     return rows
 
 
+def _first_broken_chain(rows: list[int]) -> Optional[tuple[int, int, int]]:
+    """The first a < b < c in universe order with c not above a (a == c
+    included), walking every edge a < b: Warshall's bitset form."""
+    for a, row in enumerate(rows):
+        rest = row
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            b = low.bit_length() - 1
+            missing = rows[b] & ~row
+            if missing:
+                return a, b, (missing & -missing).bit_length() - 1
+    return None
+
+
+def _transitive_on_covers(rows: list[int]) -> bool:
+    """Transitivity of an irreflexive bitset relation, tested on few
+    edges: each a walks its row from the top bit, tests row b inside
+    row a for each b it reaches, then drops row b from what is left.
+
+    A dropped weight c lies in a tested row b, and that row is a proper
+    subset of row a (b is in row a, not in its own).  So by induction on
+    the size of the row, once every test passes, row c lies inside row b
+    and hence inside row a.  The order of the walk does not matter; top
+    bit first meets the nearest weights, whose rows cover the most.
+    """
+    for row in rows:
+        rest = row
+        while rest:
+            b = rest.bit_length() - 1
+            above = rows[b]
+            if above & ~row:
+                return False
+            rest &= ~(above | 1 << b)
+    return True
+
+
+def _chain_count(rows: list[int]) -> int:
+    """The number of chains a < b < c, the sum of indeg(b) * |row b|, without
+    walking the edges.  Bit-sliced column counters hold the in-degrees
+    (bit b of counts[j] is bit j of the in-degree of b; each row is added
+    with a carry-save ripple), and sliced masks the row sizes (bit b of
+    sizes[k] is bit k of |row b|), so the sum is over pairs of slices."""
+    counts: list[int] = []
+    for carry in rows:
+        for j, count in enumerate(counts):
+            if not carry:
+                break
+            counts[j], carry = count ^ carry, count & carry
+        if carry:
+            counts.append(carry)
+    sizes = [0] * len(rows).bit_length()
+    for b, row in enumerate(rows):
+        size = row.bit_count()
+        for k in range(size.bit_length()):
+            if size >> k & 1:
+                sizes[k] |= 1 << b
+    return sum(
+        (count & size).bit_count() << (j + k)
+        for j, count in enumerate(counts)
+        for k, size in enumerate(sizes)
+    )
+
+
 def _order_verdict(
     rows: list[int], params: dict, name: Callable[[int], str]
 ) -> list[dict]:
     """Irreflexivity and transitivity records of a bitset relation.
 
     Irreflexive means no diagonal bit.  Transitive means row b lies
-    inside row a for every b in row a (Warshall's bitset form); the
-    first failing chain a < b < c in universe order is the witness,
-    a == c included.  Every chain a < b < c is counted.  name(k) is the
-    text that names universe element k in a counterexample.
+    inside row a for every b in row a.  On an irreflexive relation that
+    is decided on the covers (`_transitive_on_covers`); a diagonal bit or
+    a failed test falls back to the walk over every edge, whose first
+    failing chain a < b < c in universe order is the witness, a == c
+    included.  Every chain a < b < c is counted (`_chain_count`).  name(k)
+    is the text that names universe element k in a counterexample.
     """
-    n = len(rows)
-    refl = [a for a in range(n) if rows[a] >> a & 1]
+    refl = [a for a, row in enumerate(rows) if row >> a & 1]
     violation = None
-    checked = 0
-    for a in range(n):
-        rest = rows[a]
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            b = low.bit_length() - 1
-            checked += rows[b].bit_count()
-            missing = rows[b] & ~rows[a]
-            if missing and violation is None:
-                c = (missing & -missing).bit_length() - 1
-                violation = (a, b, c)
+    if refl or not _transitive_on_covers(rows):
+        violation = _first_broken_chain(rows)
     return [
         {
             "check": "order-irreflexive",
@@ -865,7 +947,11 @@ def _order_verdict(
         },
         {
             "check": "order-transitive",
-            "params": {**params, "mode": "exhaustive", "triples_checked": checked},
+            "params": {
+                **params,
+                "mode": "exhaustive",
+                "triples_checked": _chain_count(rows),
+            },
             "passed": violation is None,
             "counterexample": (
                 None if violation is None else {"triple": [name(x) for x in violation]}

@@ -54,7 +54,7 @@ class IncidenceAlgebra:
     """Matrix-unit presentation of the Boolean-lattice incidence algebra."""
 
     def __init__(self, n: int, *, allow_large: bool = False):
-        if not isinstance(n, int) or n < 0:
+        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
             raise InputError("ground-set size must be a non-negative int")
         if n > ALGEBRA_SIZE_GUARD and not allow_large:
             raise ResourceGuardError(

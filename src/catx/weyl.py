@@ -452,10 +452,11 @@ def group_table(rs: RootSystem) -> _GroupTable:
 # guard then refuses oversize groups).  The memo holds at most three
 # entries per subset of the simple indices, plus the per-element kept-root
 # masks below.  `catx.charcalc` keeps its own entries here too: the
-# stabilizer images per subset, one word rank, and one simple character
-# per (theta, J), held as packed integer ids; `catx.chario` keeps the
-# text of every canonical word and the id of every canonical word.  Each
-# per-element table holds one entry per group element.
+# stabilizer images per subset, one word rank, the support of every
+# element, and one simple character per (theta, J), held as packed
+# integer ids; `catx.chario` keeps the text of every canonical word and
+# the id of every canonical word.  Each per-element table holds one entry
+# per group element.
 
 
 def _memoized(build, rs: RootSystem, subset: Iterable[int]):

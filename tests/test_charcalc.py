@@ -1,4 +1,5 @@
 import json
+import random
 from itertools import compress
 
 import pytest
@@ -20,6 +21,7 @@ from catx.charcalc import (
     weight_lt,
     weight_sort_key,
     weight_universe,
+    _candidate_rows,
     _order_rows,
     _order_verdict,
     _universe_ids,
@@ -521,24 +523,28 @@ def test_decomposition_matches_the_pairwise_scan_off_the_families(name):
 
 
 def candidate_rows_hold(rs, char, label):
-    """The rows `decompose_character` asks for, one per candidate (an
+    """The rows `decompose_character` reads, one per candidate (an
     untwisted weight whose v is w_J for some J inside itheta) against all
     of the character's weights, equal the weight_lt rows.  A packed id
     below |W| has the identity as its representative."""
     for base, inner in char._entries.items():
         ids = list(inner)
-        longest = {longest_element(rs, k)._id for k in subsets_of(base.itheta)}
-        sources = [p for p in ids if p in longest]
+        longest = {longest_element(rs, k)._id: k for k in subsets_of(base.itheta)}
         weights = [_weight_of(rs, base, p) for p in ids]
-        want = [
-            sum(
-                1 << b
-                for b, upper in enumerate(weights)
-                if weight_lt(_weight_of(rs, base, a), upper)
+        want = {
+            k: (
+                longest[a],
+                sum(
+                    1 << b
+                    for b, upper in enumerate(weights)
+                    if weight_lt(_weight_of(rs, base, a), upper)
+                ),
             )
-            for a in sources
-        ]
-        assert _order_rows(rs, base, ids, sources) == want, (label, base)
+            for k, a in enumerate(ids)
+            if a in longest
+        }
+        got = {k: (j, row) for j, k, row in _candidate_rows(rs, base, ids)}
+        assert got == want, (label, base)
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "C3"])
@@ -566,12 +572,182 @@ def test_decomposition_rows_match_weight_lt_on_failing_characters_too(name):
     )
     candidate_rows_hold(rs, two, "two bases")
     assert set(two._entries) == {full, eta}
-    # a base whose one weight is a candidate, beside a base with weights
-    # longer than every candidate, which enter no column
+    # a base whose one weight is a candidate, beside a base of mostly
+    # twisted weights, which no candidate row holds
     single = ModuleCharacter.sum(
         [simple_character(rs, full, rs.simple_indices), induced_character(rs, eta, [])]
     )
     candidate_rows_hold(rs, single, "lone candidate")
+
+
+def every_weight_id(rs, itheta):
+    """The packed ids of every weight over a theta with this itheta: each
+    canonical representative against each group element."""
+    n = len(enumerate_weyl(rs))
+    return [rep._id * n + v for rep in min_coset_reps(rs, itheta) for v in range(n)]
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "C2", "G2", "A3", "B3", "C3"])
+def test_candidate_rows_match_weight_lt_on_every_weight(name):
+    """The closed form of a candidate's up-set: (theta, w_K) lies below
+    (theta^r, v) exactly when r = 1 and v is in W_K but is not w_K."""
+    rs = build_root_system(name)
+    identity = WeylElement.identity(rs)
+    for itheta in subsets_of(rs.simple_indices):
+        theta = theta_for(rs, itheta)
+        ids = every_weight_id(rs, itheta)
+        weights = [_weight_of(rs, theta, p) for p in ids]
+        rows = _candidate_rows(rs, theta, ids)
+        assert sorted(map(sorted, (j for j, _, _ in rows))) == sorted(
+            map(sorted, subsets_of(itheta))
+        )
+        for j, k, row in rows:
+            low = weights[k]
+            assert low == Weight(TwistedCharacter(theta, identity), longest_element(rs, j))
+            want = sum(1 << b for b, up in enumerate(weights) if weight_lt(low, up))
+            assert row == want, (name, sorted(itheta), sorted(j))
+
+
+@pytest.mark.parametrize("name", ["A4", "D4"])
+def test_candidate_rows_match_the_order_rows_on_every_weight(name):
+    rs = build_root_system(name)
+    for itheta in subsets_of(rs.simple_indices):
+        theta = theta_for(rs, itheta)
+        ids = every_weight_id(rs, itheta)
+        rows = _order_rows(rs, theta, ids)
+        for j, k, row in _candidate_rows(rs, theta, ids):
+            assert row == rows[k], (name, sorted(itheta), sorted(j))
+
+
+def union_universe(rs, theta):
+    """The sweep universe as the union of the costandard characters over
+    every J inside itheta, in `items` order."""
+    seen = set()
+    for j in subsets_of(theta.itheta):
+        seen.update(costandard_character(rs, theta, j)._entries.get(theta, ()))
+    return sorted(seen, key=lambda p: weight_sort_key(_weight_of(rs, theta, p)))
+
+
+@pytest.mark.parametrize(
+    "name", ["A1", "A2", "B2", "G2", "A3", "B3", "C3", "A4", "B4", "C4", "D4", "F4"]
+)
+def test_universe_is_the_costandard_family_at_itheta(name):
+    rs = build_root_system(name)
+    for itheta in subsets_of(rs.simple_indices):
+        theta = theta_for(rs, itheta)
+        assert _universe_ids(rs, theta) == union_universe(rs, theta), sorted(itheta)
+
+
+def walk_every_edge(rows):
+    """The transitivity verdict by the walk over every edge a < b: the
+    first chain a < b < c in universe order with c not above a, and the
+    number of chains a < b < c."""
+    violation = None
+    checked = 0
+    for a in range(len(rows)):
+        rest = rows[a]
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            b = low.bit_length() - 1
+            checked += rows[b].bit_count()
+            missing = rows[b] & ~rows[a]
+            if missing and violation is None:
+                c = (missing & -missing).bit_length() - 1
+                violation = (a, b, c)
+    return violation, checked
+
+
+def assert_verdict_matches_the_walk(rows, label):
+    refl, trans = _order_verdict(rows, {}, str)
+    violation, checked = walk_every_edge(rows)
+    assert refl["passed"] == (not any(row >> a & 1 for a, row in enumerate(rows)))
+    assert trans["passed"] == (violation is None), label
+    assert trans["counterexample"] == (
+        None if violation is None else {"triple": [str(x) for x in violation]}
+    ), label
+    assert trans["params"]["triples_checked"] == checked, label
+    return trans["passed"]
+
+
+def closure(rows):
+    rows = list(rows)
+    for k in range(len(rows)):
+        for a in range(len(rows)):
+            if rows[a] >> k & 1:
+                rows[a] |= rows[k]
+    return rows
+
+
+def test_order_verdict_matches_the_walk_on_seeded_relations():
+    rng = random.Random(20231)
+    outcomes = set()
+    for trial in range(400):
+        n = rng.randint(1, 40)
+        density = rng.random() * 0.5
+        # a strict order: the closure of random edges from later to
+        # earlier positions, placed in a random universe order
+        place = list(range(n))
+        rng.shuffle(place)
+        rows = [0] * n
+        for a in range(n):
+            for b in range(a):
+                if rng.random() < density:
+                    rows[place[a]] |= 1 << place[b]
+        rows = closure(rows)
+        outcomes.add(assert_verdict_matches_the_walk(rows, (trial, "order")))
+        set_bits = [(a, b) for a in range(n) for b in range(n) if rows[a] >> b & 1]
+        if set_bits:
+            a, b = rng.choice(set_bits)
+            dropped = rows[:a] + [rows[a] ^ 1 << b] + rows[a + 1 :]
+            outcomes.add(assert_verdict_matches_the_walk(dropped, (trial, "drop")))
+        a, b = rng.randrange(n), rng.randrange(n)
+        added = rows[:a] + [rows[a] | 1 << b] + rows[a + 1 :]
+        outcomes.add(assert_verdict_matches_the_walk(added, (trial, "add")))
+        noise = [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(n)]
+        outcomes.add(assert_verdict_matches_the_walk(noise, (trial, "noise")))
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("name, itheta", [("A3", [1, 2, 3]), ("B3", [1, 3]), ("C3", [])])
+def test_order_verdict_matches_the_walk_on_universes_one_bit_off(name, itheta):
+    rs = build_root_system(name)
+    theta = theta_for(rs, itheta)
+    rows = _order_rows(rs, theta, _universe_ids(rs, theta))
+    assert assert_verdict_matches_the_walk(rows, "as built")
+    n = len(rows)
+    rng = random.Random(len(rows))
+    set_bits = [(a, b) for a in range(n) for b in range(n) if rows[a] >> b & 1]
+    failed = 0
+    for a, b in rng.sample(set_bits, min(60, len(set_bits))):
+        dropped = rows[:a] + [rows[a] ^ 1 << b] + rows[a + 1 :]
+        failed += not assert_verdict_matches_the_walk(dropped, ("drop", a, b))
+    for _ in range(60):
+        a, b = rng.randrange(n), rng.randrange(n)
+        added = rows[:a] + [rows[a] | 1 << b] + rows[a + 1 :]
+        failed += not assert_verdict_matches_the_walk(added, ("add", a, b))
+    assert failed
+
+
+def test_order_verdict_finds_a_chain_hidden_behind_a_cover():
+    # 0 < 1 < 3 is broken (3 is not above 0), but walking row 0 from the
+    # top bit checks 2 first, whose row holds 1, so 1 is never tested
+    # from 0; the failure shows at 2 < 1 < 3 instead, and the witness is
+    # still the first broken chain in universe order
+    rows = [1 << 1 | 1 << 2, 1 << 3, 1 << 1, 0]
+    refl, trans = _order_verdict(rows, {}, str)
+    assert refl["passed"]
+    assert not trans["passed"]
+    assert trans["counterexample"] == {"triple": ["0", "1", "3"]}
+    assert trans["params"]["triples_checked"] == 3
+    assert_verdict_matches_the_walk(rows, "hidden")
+    # a diagonal bit hides more: 2 lies in its own row, which holds 1, so
+    # the walk over the covers would drop 1 and never test 2 < 1 < 0
+    rows = [0, 1 << 0, 1 << 1 | 1 << 2]
+    refl, trans = _order_verdict(rows, {}, str)
+    assert refl["counterexample"] == {"weight": "2"}
+    assert trans["counterexample"] == {"triple": ["2", "1", "0"]}
+    assert_verdict_matches_the_walk(rows, "reflexive")
 
 
 @pytest.mark.parametrize("name", ["B3", "C4"])
@@ -593,10 +769,13 @@ def test_kept_masks_give_the_root_masks_of_every_sweep_weight(name):
 
 
 def test_decomposition_and_filtration_never_call_weight_lt(monkeypatch):
-    def refuse(a, b):
-        raise AssertionError("weight_lt called on the decomposition path")
+    # nor the order rows or the stabilizer images: a candidate's up-set
+    # is read off its closed form
+    def refuse(*args):
+        raise AssertionError("the pairwise order called on the decomposition path")
 
-    monkeypatch.setattr("catx.charcalc.weight_lt", refuse)
+    for name in ("weight_lt", "_order_rows", "_stabilizer_images"):
+        monkeypatch.setattr(f"catx.charcalc.{name}", refuse)
     rs = build_root_system("B3")
     records = verify_filtration(rs, theta_for(rs, rs.simple_indices))
     assert records and all(r["passed"] for r in records)

@@ -9,6 +9,7 @@ as written when sympy factored every minimal polynomial.
 
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -58,6 +59,28 @@ def test_verify_d4_rank4_records_digest(tmp_path):
     assert len(records) == 356
     canon = json.dumps(records, sort_keys=True, separators=(",", ":"))
     assert sha256(canon) == "99cdfed2a5dfbd49635db3145544c43cdc6cffcbb20c3740f519cec5465a7b46"
+
+
+@pytest.mark.parametrize(
+    "cartan, digest",
+    [
+        ("A5", "6028618d40c473086d9ba488438d08712f3847dd6561ca316119165b6be0ad40"),
+        ("D5", "7135f405778281d9ca72d40c99dd3ea89f82c1157546d1b81ea8c58a25e0cb95"),
+    ],
+)
+def test_verify_rank5_records_digest(tmp_path, cartan, digest):
+    # rank 5 past the order guard, under a budget: the filtration sweep
+    # and the order check of every itheta
+    report = tmp_path / "report.json"
+    argv = ["verify", "--types", cartan, "--max-rank", "5", "--allow-large"]
+    argv += ["--checks", "filtration,order-axioms", "--seed", "1", "--out", str(report)]
+    t0 = time.perf_counter()
+    assert main(argv) == 0
+    assert time.perf_counter() - t0 < 30.0
+    records = without_timings(json.loads(report.read_text())["records"])
+    assert len(records) == 1036
+    canon = json.dumps(records, sort_keys=True, separators=(",", ":"))
+    assert sha256(canon) == digest
 
 
 @pytest.mark.parametrize(

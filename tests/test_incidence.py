@@ -44,6 +44,10 @@ def test_algebra_dimensions():
 def test_algebra_guards():
     with pytest.raises(InputError):
         build_incidence_algebra(-1)
+    # a bool is an int to isinstance, but no ground-set size
+    for flag in (True, False):
+        with pytest.raises(InputError):
+            build_incidence_algebra(flag)
     with pytest.raises(ResourceGuardError):
         build_incidence_algebra(7)
     assert build_incidence_algebra(7, allow_large=True).dim == 2187
