@@ -231,10 +231,11 @@ class ModuleCharacter:
     def _of(
         cls, rs: RootSystem, entries: dict[FormalCharacter, dict[int, int]]
     ) -> "ModuleCharacter":
-        """A character over packed ids, taking ownership of the dicts."""
+        """A character over packed ids, taking ownership of the dicts; it
+        keeps rs even when empty."""
         out = cls.__new__(cls)
         out._entries = {base: inner for base, inner in entries.items() if inner}
-        out._rs = rs if out._entries else None
+        out._rs = rs
         return out
 
     def _sorted_ids(self, base: FormalCharacter) -> list[int]:

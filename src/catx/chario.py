@@ -18,17 +18,11 @@ from typing import Optional
 from catx.charcalc import FormalCharacter, ModuleCharacter
 from catx.errors import InputError
 from catx.incidence import AlgebraModule, build_incidence_algebra
-from catx.rootsystem import RootSystem
+from catx.rootsystem import RootSystem, build_root_system
 from catx.weyl import _index_mask, element_from_word, group_table
 
 
 _WEIGHT_KEYS = frozenset({"coset_rep", "v", "mult"})
-
-
-def _word_list(value, what: str) -> list[int]:
-    if not isinstance(value, list) or not all(map(isinstance, value, repeat(int))):
-        raise InputError(f"{what} must be a list of simple indices")
-    return value
 
 
 def _single_base(
@@ -139,16 +133,34 @@ def character_dumps(
 
 
 def character_from_json(
-    rs: RootSystem, data: dict, *, strict: bool = False
+    rs: Optional[RootSystem],
+    data: dict,
+    *,
+    strict: bool = False,
+    allow_large: bool = False,
+    expect_type: Optional[str] = None,
 ) -> tuple[ModuleCharacter, FormalCharacter, list[str]]:
     """Parse a character payload; returns the character, its base, and
     any canonicalization warnings (strict mode turns those into errors).
+
+    With rs None the character is over the system the payload's "type"
+    names, built under its order guard unless allow_large; a non-empty
+    expect_type must equal that "type" first.  The character keeps its
+    root system even when it is empty.
 
     A canonical word is looked up by its id; any other word (not reduced,
     not canonical, or with an index out of range) is walked through the
     group table.  The representative is made canonical by stripping its
     right descents inside itheta.
     """
+    if rs is None:
+        if not isinstance(data, dict) or "type" not in data:
+            raise InputError("character payload must be an object with a 'type'")
+        if expect_type and expect_type != data["type"]:
+            raise InputError(
+                f"payload is for type {data['type']!r}, but --type says {expect_type!r}"
+            )
+        rs = build_root_system(data["type"], allow_large=allow_large)
     if not isinstance(data, dict):
         raise InputError("character payload must be a JSON object")
     missing = {"type", "label", "itheta", "weights"} - set(data)
@@ -169,13 +181,17 @@ def character_from_json(
         raise InputError(f"itheta indices {sorted(bad)} out of range")
     warnings: list[str] = []
     entries: dict[int, int] = {}
-    if not isinstance(data["weights"], list):
+    weights = data["weights"]
+    if not isinstance(weights, list):
         raise InputError("weights must be a list")
-    if data["weights"]:  # only a character with weights needs the group
+    if weights:  # only a character with weights needs the group
         table = group_table(rs)
-        word_ids = _word_ids(rs)
+        descents, minimize = table.descents, table.minimize
+        n = len(table.elements)
+        word_id = _word_ids(rs).get
     mask = _index_mask(base.itheta)
-    for k, entry in enumerate(data["weights"]):
+    ints = repeat(int)  # endless, so one iterator serves every word check
+    for k, entry in enumerate(weights):
         if not isinstance(entry, dict):
             raise InputError(f"weight #{k} must be an object")
         if not entry.keys() >= _WEIGHT_KEYS:
@@ -186,13 +202,18 @@ def character_from_json(
             raise InputError(f"weight #{k}: mult must be a positive int")
         # the type checks run before the lookups, since (1.0,) equals and
         # hashes like (1,); a bool is an int and reads as one either way
-        rep_word = _word_list(entry["coset_rep"], f"weight #{k}: coset_rep")
-        v_word = _word_list(entry["v"], f"weight #{k}: v")
-        rep = word_ids.get(tuple(rep_word))
+        rep_word, v_word = entry["coset_rep"], entry["v"]
+        if not isinstance(rep_word, list) or not all(map(isinstance, rep_word, ints)):
+            raise InputError(
+                f"weight #{k}: coset_rep must be a list of simple indices"
+            )
+        if not isinstance(v_word, list) or not all(map(isinstance, v_word, ints)):
+            raise InputError(f"weight #{k}: v must be a list of simple indices")
+        rep = word_id(tuple(rep_word))
         if rep is None:
             rep = element_from_word(rs, rep_word)._id
-        canon = table.minimize(rep, mask)
-        if canon != rep:
+        if descents[rep] & mask:
+            canon = minimize(rep, mask)
             message = (
                 f"weight #{k}: coset_rep {rep_word} is not canonical; "
                 f"replaced by {list(table.words[canon])}"
@@ -200,27 +221,39 @@ def character_from_json(
             if strict:
                 raise InputError(message)
             warnings.append(message)
-        v = word_ids.get(tuple(v_word))
+            rep = canon
+        v = word_id(tuple(v_word))
         if v is None:
             v = element_from_word(rs, v_word)._id
-        weight = canon * len(table.elements) + v
+        weight = rep * n + v
         if weight in entries:
             message = f"weight #{k} duplicates an earlier entry; multiplicities merged"
             if strict:
                 raise InputError(message)
             warnings.append(message)
-        entries[weight] = entries.get(weight, 0) + mult
+            entries[weight] += mult
+        else:
+            entries[weight] = mult
     return ModuleCharacter._of(rs, {base: entries}), base, warnings
 
 
 def character_loads(
-    rs: RootSystem, text: str, *, strict: bool = False
+    rs: Optional[RootSystem],
+    text: str,
+    *,
+    strict: bool = False,
+    allow_large: bool = False,
+    expect_type: Optional[str] = None,
 ) -> tuple[ModuleCharacter, FormalCharacter, list[str]]:
+    """`character_from_json` on the text of a character file, which is
+    parsed once."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON: {exc}") from exc
-    return character_from_json(rs, data, strict=strict)
+    return character_from_json(
+        rs, data, strict=strict, allow_large=allow_large, expect_type=expect_type
+    )
 
 
 # ----------------------------------------------------------------------
@@ -302,7 +335,7 @@ def module_from_json(data: dict, *, allow_large: bool = False) -> AlgebraModule:
         left, right = tag.split("->", 1)
         y = _parse_subset(left, n, "maps")
         z = _parse_subset(right, n, "maps")
-        if not isinstance(rows, list):
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
             raise InputError(f"maps[{tag!r}] must be a matrix")
         maps[(y, z)] = [
             [_decode_entry(x, f"maps[{tag!r}]") for x in row] for row in rows

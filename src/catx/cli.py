@@ -177,19 +177,14 @@ def _cmd_char(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    text = _read_in(args.infile)
-    try:
-        head = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid JSON: {exc}")
-    if not isinstance(head, dict) or "type" not in head:
-        raise InputError("character payload must be an object with a 'type'")
-    if args.type and args.type != head["type"]:
-        raise InputError(
-            f"payload is for type {head['type']!r}, but --type says {args.type!r}"
-        )
-    rs = build_root_system(head["type"], allow_large=args.allow_large)
-    char, base, warnings = character_loads(rs, text, strict=args.strict)
+    char, _, warnings = character_loads(
+        None,
+        _read_in(args.infile),
+        strict=args.strict,
+        allow_large=args.allow_large,
+        expect_type=args.type,
+    )
+    rs = char._rs  # the system the payload names
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     dec = decompose_character(rs, char, tie_break=args.tie_break)

@@ -427,7 +427,9 @@ class _HomSpace:
         for y in verts:
             offsets[y] = width
             width += source.dims[y] * target.dims[y]
-        rows: list[list[Q]] = []
+        # one equation f_y m2 = m1 f_z per entry of each covering square,
+        # as a {column: value} row over the d2(y) + d1(z) unknowns it meets
+        rows: list[dict[int, Q]] = []
         for y in a.subsets:
             for x in range(1, a.n + 1):
                 if x in y:
@@ -441,16 +443,18 @@ class _HomSpace:
                 m2 = target.covering_map(y, z)
                 for r_ in range(d1y):
                     for c_ in range(d2z):
-                        row = [Q(0)] * width
+                        row = {}
                         if d2y > 0:
-                            base = offsets[y]
+                            base = offsets[y] + r_ * d2y
                             for t in range(d2y):
-                                row[base + r_ * d2y + t] += m2[t][c_]
-                        if d1z > 0 and z in offsets:
-                            base = offsets[z]
+                                if m2[t][c_]:
+                                    row[base + t] = m2[t][c_]
+                        if z in offsets:
+                            base = offsets[z] + c_
                             for t in range(d1z):
-                                row[base + t * d2z + c_] -= m1[r_][t]
-                        if any(row):
+                                if m1[r_][t]:
+                                    row[base + t * d2z] = -m1[r_][t]
+                        if row:
                             rows.append(row)
         self.source = source
         self.target = target

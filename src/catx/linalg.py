@@ -1,8 +1,10 @@
-"""Small dense exact linear algebra over the rationals.
+"""Small exact linear algebra over the rationals.
 
 Matrices are lists of lists holding ints or Fractions; every routine
-returns Fractions.  Sizes stay desk-scale (dimensions in the tens), so
-plain Gaussian elimination is all that is needed.
+returns Fractions.  Row reduction (`rref`, `rank`, `nullspace`) runs on
+sparse {column: value} rows, so a system with few unknowns per equation,
+such as the hom-space equations of a module, costs what its nonzero
+entries cost; `nullspace` also takes such rows directly.
 """
 
 from __future__ import annotations
@@ -40,58 +42,91 @@ def mat_mul(a, b) -> Matrix:
     return out
 
 
+def _reduced_rows(rows) -> dict[int, dict[int, Q]]:
+    """The nonzero rows of the reduced row echelon form as {column:
+    value} dicts, keyed by pivot column.
+
+    Rows are dense lists or {column: value} dicts.  They are taken one at
+    a time: each is cleared at the pivots found so far, and its own
+    leading column then becomes a pivot that is cleared from the earlier
+    rows.  A row's leading column is its pivot throughout, so the result
+    is the reduced row echelon form, which is unique.
+    """
+    reduced: dict[int, dict[int, Q]] = {}
+    for row in rows:
+        items = row.items() if isinstance(row, dict) else enumerate(row)
+        row = {c: Q(x) for c, x in items if x}
+        # a pivot row is 0 at every other pivot, so clearing one pivot
+        # leaves the entries at the others as they were
+        for c in [c for c in row if c in reduced]:
+            f = row[c]
+            for j, x in reduced[c].items():
+                y = row.get(j, 0) - f * x
+                if y:
+                    row[j] = y
+                else:
+                    del row[j]
+        if not row:
+            continue
+        p = min(row)
+        if row[p] != 1:
+            inv = 1 / row[p]
+            row = {j: x * inv for j, x in row.items()}
+        for other in reduced.values():
+            f = other.get(p)
+            if f:
+                for j, x in row.items():
+                    y = other.get(j, 0) - f * x
+                    if y:
+                        other[j] = y
+                    else:
+                        del other[j]
+        reduced[p] = row
+    return reduced
+
+
 def rref(rows) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and its pivot columns."""
-    m = mat(rows)
-    if not m:
+    if not rows:
         return [], []
-    nrows, ncols = len(m), len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
+    ncols = len(rows[0])
+    reduced = _reduced_rows(rows)
+    pivots = sorted(reduced)
+    zero = Q(0)
+    m = [[reduced[p].get(c, zero) for c in range(ncols)] for p in pivots]
+    m += [[zero] * ncols for _ in range(len(rows) - len(pivots))]
     return m, pivots
 
 
 def rank(rows) -> int:
-    return len(rref(rows)[1])
+    return len(_reduced_rows(rows))
 
 
 def nullspace(rows, ncols: int | None = None) -> tuple[list[list[Q]], list[int]]:
     """Canonical right-nullspace basis and the free columns.
 
+    Rows are dense lists, or {column: value} dicts over ncols columns.
     Each basis vector carries 1 at its own free column and 0 at every
     other free column, so coordinates of any vector in the span can be
     read off at the free columns directly.
     """
-    if not rows:
-        if ncols is None:
-            raise ValueError("ncols required for an empty constraint matrix")
-        return [list(row) for row in identity(ncols)], list(range(ncols))
-    ncols = len(rows[0])
-    red, pivots = rref(rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
+    if rows and not isinstance(rows[0], dict):
+        ncols = len(rows[0])
+    elif ncols is None:
+        raise ValueError("ncols required for an empty or sparse constraint matrix")
+    reduced = _reduced_rows(rows)
+    free = [c for c in range(ncols) if c not in reduced]
     basis = []
     for f in free:
         v = [Q(0)] * ncols
         v[f] = Q(1)
-        for r, p in enumerate(pivots):
-            v[p] = -red[r][f]
         basis.append(v)
+    # the entries of a reduced row off its pivot all sit at free columns
+    slot = {f: k for k, f in enumerate(free)}
+    for p, row in reduced.items():
+        for f, x in row.items():
+            if f != p:
+                basis[slot[f]][p] = -x
     return basis, free
 
 

@@ -355,9 +355,8 @@ def build_root_system(
     cartan_type: CartanType | str, *, allow_large: bool = False
 ) -> RootSystem:
     """Build (or fetch the cached copy of) the root system of a type."""
-    ct = (
-        CartanType.parse(cartan_type)
-        if isinstance(cartan_type, str)
-        else cartan_type
-    )
-    return _cached_system(ct, allow_large)
+    if isinstance(cartan_type, str):
+        cartan_type = CartanType.parse(cartan_type)
+    elif not isinstance(cartan_type, CartanType):
+        raise InputError(f"cannot parse Cartan type {cartan_type!r}")
+    return _cached_system(cartan_type, allow_large)

@@ -262,6 +262,8 @@ def test_module_payload_validation():
         {**good, "maps": {"[1]": [[1]]}},
         {**good, "maps": {"[]->[1]": [[True]]}},
         {**good, "maps": {"[]->[1]": [["1/0"]]}},
+        {**good, "maps": {"[]->[1]": [5]}},
+        {**good, "maps": {"[]->[1]": ["1"]}},
         {k: v for k, v in good.items() if k != "maps"},
     ):
         with pytest.raises(InputError):

@@ -184,6 +184,159 @@ def test_decompose_empty_character_beyond_the_order_guard(capsys, tmp_path):
     assert json.loads(out)["ok"] is True and json.loads(out)["factors"] == []
 
 
+_EMPTY_A2 = '{"type": "A2", "label": "t", "itheta": [], "weights": []}'
+_NONCANONICAL_A2 = (
+    '{"type": "A2", "label": "t", "itheta": [1, 2],'
+    ' "weights": [{"coset_rep": [1], "v": [], "mult": 1}]}'
+)
+_E8_GUARD = (
+    "error: E8 has Weyl order 696729600 beyond the guard (10000000); "
+    "pass allow_large=True to build anyway\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text, extra, code, err",
+    [
+        pytest.param(
+            "{", [], 2,
+            "error: invalid JSON: Expecting property name enclosed in double "
+            "quotes: line 1 column 2 (char 1)\n",
+            id="invalid-json",
+        ),
+        pytest.param(
+            "[1]", [], 2, "error: character payload must be an object with a 'type'\n",
+            id="non-object",
+        ),
+        pytest.param(
+            '{"label": "t"}', [], 2,
+            "error: character payload must be an object with a 'type'\n",
+            id="no-type",
+        ),
+        pytest.param(
+            _EMPTY_A2, ["--type", "B2"], 2,
+            "error: payload is for type 'A2', but --type says 'B2'\n",
+            id="type-mismatch",
+        ),
+        # the --type cross-check runs before the type is parsed
+        pytest.param(
+            '{"type": "Z9"}', ["--type", "A2"], 2,
+            "error: payload is for type 'Z9', but --type says 'A2'\n",
+            id="type-mismatch-before-unknown-type",
+        ),
+        pytest.param(
+            '{"type": 5}', ["--type", "A2"], 2,
+            "error: payload is for type 5, but --type says 'A2'\n",
+            id="type-mismatch-before-bad-type",
+        ),
+        pytest.param(
+            _EMPTY_A2.replace("A2", "Z9"), [], 2, "error: unknown family 'Z'\n",
+            id="unknown-family",
+        ),
+        pytest.param(
+            _EMPTY_A2.replace("A2", "XY"), [], 2,
+            "error: cannot parse Cartan type 'XY'\n",
+            id="unparsable-type",
+        ),
+        pytest.param(
+            _EMPTY_A2.replace("A2", "E8"), [], 2, _E8_GUARD, id="oversize-type",
+        ),
+        # the order guard runs before the payload's other keys are read
+        pytest.param('{"type": "E8"}', [], 2, _E8_GUARD, id="guard-before-missing-keys"),
+        pytest.param(
+            '{"type": "A2"}', [], 2,
+            "error: character payload missing keys ['itheta', 'label', 'weights']\n",
+            id="missing-keys",
+        ),
+        # a type that parses but is not written canonically: missing keys
+        # win, and a complete payload fails the canonical-type check
+        pytest.param(
+            '{"type": "a2"}', [], 2,
+            "error: character payload missing keys ['itheta', 'label', 'weights']\n",
+            id="missing-keys-before-type-spelling",
+        ),
+        pytest.param(
+            _EMPTY_A2.replace("A2", "a2"), [], 2,
+            "error: payload is for type 'a2', expected A2\n",
+            id="type-spelling",
+        ),
+        pytest.param(
+            _EMPTY_A2.replace("[]}", "[5]}"), [], 2,
+            "error: weight #0 must be an object\n",
+            id="weight-not-object",
+        ),
+        pytest.param(
+            _EMPTY_A2.replace("[]}", '[{"coset_rep": [], "v": [1]}]}'), [], 2,
+            "error: weight #0 missing keys ['mult']\n",
+            id="weight-missing-mult",
+        ),
+        pytest.param(
+            _EMPTY_A2.replace("[]}", '[{"coset_rep": [], "v": [1], "mult": 0}]}'),
+            [], 2, "error: weight #0: mult must be a positive int\n",
+            id="weight-bad-mult",
+        ),
+        pytest.param(
+            _EMPTY_A2.replace("[]}", '[{"coset_rep": [1.0], "v": [1.0], "mult": 1}]}'),
+            [], 2, "error: weight #0: coset_rep must be a list of simple indices\n",
+            id="weight-bad-coset-rep",
+        ),
+        pytest.param(
+            _EMPTY_A2.replace("[]}", '[{"coset_rep": [], "v": [1.0], "mult": 1}]}'),
+            [], 2, "error: weight #0: v must be a list of simple indices\n",
+            id="weight-bad-v",
+        ),
+        pytest.param(
+            _NONCANONICAL_A2, [], 0,
+            "warning: weight #0: coset_rep [1] is not canonical; replaced by []\n",
+            id="noncanonical-lenient",
+        ),
+        pytest.param(
+            _NONCANONICAL_A2, ["--strict"], 2,
+            "error: weight #0: coset_rep [1] is not canonical; replaced by []\n",
+            id="noncanonical-strict",
+        ),
+        pytest.param(_EMPTY_A2, [], 0, "", id="empty-character"),
+        pytest.param(
+            '{"type": 5}', [], 2, "error: cannot parse Cartan type 5\n", id="type-int",
+        ),
+        pytest.param(
+            '{"type": null}', [], 2, "error: cannot parse Cartan type None\n",
+            id="type-null",
+        ),
+        pytest.param(
+            '{"type": ["A2"]}', [], 2, "error: cannot parse Cartan type ['A2']\n",
+            id="type-list",
+        ),
+    ],
+)
+def test_decompose_error_contract(capsys, tmp_path, text, extra, code, err):
+    f = tmp_path / "char.json"
+    f.write_text(text)
+    got_code, _, got_err = run_cli(capsys, "decompose", "--in", str(f), "--json", *extra)
+    assert (got_code, got_err) == (code, err)
+
+
+def test_decompose_parses_its_input_once(capsys, tmp_path, monkeypatch):
+    char_file = tmp_path / "nabla.json"
+    run_cli(
+        capsys,
+        "char", "--type", "B2", "--kind", "nabla", "--j", "1,2",
+        "--json", "--out", str(char_file),
+    )
+    calls = []
+    loads = json.loads
+
+    def counting_loads(text, *args, **kwargs):
+        calls.append(text)
+        return loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counting_loads)
+    code = main(["decompose", "--in", str(char_file), "--json"])
+    monkeypatch.undo()
+    assert code == 0 and calls == [char_file.read_text()]
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+
+
 def test_input_errors_exit_2(capsys):
     code, _, err = run_cli(capsys, "roots", "--type", "Z9")
     assert code == 2 and "error:" in err
@@ -311,6 +464,16 @@ def test_algebra_module_file(capsys, tmp_path):
     assert [(s["total_dim"], s["multiplicity"]) for s in payload["summands"]] == [(4, 1)]
     code, _, err = run_cli(capsys, "algebra", "--n", "1", "--module", str(f))
     assert code == 2 and "over n=2" in err
+
+
+def test_algebra_module_file_with_a_non_list_row_exits_2(capsys, tmp_path):
+    a = build_incidence_algebra(2)
+    payload = json.loads(module_dumps(interval_module(a, frozenset(), frozenset({1}))))
+    payload["maps"] = {"[]->[1]": [5]}
+    f = tmp_path / "mod.json"
+    f.write_text(json.dumps(payload))
+    code, _, err = run_cli(capsys, "algebra", "--n", "2", "--module", str(f))
+    assert (code, err) == (2, "error: maps['[]->[1]'] must be a matrix\n")
 
 
 def test_algebra_allow_large_lifts_the_size_guard(capsys, tmp_path):

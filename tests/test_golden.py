@@ -121,3 +121,15 @@ def test_char_decompose_round_trip_digest(tmp_path, capsys, cartan, kind, itheta
 def test_algebra_regular_split_digest(capsys, n, digest):
     assert main(["algebra", "--n", str(n), "--json"]) == 0
     assert sha256(capsys.readouterr().out) == digest
+
+
+def test_algebra_n4_regular_split_digest(capsys):
+    # past the size guard, under a budget: the hom-space solves of the
+    # 81-dimensional regular module and of every piece it splits into
+    t0 = time.perf_counter()
+    assert main(["algebra", "--n", "4", "--allow-large", "--json"]) == 0
+    assert time.perf_counter() - t0 < 20.0
+    assert (
+        sha256(capsys.readouterr().out)
+        == "e6785b7bb4f857b95ff710f41c918799fdf97e30ce5f26496a79fe43a32713dc"
+    )

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as Q
 
 import pytest
@@ -55,3 +56,49 @@ def test_coords_in_span_roundtrip():
     with pytest.raises(ValueError):
         linalg.coords_in_span(basis, free, [Q(1), Q(0), Q(0)])
 
+
+
+def _dense_rref(rows):
+    """Textbook Gauss-Jordan elimination, column by column."""
+    m = [[Q(x) for x in row] for row in rows]
+    pivots, r = [], 0
+    for c in range(len(m[0])):
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                m[i] = [x - m[i][c] * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def test_sparse_elimination_matches_dense_gauss_jordan():
+    rng = random.Random(7)
+    for _ in range(200):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+        rows = [
+            [rng.choice((0, 0, 0, 1, -1, 2, Q(1, 3))) for _ in range(ncols)]
+            for _ in range(nrows)
+        ]
+        if rng.random() < 0.3:  # a dependent row
+            rows.append([x + 2 * y for x, y in zip(rows[0], rows[-1])])
+        assert linalg.rref(rows) == _dense_rref(rows)
+        assert linalg.rank(rows) == len(_dense_rref(rows)[1])
+        sparse = [{c: x for c, x in enumerate(row) if x} for row in rows]
+        assert linalg.nullspace(sparse, ncols=ncols) == linalg.nullspace(rows)
+        basis, _ = linalg.nullspace(rows)
+        for vec in basis:
+            assert all(sum(Q(r) * x for r, x in zip(row, vec)) == 0 for row in rows)
+
+
+def test_nullspace_of_sparse_rows_needs_ncols():
+    with pytest.raises(ValueError):
+        linalg.nullspace([{0: Q(1)}])
+    assert linalg.nullspace([{1: Q(2)}], ncols=3) == (
+        [[Q(1), Q(0), Q(0)], [Q(0), Q(0), Q(1)]],
+        [0, 2],
+    )

@@ -161,6 +161,14 @@ def test_rank_outside_family_range_is_invalid_input():
         build_root_system("F5")
 
 
+@pytest.mark.parametrize("bad", [5, None, ["A2"], True, 2.0])
+def test_type_that_is_neither_a_name_nor_a_cartan_type_is_invalid_input(bad):
+    # a character file's "type" reaches build_root_system as any JSON value
+    with pytest.raises(InputError, match="cannot parse Cartan type"):
+        build_root_system(bad)
+    assert build_root_system(CartanType("A", 2)) is build_root_system("A2")
+
+
 def test_guard_triggers_on_group_order():
     # B8 is a legal type, but its group order is past the guard
     with pytest.raises(ResourceGuardError):
