@@ -28,12 +28,11 @@ and the repr of a weight named in a counterexample or diagnostic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from operator import and_
 from typing import Callable, Iterable, Mapping, Optional
 
-from catx.errors import InputError
+from catx.errors import InputError, refuse_change
 from catx.rootsystem import RootSystem
 from catx.weyl import (
     WeylElement,
@@ -52,17 +51,33 @@ STABILIZER_MODEL = "standard subgroup on itheta (declared, not computed)"
 JPRIME_CONVENTIONS = ("itheta-minus-j", "i-minus-j")
 
 
-@dataclass(frozen=True)
 class FormalCharacter:
     """A torus character: a label plus its trivial simple indices.
 
+    An immutable value, equal and hashed as its (label, itheta) tuple.
     Equal labels are required to carry equal itheta sets; equality
     compares both fields, so respecting that contract makes the label
     alone decisive.
     """
 
-    label: str
-    itheta: frozenset[int]
+    __slots__ = ("label", "itheta")
+
+    def __init__(self, label: str, itheta: frozenset[int]) -> None:
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "itheta", itheta)
+
+    __setattr__ = __delattr__ = refuse_change
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.label == other.label and self.itheta == other.itheta
+
+    def __hash__(self) -> int:
+        return hash((self.label, self.itheta))
+
+    def __reduce__(self):
+        return self.__class__, (self.label, self.itheta)
 
     def __repr__(self) -> str:
         body = ",".join(str(i) for i in sorted(self.itheta))
@@ -87,27 +102,40 @@ def _check_j(rs: RootSystem, theta: FormalCharacter, j: Iterable[int]) -> frozen
     return jj
 
 
-@dataclass(frozen=True)
 class TwistedCharacter:
     """theta twisted by a group element, stored by its canonical coset rep.
 
     The representative must be the minimal-length element of its left
     coset modulo the stabilizer subgroup; construct through `of` to
-    canonicalize an arbitrary element.
+    canonicalize an arbitrary element.  An immutable value, equal and
+    hashed as its (base, coset_rep) tuple.
     """
 
-    base: FormalCharacter
-    coset_rep: WeylElement
+    __slots__ = ("base", "coset_rep")
 
-    def __post_init__(self) -> None:
-        rep = self.coset_rep
-        rs = rep.rs
-        for i in sorted(_check_itheta(rs, self.base)):
-            if rep.perm[rs.simple_root_index(i)] < 0:
+    def __init__(self, base: FormalCharacter, coset_rep: WeylElement) -> None:
+        rs = coset_rep.rs
+        for i in sorted(_check_itheta(rs, base)):
+            if coset_rep.perm[rs.simple_root_index(i)] < 0:
                 raise InputError(
-                    f"coset representative {rep!r} is not canonical for "
-                    f"itheta={sorted(self.base.itheta)}"
+                    f"coset representative {coset_rep!r} is not canonical for "
+                    f"itheta={sorted(base.itheta)}"
                 )
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "coset_rep", coset_rep)
+
+    __setattr__ = __delattr__ = refuse_change
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.base == other.base and self.coset_rep == other.coset_rep
+
+    def __hash__(self) -> int:
+        return hash((self.base, self.coset_rep))
+
+    def __reduce__(self):
+        return self.__class__, (self.base, self.coset_rep)
 
     @classmethod
     def of(cls, base: FormalCharacter, w: WeylElement) -> "TwistedCharacter":
@@ -126,16 +154,32 @@ def canonical_twist(tc: TwistedCharacter, v: WeylElement) -> TwistedCharacter:
     return TwistedCharacter.of(tc.base, v * tc.coset_rep)
 
 
-@dataclass(frozen=True)
 class Weight:
     """A twisted character paired with a group element.
 
     The combinatorial content of the second component is the set of
-    positive roots it keeps positive.
+    positive roots it keeps positive.  An immutable value, equal and
+    hashed as its (tchar, v) tuple.
     """
 
-    tchar: TwistedCharacter
-    v: WeylElement
+    __slots__ = ("tchar", "v")
+
+    def __init__(self, tchar: TwistedCharacter, v: WeylElement) -> None:
+        object.__setattr__(self, "tchar", tchar)
+        object.__setattr__(self, "v", v)
+
+    __setattr__ = __delattr__ = refuse_change
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.tchar == other.tchar and self.v == other.v
+
+    def __hash__(self) -> int:
+        return hash((self.tchar, self.v))
+
+    def __reduce__(self):
+        return self.__class__, (self.tchar, self.v)
 
     def __repr__(self) -> str:
         return f"({self.tchar!r}, {self.v!r})"
@@ -485,19 +529,42 @@ def costandard_character(
 # decomposition into simple characters
 
 
-@dataclass
 class Decomposition:
     """Outcome of the greedy triangular elimination.
 
     factors maps (theta, J) to how many copies of the simple character
     were subtracted.  A nonzero remainder means the input was not a
     nonnegative combination of simple characters; diagnostic then says
-    why the loop stopped.
+    why the loop stopped.  A mutable record: equal as its field tuple,
+    and unhashable.
     """
 
-    factors: dict[tuple[FormalCharacter, frozenset[int]], int] = field(default_factory=dict)
-    remainder: ModuleCharacter = field(default_factory=ModuleCharacter)
-    diagnostic: Optional[str] = None
+    __slots__ = ("factors", "remainder", "diagnostic")
+
+    def __init__(
+        self,
+        factors: Optional[dict[tuple[FormalCharacter, frozenset[int]], int]] = None,
+        remainder: Optional[ModuleCharacter] = None,
+        diagnostic: Optional[str] = None,
+    ) -> None:
+        self.factors = {} if factors is None else factors
+        self.remainder = ModuleCharacter() if remainder is None else remainder
+        self.diagnostic = diagnostic
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.factors, self.remainder, self.diagnostic) == (
+            other.factors,
+            other.remainder,
+            other.diagnostic,
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"Decomposition(factors={self.factors!r}, "
+            f"remainder={self.remainder!r}, diagnostic={self.diagnostic!r})"
+        )
 
     @property
     def ok(self) -> bool:

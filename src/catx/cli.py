@@ -69,17 +69,27 @@ def _parse_indices(text: str, rs) -> frozenset[int]:
 def _emit(text: str, out: Optional[str]) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(out).write_text(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {out}: {exc.strerror}") from None
 
 
 def _read_in(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    p = Path(path)
-    if not p.exists():
-        raise InputError(f"no such file: {path}")
-    return p.read_text()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except FileNotFoundError:
+        raise InputError(f"no such file: {path}") from None
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(
+            f"cannot read {path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from None
 
 
 def _cmd_roots(args) -> int:

@@ -15,12 +15,11 @@ coordinates), so every downstream enumeration is reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable
 
-from catx.errors import InputError, ResourceGuardError
+from catx.errors import InputError, ResourceGuardError, refuse_change
 
 Root = tuple[int, ...]
 
@@ -39,22 +38,41 @@ _FAMILY_RANKS = {
 }
 
 
-@dataclass(frozen=True)
 class CartanType:
-    """A family letter plus a rank, e.g. A2, B3, G2."""
+    """A family letter plus a rank, e.g. A2, B3, G2.
 
-    family: str
-    rank: int
+    An immutable value, equal and hashed as its (family, rank) tuple.
+    """
 
-    def __post_init__(self) -> None:
-        ranks = _FAMILY_RANKS.get(self.family)
+    __slots__ = ("family", "rank")
+
+    def __init__(self, family: str, rank: int) -> None:
+        ranks = _FAMILY_RANKS.get(family) if isinstance(family, str) else None
         if ranks is None:
-            raise InputError(f"unknown family {self.family!r}")
-        if self.rank not in ranks:
+            raise InputError(f"unknown family {family!r}")
+        if isinstance(rank, bool) or not isinstance(rank, int) or rank not in ranks:
             raise InputError(
-                f"invalid rank {self.rank} for family {self.family} "
+                f"invalid rank {rank!r} for family {family} "
                 f"(allowed: {ranks.start}..{ranks.stop - 1})"
             )
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "rank", rank)
+
+    __setattr__ = __delattr__ = refuse_change
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.family == other.family and self.rank == other.rank
+
+    def __hash__(self) -> int:
+        return hash((self.family, self.rank))
+
+    def __reduce__(self):
+        return self.__class__, (self.family, self.rank)
+
+    def __repr__(self) -> str:
+        return f"CartanType(family={self.family!r}, rank={self.rank!r})"
 
     @classmethod
     def parse(cls, text: str) -> "CartanType":

@@ -10,12 +10,9 @@ run-dependent fields are the timestamp and the per-record wall times.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import time
-from dataclasses import asdict, dataclass
-from datetime import datetime, timezone
 
 from catx import __version__, linalg
 from catx.charcalc import (
@@ -64,20 +61,40 @@ def default_types(max_rank: int) -> tuple[str, ...]:
     return tuple(out)
 
 
-@dataclass
 class SuiteConfig:
-    types: tuple[str, ...] = ()
-    checks: tuple[str, ...] = CHECKS
-    itheta_mode: str = "all-subsets"
-    max_rank: int = 3
-    seed: int = 1729
-    jprime_convention: str = "itheta-minus-j"
-    theta_label: str = "theta"
-    allow_large: bool = False
+    """What a suite run checks, and over which types.  A mutable record:
+    equal as its field tuple, and unhashable."""
 
-    def __post_init__(self) -> None:
-        self.types = tuple(self.types)
-        self.checks = tuple(self.checks)
+    __slots__ = (
+        "types",
+        "checks",
+        "itheta_mode",
+        "max_rank",
+        "seed",
+        "jprime_convention",
+        "theta_label",
+        "allow_large",
+    )
+
+    def __init__(
+        self,
+        types: tuple[str, ...] = (),
+        checks: tuple[str, ...] = CHECKS,
+        itheta_mode: str = "all-subsets",
+        max_rank: int = 3,
+        seed: int = 1729,
+        jprime_convention: str = "itheta-minus-j",
+        theta_label: str = "theta",
+        allow_large: bool = False,
+    ) -> None:
+        self.types = tuple(types)
+        self.checks = tuple(checks)
+        self.itheta_mode = itheta_mode
+        self.max_rank = max_rank
+        self.seed = seed
+        self.jprime_convention = jprime_convention
+        self.theta_label = theta_label
+        self.allow_large = allow_large
         unknown = set(self.checks) - set(CHECKS)
         if unknown:
             raise InputError(f"unknown checks {sorted(unknown)}; known: {list(CHECKS)}")
@@ -87,6 +104,9 @@ class SuiteConfig:
             raise InputError(
                 f"unknown itheta mode {self.itheta_mode!r}; known: {list(ITHETA_MODES)}"
             )
+        for name, value in (("max rank", self.max_rank), ("seed", self.seed)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise InputError(f"{name} must be an int, not {value!r}")
         if self.max_rank < 1:
             raise InputError("max rank must be at least 1")
         if self.max_rank > 4 and not self.allow_large:
@@ -101,6 +121,19 @@ class SuiteConfig:
                 raise InputError(
                     f"type {t} has rank {rs.rank} above max rank {self.max_rank}"
                 )
+
+    def as_dict(self) -> dict:
+        """The fields by name, in the order of the report's `config` block."""
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.as_dict() == other.as_dict()
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={value!r}" for name, value in self.as_dict().items())
+        return f"SuiteConfig({body})"
 
 
 def _itheta_sets(rank: int, mode: str):
@@ -300,9 +333,9 @@ def run_suite(cfg: SuiteConfig) -> dict:
     return {
         "report_schema": REPORT_SCHEMA_ID,
         "tool_version": __version__,
-        "generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime()),
         "stabilizer_model": STABILIZER_MODEL,
-        "config": asdict(cfg) | {"types": list(cfg.types), "checks": list(cfg.checks)},
+        "config": cfg.as_dict() | {"types": list(cfg.types), "checks": list(cfg.checks)},
         "records": records,
         "overall_status": "pass" if all(r["passed"] for r in records) else "fail",
     }
@@ -314,6 +347,8 @@ def report_dumps(report: dict) -> str:
 
 def report_to_csv(report: dict) -> str:
     """Flat one-row-per-record CSV view of a report."""
+    import csv  # only --csv writes one
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["check", "params", "passed", "counterexample", "wall_time_s"])

@@ -193,6 +193,9 @@ _E8_GUARD = (
     "error: E8 has Weyl order 696729600 beyond the guard (10000000); "
     "pass allow_large=True to build anyway\n"
 )
+# in place of a file's text: no file at all, or a directory at its path
+_NO_FILE = object()
+_A_DIRECTORY = object()
 
 
 @pytest.mark.parametrize(
@@ -307,13 +310,29 @@ _E8_GUARD = (
             '{"type": ["A2"]}', [], 2, "error: cannot parse Cartan type ['A2']\n",
             id="type-list",
         ),
+        # PATH stands for the input path
+        pytest.param(_NO_FILE, [], 2, "error: no such file: PATH\n", id="no-file"),
+        pytest.param(
+            _A_DIRECTORY, [], 2, "error: cannot read PATH: Is a directory\n",
+            id="directory",
+        ),
+        pytest.param(
+            b'{"type": "A2", "label": "\xff"}', [], 2,
+            "error: cannot read PATH: not UTF-8 text (invalid start byte at byte 25)\n",
+            id="not-utf8",
+        ),
     ],
 )
 def test_decompose_error_contract(capsys, tmp_path, text, extra, code, err):
     f = tmp_path / "char.json"
-    f.write_text(text)
+    if text is _A_DIRECTORY:
+        f.mkdir()
+    elif isinstance(text, bytes):
+        f.write_bytes(text)
+    elif text is not _NO_FILE:
+        f.write_text(text)
     got_code, _, got_err = run_cli(capsys, "decompose", "--in", str(f), "--json", *extra)
-    assert (got_code, got_err) == (code, err)
+    assert (got_code, got_err) == (code, err.replace("PATH", str(f)))
 
 
 def test_decompose_parses_its_input_once(capsys, tmp_path, monkeypatch):
@@ -476,6 +495,24 @@ def test_algebra_module_file_with_a_non_list_row_exits_2(capsys, tmp_path):
     assert (code, err) == (2, "error: maps['[]->[1]'] must be a matrix\n")
 
 
+def test_unreadable_inputs_and_unwritable_outputs_exit_2(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "algebra", "--n", "2", "--module", str(tmp_path))
+    assert (code, err) == (2, f"error: cannot read {tmp_path}: Is a directory\n")
+    missing = tmp_path / "missing" / "out.json"
+    for argv in (
+        ["roots", "--type", "A2", "--out"],
+        ["verify", "--types", "A1", "--checks", "biclosed", "--out"],
+        ["verify", "--types", "A1", "--checks", "biclosed", "--csv"],
+    ):
+        code, _, err = run_cli(capsys, *argv, str(missing))
+        assert (code, err) == (
+            2, f"error: cannot write {missing}: No such file or directory\n"
+        )
+        code, _, err = run_cli(capsys, *argv, str(tmp_path))
+        assert (code, err) == (2, f"error: cannot write {tmp_path}: Is a directory\n")
+    assert not missing.parent.exists()
+
+
 def test_algebra_allow_large_lifts_the_size_guard(capsys, tmp_path):
     a = build_incidence_algebra(7, allow_large=True)
     f = tmp_path / "simple.json"
@@ -499,3 +536,17 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["count"] == 3
+
+
+def test_importing_the_cli_loads_no_unused_modules():
+    # in a fresh interpreter: the test process itself has imported these
+    unused = ("dataclasses", "inspect", "csv", "datetime")
+    proc = subprocess.run(
+        [
+            sys.executable, "-c",
+            f"import sys, catx.cli; print([m for m in {unused!r} if m in sys.modules])",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

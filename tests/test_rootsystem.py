@@ -169,6 +169,17 @@ def test_type_that_is_neither_a_name_nor_a_cartan_type_is_invalid_input(bad):
     assert build_root_system(CartanType("A", 2)) is build_root_system("A2")
 
 
+@pytest.mark.parametrize(
+    "family, rank", [("A", True), ("B", False), ("A", 2.0), ("A", "2"), (["A"], 2), (None, 2)]
+)
+def test_cartan_type_rejects_a_rank_that_is_no_int_and_a_family_that_is_no_name(
+    family, rank
+):
+    # a bool is an int to isinstance, and True == 1 passed the A-rank check
+    with pytest.raises(InputError):
+        CartanType(family, rank)
+
+
 def test_guard_triggers_on_group_order():
     # B8 is a legal type, but its group order is past the guard
     with pytest.raises(ResourceGuardError):

@@ -45,6 +45,10 @@ def test_suite_config_validation():
         SuiteConfig(types=("A4",), max_rank=3)
     cfg = SuiteConfig(max_rank=2)
     assert cfg.types == default_types(2)
+    # a bool is an int to isinstance, but no rank or seed
+    for bad in ({"max_rank": True}, {"seed": True}, {"max_rank": 2.0}, {"seed": "1"}):
+        with pytest.raises(InputError):
+            SuiteConfig(**bad)
 
 
 def test_run_suite_a1_all_checks():
