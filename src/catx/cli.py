@@ -7,9 +7,11 @@ Subcommands: roots, weyl, char, decompose, verify, algebra.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import io
 import json
+import os
+import stat
 import sys
-from pathlib import Path
 from typing import Optional
 
 from catx import linalg
@@ -66,29 +68,52 @@ def _parse_indices(text: str, rs) -> frozenset[int]:
     return out
 
 
+def _open_in_place(path, flags):
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
 def _emit(text: str, out: Optional[str]) -> None:
+    """Write text to stdout, or overwrite the file out in place.
+
+    The file is opened without truncation, written, and only then cut to
+    length (regular files only, so devices, FIFOs and /dev/stdout work).
+    Truncating on open makes ext4 start writeback on close, which stalls
+    the next rewrite of the same path.  The text is encoded first, so an
+    encoding error leaves the file as it was; surrogateescape restores
+    command-line bytes that the locale could not decode.
+    """
     if out is None or out == "-":
         sys.stdout.write(text)
         return
+    data = text.encode("utf-8", "surrogateescape")
     try:
-        Path(out).write_text(text)
+        with open(out, "wb", opener=_open_in_place) as f:
+            f.write(data)
+            if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+                f.truncate(len(data))
     except OSError as exc:
         raise InputError(f"cannot write {out}: {exc.strerror}") from None
 
 
 def _read_in(path: str) -> str:
+    name = "stdin" if path == "-" else path
     try:
         if path == "-":
-            return sys.stdin.read()
+            # strict UTF-8 and open()'s newline translation, as for a file,
+            # not sys.stdin's error handler; a text-only stream is read as is
+            raw = getattr(sys.stdin, "buffer", None)
+            if raw is None:
+                return sys.stdin.read()
+            return io.StringIO(raw.read().decode("utf-8"), newline=None).read()
         with open(path, encoding="utf-8") as f:
             return f.read()
     except FileNotFoundError:
         raise InputError(f"no such file: {path}") from None
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc.strerror}") from None
+        raise InputError(f"cannot read {name}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise InputError(
-            f"cannot read {path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+            f"cannot read {name}: not UTF-8 text ({exc.reason} at byte {exc.start})"
         ) from None
 
 

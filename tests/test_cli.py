@@ -1,11 +1,14 @@
+import csv
 import io
 import json
+import os
+import stat
 import subprocess
 import sys
 
 import pytest
 
-from catx.charcalc import FormalCharacter, costandard_character
+from catx.charcalc import FormalCharacter, costandard_character, simple_character
 from catx.chario import character_dumps, module_dumps
 from catx import cli
 from catx.cli import build_parser, main
@@ -511,6 +514,111 @@ def test_unreadable_inputs_and_unwritable_outputs_exit_2(capsys, tmp_path):
         code, _, err = run_cli(capsys, *argv, str(tmp_path))
         assert (code, err) == (2, f"error: cannot write {tmp_path}: Is a directory\n")
     assert not missing.parent.exists()
+
+
+def test_decompose_stdin_must_be_utf8_like_a_file(capsys, monkeypatch, tmp_path):
+    # UTF-8 mode gives sys.stdin the surrogateescape handler, which would
+    # let the 0xff byte through as a lone surrogate
+    data = b'{"type": "A2", "label": "\xff", "itheta": [], "weights": []}'
+    stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    code, out, err = run_cli(capsys, "decompose", "--in", "-", "--json")
+    assert (code, out) == (2, "")
+    assert err == "error: cannot read stdin: not UTF-8 text (invalid start byte at byte 25)\n"
+    f = tmp_path / "bad.json"
+    f.write_bytes(data)
+    code, _, err = run_cli(capsys, "decompose", "--in", str(f), "--json")
+    assert (code, err) == (
+        2, f"error: cannot read {f}: not UTF-8 text (invalid start byte at byte 25)\n"
+    )
+
+
+def test_rewriting_an_out_path_with_shorter_text_leaves_no_stale_tail(capsys, tmp_path):
+    char_file = tmp_path / "c.json"
+    code, _, _ = run_cli(
+        capsys, "char", "--type", "B3", "--kind", "nabla", "--itheta", "all",
+        "--j", "1,2", "--json", "--out", str(char_file),
+    )
+    assert code == 0
+    long_size = char_file.stat().st_size
+    code, _, _ = run_cli(
+        capsys, "char", "--type", "A2", "--kind", "E", "--itheta", "1", "--j", "1",
+        "--json", "--out", str(char_file),
+    )
+    assert code == 0
+    rs = build_root_system("A2")
+    expected = character_dumps(
+        rs, simple_character(rs, FormalCharacter("theta", frozenset([1])), [1])
+    )
+    assert len(expected) < long_size
+    assert char_file.read_text(encoding="utf-8") == expected
+    code, out, err = run_cli(capsys, "decompose", "--in", str(char_file), "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["type"] == "A2"
+
+
+def test_verify_csv_over_a_longer_file_leaves_no_stale_tail(capsys, tmp_path):
+    csv_file = tmp_path / "report.csv"
+    csv_file.write_text("~" * 100_000)
+    code, _, _ = run_cli(
+        capsys, "verify", "--types", "A1", "--checks", "biclosed", "--csv", str(csv_file)
+    )
+    assert code == 0
+    text = csv_file.read_text(encoding="utf-8")
+    assert "~" not in text and text.endswith("\n")
+    rows = list(csv.reader(io.StringIO(text)))
+    assert rows[0] == ["check", "params", "passed", "counterexample", "wall_time_s"]
+    assert len(rows) > 1 and all(len(r) == 5 and r[2] == "pass" for r in rows[1:])
+
+
+def test_out_to_devnull_keeps_the_device(capsys):
+    code, out, err = run_cli(capsys, "roots", "--type", "A2", "--out", os.devnull)
+    assert (code, out, err) == (0, "", "")
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+
+def test_out_through_a_symlink_writes_the_target(capsys, tmp_path):
+    target = tmp_path / "target.json"
+    target.write_text("~" * 10_000)
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    code, _, _ = run_cli(capsys, "roots", "--type", "B2", "--json", "--out", str(link))
+    assert code == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert json.loads(target.read_text())["weyl_order"] == 8
+
+
+def test_out_keeps_the_mode_of_a_file_and_creates_one_as_open_does(capsys, tmp_path):
+    existing = tmp_path / "existing.txt"
+    existing.write_text("~" * 10_000)
+    existing.chmod(0o640)
+    code, _, _ = run_cli(capsys, "roots", "--type", "A2", "--out", str(existing))
+    assert code == 0
+    assert stat.S_IMODE(existing.stat().st_mode) == 0o640
+    assert existing.read_text().startswith("type A2:")
+    created = tmp_path / "created.txt"
+    code, _, _ = run_cli(capsys, "roots", "--type", "A2", "--out", str(created))
+    assert code == 0
+    reference = tmp_path / "reference.txt"
+    reference.write_text("")
+    assert stat.S_IMODE(created.stat().st_mode) == stat.S_IMODE(reference.stat().st_mode)
+
+
+def test_out_writes_utf8_under_a_non_utf8_locale(capsys, tmp_path):
+    argv = ["char", "--type", "A2", "--kind", "E", "--itheta", "1", "--j", "1",
+            "--label", "\u03b8"]
+    code, expected, _ = run_cli(capsys, *argv)
+    assert code == 0 and "\u03b8" in expected
+    out = tmp_path / "f.txt"
+    out.write_text("~" * 10_000)
+    env = dict(os.environ, PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", LC_ALL="C")
+    proc = subprocess.run(
+        [sys.executable, "-m", "catx.cli", *argv, "--out", str(out)],
+        capture_output=True,
+        env=env,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+    assert out.read_bytes() == expected.encode("utf-8")
 
 
 def test_algebra_allow_large_lifts_the_size_guard(capsys, tmp_path):
