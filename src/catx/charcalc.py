@@ -404,16 +404,46 @@ def weight_lt(a: Weight, b: Weight) -> bool:
 # characters of the standard families
 
 
-def _weight_ids(
-    table, theta: FormalCharacter, reps: Iterable[int], wj: int
-) -> list[int]:
-    """The packed weights of theta twisted by each w in reps, paired with
-    wj * w^{-1}.  Distinct reps give distinct second components, so each
-    weight has multiplicity one."""
-    n = len(table.elements)
-    mask = _index_mask(theta.itheta)
-    minimize, product, inverse = table.minimize, table.product, table.inverse
-    return [minimize(w, mask) * n + product(wj, inverse[w]) for w in reps]
+def _coset_mins(rs: RootSystem, mask: int) -> list[int]:
+    """Per element id a, the id of the minimal element of a's left coset
+    modulo the subgroup on the simple indices of the mask; one list per
+    mask, kept on the root system's memo.
+
+    Built in id order: ids increase with length, so for a right descent
+    s_i of a inside the mask, a * s_i is shorter, already filled in, and
+    in the same coset.  Mask 0 gives the identity list, and every other
+    list starts as a copy of it, so all of them share its int objects."""
+    memo = rs._weyl_memo
+    key = (_coset_mins, mask)
+    if key not in memo:
+        table = group_table(rs)
+        if mask:
+            rmul = table.rmul
+            out = _coset_mins(rs, 0).copy()
+            for a, d in enumerate(table.descents):
+                if down := d & mask:
+                    out[a] = out[rmul[(down & -down).bit_length()][a]]
+        else:
+            out = list(range(len(table.elements)))
+        memo[key] = out
+    return memo[key]
+
+
+def _coset_tops(rs: RootSystem, jj: frozenset[int]) -> tuple[list[int], list[int]]:
+    """The ids of the minimal coset representatives w of J, in id order,
+    and at the same places the ids of w * w_J, the longest elements of
+    their cosets: one group product per representative, kept on the root
+    system's memo per mask of J and shared by every itheta."""
+    memo = rs._weyl_memo
+    mask = _index_mask(jj)
+    key = (_coset_tops, mask)
+    if key not in memo:
+        table = group_table(rs)
+        wj = _element_id(table, longest_element(rs, jj))
+        product = table.product
+        reps = [a for a, d in zip(_coset_mins(rs, 0), table.descents) if not d & mask]
+        memo[key] = reps, [product(w, wj) for w in reps]
+    return memo[key]
 
 
 def _family(
@@ -422,8 +452,12 @@ def _family(
     return ModuleCharacter._of(rs, {theta: dict.fromkeys(ids, 1)})
 
 
-def _rep_ids(rs: RootSystem, j: Iterable[int]) -> list[int]:
-    return [w._id for w in min_coset_reps(rs, j)]
+# The induced and simple families pair theta twisted by a representative
+# w with w_J * w^{-1}.  w_J is an involution (its inverse is as long, and
+# W_J has one longest element), so w_J * w^{-1} = (w * w_J)^{-1}: the
+# inverse of the coset top, one lookup in the table.  Distinct
+# representatives give distinct second components, so each weight has
+# multiplicity one.
 
 
 def induced_character(
@@ -436,20 +470,20 @@ def induced_character(
     """
     jj = _check_j(rs, theta, j)
     table = group_table(rs)
-    wj = _element_id(table, longest_element(rs, jj))
-    return _family(rs, theta, _weight_ids(table, theta, _rep_ids(rs, jj), wj))
+    n, inverse = len(table.elements), table.inverse
+    m = _coset_mins(rs, _index_mask(theta.itheta))
+    reps, tops = _coset_tops(rs, jj)
+    return _family(rs, theta, [m[w] * n + inverse[x] for w, x in zip(reps, tops)])
 
 
-def _simple_rep_ids(
+def _simple_pairs(
     rs: RootSystem, theta: FormalCharacter, jj: frozenset[int]
-) -> list[int]:
-    """Ids of the minimal coset representatives w of J whose product with
-    w_J has every right descent inside J or outside itheta."""
-    table = group_table(rs)
+) -> list[tuple[int, int]]:
+    """The pairs (w, w * w_J) of `_coset_tops` at J whose second member
+    has every right descent inside J or outside itheta."""
     refused = _index_mask(theta.itheta - jj)
-    wj = _element_id(table, longest_element(rs, jj))
-    descents, product = table.descents, table.product
-    return [w for w in _rep_ids(rs, jj) if not descents[product(w, wj)] & refused]
+    descents = group_table(rs).descents
+    return [(w, x) for w, x in zip(*_coset_tops(rs, jj)) if not descents[x] & refused]
 
 
 def simple_coset_reps(
@@ -462,21 +496,24 @@ def simple_coset_reps(
     """
     jj = _check_j(rs, theta, j)
     elements = group_table(rs).elements
-    return tuple(elements[w] for w in _simple_rep_ids(rs, theta, jj))
+    return tuple(elements[w] for w, _ in _simple_pairs(rs, theta, jj))
 
 
 def _simple_ids(
     rs: RootSystem, theta: FormalCharacter, jj: frozenset[int]
 ) -> tuple[int, ...]:
     """The packed weights of the simple character at (theta, J), each of
-    multiplicity one, memoised on the root system under (theta, mask of
-    J)."""
+    multiplicity one, memoised on the root system under the masks of
+    itheta and J: the ids do not depend on theta's label, so the memo
+    holds at most 3^rank entries."""
     memo = rs._weyl_memo
-    key = (theta, _index_mask(jj))
+    mask = _index_mask(theta.itheta)
+    key = (_simple_ids, mask, _index_mask(jj))
     if key not in memo:
         table = group_table(rs)
-        wj = _element_id(table, longest_element(rs, jj))
-        memo[key] = tuple(_weight_ids(table, theta, _simple_rep_ids(rs, theta, jj), wj))
+        n, inverse = len(table.elements), table.inverse
+        m = _coset_mins(rs, mask)
+        memo[key] = tuple(m[w] * n + inverse[x] for w, x in _simple_pairs(rs, theta, jj))
     return memo[key]
 
 
@@ -521,8 +558,11 @@ def costandard_character(
             f"expected one of {JPRIME_CONVENTIONS}"
         )
     jprime = _jprime(rs, theta, _check_j(rs, theta, j), jprime_convention)
-    ids = _weight_ids(group_table(rs), theta, _rep_ids(rs, jprime), 0)
-    return _family(rs, theta, ids)
+    table = group_table(rs)
+    n, inverse = len(table.elements), table.inverse
+    m = _coset_mins(rs, _index_mask(theta.itheta))
+    reps, _ = _coset_tops(rs, jprime)
+    return _family(rs, theta, [m[w] * n + inverse[w] for w in reps])
 
 
 # ----------------------------------------------------------------------

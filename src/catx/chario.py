@@ -172,6 +172,12 @@ def character_from_json(
         )
     if not isinstance(data["label"], str) or not data["label"]:
         raise InputError("label must be a non-empty string")
+    try:
+        # a lone surrogate outside the surrogateescape range (which holds
+        # command-line bytes the locale could not decode) cannot be written
+        data["label"].encode("utf-8", "surrogateescape")
+    except UnicodeEncodeError:
+        raise InputError(f"label {data['label']!r} is not encodable text") from None
     itheta = data["itheta"]
     if not isinstance(itheta, list) or not all(isinstance(i, int) for i in itheta):
         raise InputError("itheta must be a list of simple indices")

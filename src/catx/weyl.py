@@ -453,8 +453,10 @@ def group_table(rs: RootSystem) -> _GroupTable:
 # entries per subset of the simple indices, plus the per-element kept-root
 # masks below.  `catx.charcalc` keeps its own entries here too: the
 # stabilizer images per subset, one word rank, the support of every
-# element, and one simple character per (theta, J), held as packed
-# integer ids; `catx.chario` keeps the text of every canonical word and
+# element, the coset minimum of every element per mask, the minimal coset
+# representatives w and the ids of w * w_J per J, and one simple
+# character per pair of masks of itheta and J, held as packed integer
+# ids; `catx.chario` keeps the text of every canonical word and
 # the id of every canonical word.  Each per-element table holds one entry
 # per group element.
 

@@ -22,8 +22,11 @@ from catx.charcalc import (
     weight_sort_key,
     weight_universe,
     _candidate_rows,
+    _coset_mins,
+    _coset_tops,
     _order_rows,
     _order_verdict,
+    _simple_ids,
     _universe_ids,
     _weight_of,
 )
@@ -32,6 +35,8 @@ from catx.errors import InputError, ResourceGuardError
 from catx.rootsystem import CartanType, RootSystem, build_root_system
 from catx.weyl import (
     WeylElement,
+    _GroupTable,
+    _index_mask,
     element_from_word,
     enumerate_weyl,
     group_table,
@@ -881,3 +886,90 @@ def test_simple_character_memo_belongs_to_its_system():
     dec = decompose_character(one, costandard_character(one, theta, [1]))
     assert dec.ok
     assert dec.factors == {(theta, frozenset()): 1, (theta, frozenset({1})): 1}
+
+
+def test_simple_character_memo_is_keyed_on_masks_not_labels():
+    rs = RootSystem(CartanType.parse("B3"))
+    a = FormalCharacter("a", frozenset({1, 3}))
+    b = FormalCharacter("b", frozenset({1, 3}))
+
+    def simple_keys():
+        return {k for k in rs._weyl_memo if isinstance(k, tuple) and k[0] is _simple_ids}
+
+    dec_a = decompose_character(rs, costandard_character(rs, a, [1, 3]))
+    grown = simple_keys()
+    assert len(grown) == 4  # one per subset of J
+    dec_b = decompose_character(rs, costandard_character(rs, b, [1, 3]))
+    assert simple_keys() == grown
+    assert dec_a.ok and dec_a.factors == {(a, k): 1 for k in subsets_of([1, 3])}
+    assert dec_b.ok and dec_b.factors == {(b, k): 1 for k in subsets_of([1, 3])}
+    both = costandard_character(rs, a, [1]) + costandard_character(rs, b, [3])
+    dec = decompose_character(rs, both)
+    assert dec.ok
+    assert dec.factors == {(a, frozenset()): 1, (a, frozenset({1})): 1,
+                           (b, frozenset()): 1, (b, frozenset({3})): 1}
+    assert simple_keys() == grown
+    assert set(simple_character(rs, b, [1])._entries) == {b}
+
+
+RANK_4_AND_BELOW = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "G2", "F4"]
+
+
+@pytest.mark.parametrize("name", RANK_4_AND_BELOW)
+def test_coset_minima_match_the_descent_walk(name):
+    rs = build_root_system(name)
+    table = group_table(rs)
+    ids = range(len(table.elements))
+    for j in subsets_of(rs.simple_indices):
+        mask = _index_mask(j)
+        assert _coset_mins(rs, mask) == [table.minimize(a, mask) for a in ids], sorted(j)
+
+
+@pytest.mark.parametrize("name", RANK_4_AND_BELOW)
+def test_families_match_the_two_walk_formula(name, monkeypatch):
+    """Each weight of the standard families is (theta^w, w_J * w^{-1}): the
+    reference below walks the group twice per weight, once to minimize w
+    in its coset and once for the product."""
+    rs = RootSystem(CartanType.parse(name))
+    table = group_table(rs)
+    n = len(table.elements)
+    minimize, product, inverse = table.minimize, table.product, table.inverse
+
+    def reference(itheta, reps, wj):
+        mask = _index_mask(itheta)
+        return [minimize(w._id, mask) * n + product(wj, inverse[w._id]) for w in reps]
+
+    want = {}
+    for itheta in subsets_of(rs.simple_indices):
+        for j in subsets_of(itheta):
+            wj = longest_element(rs, j)._id
+            reps = min_coset_reps(rs, j)
+            refused = _index_mask(itheta - j)
+            simple = [w for w in reps if not table.descents[product(w._id, wj)] & refused]
+            want[itheta, j] = (
+                reference(itheta, reps, wj),
+                reference(itheta, simple, wj),
+                reference(itheta, min_coset_reps(rs, itheta - j), 0),
+                reference(itheta, min_coset_reps(rs, frozenset(rs.simple_indices) - j), 0),
+            )
+            assert list(simple_coset_reps(rs, theta_for(rs, itheta), j)) == simple
+        _coset_tops(rs, itheta)
+
+    # once the tables are built, the families only look up
+    def refuse(*args):
+        raise AssertionError("a family builder walked the group")
+
+    monkeypatch.setattr(_GroupTable, "minimize", refuse)
+    monkeypatch.setattr(_GroupTable, "product", refuse)
+    for (itheta, j), (m, e, nabla, rejected) in want.items():
+        theta = theta_for(rs, itheta)
+        got = (
+            induced_character(rs, theta, j),
+            simple_character(rs, theta, j),
+            costandard_character(rs, theta, j),
+            costandard_character(rs, theta, j, jprime_convention="i-minus-j"),
+        )
+        for char, ids in zip(got, (m, e, nabla, rejected)):
+            assert list(char._entries.get(theta, {}).items()) == [(p, 1) for p in ids], (
+                sorted(itheta), sorted(j)
+            )

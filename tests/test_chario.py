@@ -89,6 +89,7 @@ def test_character_payload_validation():
     for corrupt in (
         {**good, "type": "B2"},
         {**good, "label": ""},
+        {**good, "label": "\ud800"},
         {**good, "itheta": [9]},
         {**good, "itheta": "nope"},
         {**good, "weights": [{"coset_rep": [], "v": []}]},
@@ -100,6 +101,13 @@ def test_character_payload_validation():
             character_loads(rs, json.dumps(corrupt))
     with pytest.raises(InputError):
         character_loads(rs, "{not json")
+    # the surrogateescape range carries undecodable command-line bytes
+    text = json.dumps({**good, "label": "\udcff"})
+    char, base, _ = character_loads(rs, text)
+    assert base.label == "\udcff"
+    assert character_dumps(rs, char, base=base) == json.dumps(
+        {**good, "label": "\udcff"}, indent=2
+    ) + "\n"
 
 
 def weights_payload(itheta, *weights):

@@ -533,6 +533,28 @@ def test_decompose_stdin_must_be_utf8_like_a_file(capsys, monkeypatch, tmp_path)
     )
 
 
+def test_decompose_refuses_a_label_that_cannot_be_written(capsys, tmp_path):
+    # valid JSON, but a lone surrogate outside the surrogateescape range
+    # has no bytes: writing the text report would raise UnicodeEncodeError
+    f = tmp_path / "bad.json"
+    f.write_text('{"type": "A2", "label": "\\ud800", "itheta": [], "weights": '
+                 '[{"coset_rep": [], "v": [], "mult": 1}]}')
+    code, out, err = run_cli(capsys, "decompose", "--in", str(f), "--out", str(tmp_path / "o"))
+    assert (code, out, err) == (2, "", "error: label '\\ud800' is not encodable text\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_label_from_undecodable_argv_bytes_round_trips(capsys, tmp_path):
+    # the bytes b"\xff" of a command line reach argv as "\udcff"
+    char_file, text_file = tmp_path / "c.json", tmp_path / "d.txt"
+    argv = ["char", "--type", "A2", "--kind", "E", "--itheta", "1", "--j", "1"]
+    code, _, _ = run_cli(capsys, *argv, "--label", "\udcff", "--json", "--out", str(char_file))
+    assert code == 0 and '"label": "\\udcff"' in char_file.read_text()
+    code, _, err = run_cli(capsys, "decompose", "--in", str(char_file), "--out", str(text_file))
+    assert (code, err) == (0, "")
+    assert text_file.read_bytes().endswith(b"  E(\xff, [1]) x 1\n")
+
+
 def test_rewriting_an_out_path_with_shorter_text_leaves_no_stale_tail(capsys, tmp_path):
     char_file = tmp_path / "c.json"
     code, _, _ = run_cli(
