@@ -19,8 +19,9 @@ Inside this module and `catx.chario` a weight is one int.  With the ids
 of the group table (`catx.weyl`), the weight with coset representative
 id r and second component id v packs as r * |W| + v, and a
 `ModuleCharacter` stores {torus character: {packed weight: mult}}.  The
-character builders, the simple-character memo, the decomposition, the
-order rows and verdict, and the character files all run on these ints.
+character builders, the simple-character memo, the decomposition (with
+one count of the weights left per support mask), the order rows and
+verdict, and the character files all run on these ints.
 `Weight` and `TwistedCharacter` objects are built only at the edges: the
 public accessors of `ModuleCharacter`, `weight_universe`, `weight_lt`,
 and the repr of a weight named in a counterexample or diagnostic.
@@ -387,8 +388,8 @@ def weight_lt(a: Weight, b: Weight) -> bool:
 
     This is the readable pairwise definition; no catx code calls it.  The
     order check reads the bitset rows of `_order_rows`, and the
-    decomposition reads its candidates' rows off their closed form
-    (`_candidate_rows`); the tests hold both equal to this.
+    decomposition the closed form of its candidates' up-sets
+    (`_candidates`); the tests hold both equal to this.
     """
     if a.tchar.base != b.tchar.base or a.v.length <= b.v.length:
         return False
@@ -621,40 +622,47 @@ def _supports(rs: RootSystem) -> list[int]:
     return memo[_supports]
 
 
-def _candidate_rows(
-    rs: RootSystem, base: FormalCharacter, weights: list[int]
+def _candidates(
+    rs: RootSystem, base: FormalCharacter, inner: Mapping[int, int]
 ) -> list[tuple[frozenset[int], int, int]]:
-    """The decomposition candidates among packed weights over one base,
-    with their up-sets: a triple (K, k, row) for each K inside itheta
-    whose weight (theta, w_K) is weights[k], where bit b of the row is
-    set exactly when that weight lies below weights[b] (`weight_lt`).
+    """The decomposition candidates among packed weights over one base: a
+    triple (K, p, mask of K) for each K inside itheta whose weight
+    (theta, w_K), packed as p, lies in inner.
 
-    The up-set has a closed form: (theta, w_K) lies below (theta^r, v)
-    exactly when r = 1 and v lies in W_K but is not w_K.  With g = r u,
-    u in W_itheta, the order asks g and v g to keep every positive root
-    outside Phi_K positive.  The first makes g an element of W_K, so
-    r = 1, as r is a minimal coset representative; then the second puts
-    v in W_K.  Conversely u = 1 works, as W_K permutes those roots, and
-    the length test leaves out only v = w_K.  (The parabolic
+    A candidate's up-set has a closed form: (theta, w_K) lies below
+    (theta^r, v) exactly when r = 1 and v lies in W_K but is not w_K.
+    With g = r u, u in W_itheta, the order asks g and v g to keep every
+    positive root outside Phi_K positive.  The first makes g an element
+    of W_K, so r = 1, as r is a minimal coset representative; then the
+    second puts v in W_K.  Conversely u = 1 works, as W_K permutes those
+    roots, and the length test leaves out only v = w_K.  (The parabolic
     factorisation w = w^K w_K; Bjorner-Brenti, Combinatorics of Coxeter
-    Groups, section 2.4.)  So a row is the union of the untwisted weights
-    (ids below |W|) whose v has its support inside K, less the candidate.
+    Groups, section 2.4.)  So the up-set is the untwisted weights (ids
+    below |W|) whose v has its support (`_supports`) inside K, less the
+    candidate, and maximality needs one count per support mask.
     """
     table = group_table(rs)
-    n = len(table.elements)
-    support = _supports(rs)
-    at = {p: k for k, p in enumerate(weights)}
-    by_support: dict[int, int] = {}
-    for k, p in enumerate(weights):
-        if p < n:
-            by_support[support[p]] = by_support.get(support[p], 0) | 1 << k
+    longest = [(j, longest_element(rs, j)) for j in _subsets(base.itheta)]
+    ids = [(j, _element_id(table, w), _index_mask(j)) for j, w in longest]
+    return [cand for cand in ids if cand[1] in inner]
+
+
+def _maximal(cands: list, work: dict, counts: dict) -> list:
+    """The (base, K) of the candidates (base, K, p, mask of K) maximal in
+    work, in candidate order: p is still in work, and the counts[base] of
+    the untwisted weights left per support mask sum to one inside K.  The
+    support of w_K is K, so that one is the candidate itself, and nothing
+    of its up-set (`_candidates`) is left."""
     out = []
-    for j in _subsets(base.itheta):
-        k = at.get(_element_id(table, longest_element(rs, j)))
-        if k is not None:
-            mask = _index_mask(j)
-            row = sum(bits for s, bits in by_support.items() if not s & ~mask)
-            out.append((j, k, row ^ 1 << k))
+    for base, j, p, mask in cands:
+        if p in work[base]:
+            count = counts[base]
+            total, s = count[0], mask
+            while s:
+                total += count[s]
+                s = (s - 1) & mask
+            if total == 1:
+                out.append((base, j))
     return out
 
 
@@ -666,15 +674,13 @@ def decompose_character(
     Each round selects a maximal weight of longest-element shape
     (untwisted character, v = w_J with J inside itheta) and subtracts
     the simple character at (theta, J).  Maximality is taken against
-    every weight still present: the rows of the candidates against the
-    character's own weights are read off their closed form
-    (`_candidate_rows`) once per call, since subtraction never adds a
-    weight; a bitmask tracks the weights still present, and a candidate
-    is maximal when it is present and its row misses that mask.
-    Incomparable maxima are ordered by (|J| descending, J lexicographic,
-    label), ties kept in the character's insertion order; tie_break in
-    {0, 1, 2} picks the first, last, or middle entry of that order, and
-    results must not depend on the choice.
+    every weight still present, by the closed form of a candidate's
+    up-set (`_candidates`): per base, `_maximal` reads one count per
+    support mask of the untwisted weights present, dropped by one as a
+    weight leaves.  Incomparable maxima are ordered by (|J| descending,
+    J lexicographic, label), ties kept in the character's insertion
+    order; tie_break in {0, 1, 2} picks the first, last, or middle entry
+    of that order, and results must not depend on the choice.
 
     A subtraction that would drive a multiplicity negative stops the
     loop, leaving the offending weights in the remainder and naming
@@ -690,26 +696,16 @@ def decompose_character(
             f"character is over {char._rs.cartan_type}, not {rs.cartan_type}"
         )
     work = {base: dict(inner) for base, inner in char._entries.items()}
-    # one bit per weight, the bases in turn; rows only relate weights of
-    # one base, so each base's rows are built on its own and shifted
-    bits: dict[FormalCharacter, dict[int, int]] = {}
-    cands = []
-    offset = 0
+    n, support = len(group_table(rs).elements), _supports(rs)
+    counts, cands = {}, []
     for base, inner in work.items():
-        weights = list(inner)
-        bits[base] = {p: 1 << (offset + k) for k, p in enumerate(weights)}
-        cands += [
-            (1 << (offset + k), row << offset, base, j)
-            for j, k, row in _candidate_rows(rs, base, weights)
-        ]
-        offset += len(weights)
-    present = (1 << offset) - 1
-    while present:
-        maximal = [
-            (base, j)
-            for own, row, base, j in cands
-            if own & present and not row & present
-        ]
+        counts[base] = count = [0] * (1 << rs.cartan_type.rank)
+        for p in inner:
+            if p < n:
+                count[support[p]] += 1
+        cands += [(base, *cand) for cand in _candidates(rs, base, inner)]
+    while any(work.values()):
+        maximal = _maximal(cands, work, counts)
         if not maximal:
             left = sum(sum(inner.values()) for inner in work.values())
             out.diagnostic = (
@@ -733,14 +729,15 @@ def decompose_character(
                 f"weight(s) {missing!r} not present with enough multiplicity"
             )
             break
-        own = bits[base]
+        count = counts[base]
         for p in piece:
             left = inner[p] - 1
             if left:
                 inner[p] = left
             else:
                 del inner[p]
-                present &= ~own[p]
+                if p < n:
+                    count[support[p]] -= 1
         key = (base, j)
         out.factors[key] = out.factors.get(key, 0) + 1
     out.remainder = ModuleCharacter._of(rs, work)

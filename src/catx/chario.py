@@ -179,7 +179,10 @@ def character_from_json(
     except UnicodeEncodeError:
         raise InputError(f"label {data['label']!r} is not encodable text") from None
     itheta = data["itheta"]
-    if not isinstance(itheta, list) or not all(isinstance(i, int) for i in itheta):
+    # a bool is an int, but would come back out of the set as a bool
+    if not isinstance(itheta, list) or not all(
+        isinstance(i, int) and not isinstance(i, bool) for i in itheta
+    ):
         raise InputError("itheta must be a list of simple indices")
     base = FormalCharacter(data["label"], frozenset(itheta))
     bad = base.itheta - set(rs.simple_indices)
@@ -204,7 +207,7 @@ def character_from_json(
             missing = _WEIGHT_KEYS - entry.keys()
             raise InputError(f"weight #{k} missing keys {sorted(missing)}")
         mult = entry["mult"]
-        if not isinstance(mult, int) or mult < 1:
+        if isinstance(mult, bool) or not isinstance(mult, int) or mult < 1:
             raise InputError(f"weight #{k}: mult must be a positive int")
         # the type checks run before the lookups, since (1.0,) equals and
         # hashes like (1,); a bool is an int and reads as one either way

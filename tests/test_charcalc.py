@@ -21,12 +21,14 @@ from catx.charcalc import (
     weight_lt,
     weight_sort_key,
     weight_universe,
-    _candidate_rows,
+    _candidates,
     _coset_mins,
     _coset_tops,
+    _maximal,
     _order_rows,
     _order_verdict,
     _simple_ids,
+    _supports,
     _universe_ids,
     _weight_of,
 )
@@ -527,11 +529,75 @@ def test_decomposition_matches_the_pairwise_scan_off_the_families(name):
         assert_matches_reference(rs, ModuleCharacter(doubled), ("doubled", weight))
 
 
+@pytest.mark.parametrize("name", ["A3", "B3", "C3"])
+def test_decomposition_matches_the_pairwise_scan_past_twisted_weights(name):
+    # a twisted weight (theta^r, v) with v in W_itheta has its v's support
+    # inside some candidate's K, yet lies above no candidate: r is not 1
+    rs = build_root_system(name)
+    n = len(enumerate_weyl(rs))
+    for itheta in subsets_of(rs.simple_indices):
+        theta = theta_for(rs, itheta)
+        inside = [v._id for v in weyl_subgroup(rs, itheta)]
+        twisted = [
+            _weight_of(rs, theta, rep._id * n + v)
+            for rep in min_coset_reps(rs, itheta)[1:]
+            for v in inside
+        ]
+        if not twisted:
+            continue
+        for j in subsets_of(itheta):
+            char = costandard_character(rs, theta, j).mapping
+            char.update(dict.fromkeys(twisted, 1))
+            assert_matches_reference(rs, ModuleCharacter(char), (sorted(itheta), sorted(j)))
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3"])
+def test_decomposition_breaks_ties_between_bases_in_insertion_order(name):
+    # one label over two itheta: both bases have a maximal candidate at
+    # J = {2} with the same sort key, and one weight short in either base
+    # makes the subtraction order show in the remainder
+    rs = build_root_system(name)
+    pair = ModuleCharacter.sum(
+        [
+            costandard_character(rs, FormalCharacter("theta", frozenset(k)), [2])
+            for k in ([1, 2], [2, 3])
+        ]
+    )
+    assert len(pair._entries) == 2
+    failed = 0
+    for weight in pair.weights():
+        removed = pair.mapping
+        del removed[weight]
+        char = ModuleCharacter(removed)
+        assert_matches_reference(rs, char, ("removed", weight))
+        failed += not decompose_character(rs, char).ok
+    assert failed
+
+
+def candidate_rows(rs, base, weights):
+    """The up-sets of the decomposition candidates among packed weights
+    over one base, as the closed form of `_candidates` gives them: a
+    triple (K, k, row) per candidate weights[k] = (theta, w_K), where bit
+    b of the row is set when weights[b] is untwisted (id below |W|) with
+    a v whose support (`_supports`) lies inside K, and b is not k."""
+    n, support = len(group_table(rs).elements), _supports(rs)
+    at = {p: k for k, p in enumerate(weights)}
+    out = []
+    for j, p, mask in _candidates(rs, base, at):
+        row = sum(
+            1 << b
+            for b, q in enumerate(weights)
+            if q < n and not support[q] & ~mask
+        )
+        out.append((j, at[p], row ^ 1 << at[p]))
+    return out
+
+
 def candidate_rows_hold(rs, char, label):
-    """The rows `decompose_character` reads, one per candidate (an
-    untwisted weight whose v is w_J for some J inside itheta) against all
-    of the character's weights, equal the weight_lt rows.  A packed id
-    below |W| has the identity as its representative."""
+    """The candidate rows, one per candidate (an untwisted weight whose v
+    is w_J for some J inside itheta) against all of the character's
+    weights, equal the weight_lt rows.  A packed id below |W| has the
+    identity as its representative."""
     for base, inner in char._entries.items():
         ids = list(inner)
         longest = {longest_element(rs, k)._id: k for k in subsets_of(base.itheta)}
@@ -548,8 +614,63 @@ def candidate_rows_hold(rs, char, label):
             for k, a in enumerate(ids)
             if a in longest
         }
-        got = {k: (j, row) for j, k, row in _candidate_rows(rs, base, ids)}
+        got = {k: (j, row) for j, k, row in candidate_rows(rs, base, ids)}
         assert got == want, (label, base)
+
+
+def maximal_holds(rs, char, seed, label):
+    """Along one seeded random order of deleting the character's weights,
+    `_maximal` picks exactly the candidates whose row (`candidate_rows`)
+    meets no weight still present, in candidate order.  The counts are
+    rebuilt from the weights left at every step.  Returns how many picks
+    were compared."""
+    n, support = len(group_table(rs).elements), _supports(rs)
+    work = {base: dict(inner) for base, inner in char._entries.items()}
+    cands, rows = [], []
+    for base, inner in work.items():
+        weights = list(inner)
+        for j, k, row in candidate_rows(rs, base, weights):
+            cands.append((base, j, weights[k], _index_mask(j)))
+            rows.append({q for b, q in enumerate(weights) if row >> b & 1})
+    order = [(base, p) for base, inner in work.items() for p in inner]
+    random.Random(seed).shuffle(order)
+    picked = 0
+    for step in range(len(order) + 1):
+        counts = {base: [0] * (1 << rs.cartan_type.rank) for base in work}
+        for base, inner in work.items():
+            for p in inner:
+                if p < n:
+                    counts[base][support[p]] += 1
+        want = [
+            (base, j)
+            for (base, j, p, _), row in zip(cands, rows)
+            if p in work[base] and row.isdisjoint(work[base])
+        ]
+        assert _maximal(cands, work, counts) == want, (label, step)
+        picked += len(want)
+        if step < len(order):
+            base, p = order[step]
+            del work[base][p]
+    return picked
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3"])
+def test_maximal_picks_the_candidates_whose_rows_miss_every_weight_left(name):
+    rs = build_root_system(name)
+    eta = costandard_character(rs, FormalCharacter("eta", frozenset([1, 2])), [2])
+    seed = picked = 0
+    for itheta in subsets_of(rs.simple_indices):
+        theta = theta_for(rs, itheta)
+        for j in subsets_of(itheta):
+            nabla = costandard_character(rs, theta, j)
+            induced = induced_character(rs, theta, j)
+            summed = ModuleCharacter.sum([nabla, induced, eta])
+            for kind, char in (("nabla", nabla), ("M", induced), ("sum", summed)):
+                seed += 1
+                label = (kind, sorted(itheta), sorted(j))
+                picked += maximal_holds(rs, char, seed, label)
+    # several candidates are maximal at once on most steps
+    assert picked > seed
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "C3"])
@@ -570,12 +691,14 @@ def test_decomposition_rows_match_weight_lt_on_failing_characters_too(name):
         del removed[weight]
         char = ModuleCharacter(removed)
         candidate_rows_hold(rs, char, ("removed", weight))
+        maximal_holds(rs, char, failed, ("removed", weight))
         failed += not decompose_character(rs, char).ok
     assert failed
     two = ModuleCharacter.sum(
         [induced_character(rs, full, []), costandard_character(rs, eta, [2])]
     )
     candidate_rows_hold(rs, two, "two bases")
+    maximal_holds(rs, two, 0, "two bases")
     assert set(two._entries) == {full, eta}
     # a base whose one weight is a candidate, beside a base of mostly
     # twisted weights, which no candidate row holds
@@ -583,6 +706,7 @@ def test_decomposition_rows_match_weight_lt_on_failing_characters_too(name):
         [simple_character(rs, full, rs.simple_indices), induced_character(rs, eta, [])]
     )
     candidate_rows_hold(rs, single, "lone candidate")
+    maximal_holds(rs, single, 0, "lone candidate")
 
 
 def every_weight_id(rs, itheta):
@@ -602,7 +726,7 @@ def test_candidate_rows_match_weight_lt_on_every_weight(name):
         theta = theta_for(rs, itheta)
         ids = every_weight_id(rs, itheta)
         weights = [_weight_of(rs, theta, p) for p in ids]
-        rows = _candidate_rows(rs, theta, ids)
+        rows = candidate_rows(rs, theta, ids)
         assert sorted(map(sorted, (j for j, _, _ in rows))) == sorted(
             map(sorted, subsets_of(itheta))
         )
@@ -620,7 +744,7 @@ def test_candidate_rows_match_the_order_rows_on_every_weight(name):
         theta = theta_for(rs, itheta)
         ids = every_weight_id(rs, itheta)
         rows = _order_rows(rs, theta, ids)
-        for j, k, row in _candidate_rows(rs, theta, ids):
+        for j, k, row in candidate_rows(rs, theta, ids):
             assert row == rows[k], (name, sorted(itheta), sorted(j))
 
 

@@ -92,8 +92,11 @@ def test_character_payload_validation():
         {**good, "label": "\ud800"},
         {**good, "itheta": [9]},
         {**good, "itheta": "nope"},
+        {**good, "itheta": [True]},
+        {**good, "itheta": [1, False]},
         {**good, "weights": [{"coset_rep": [], "v": []}]},
         {**good, "weights": [{"coset_rep": [], "v": [], "mult": 0}]},
+        {**good, "weights": [{"coset_rep": [], "v": [], "mult": True}]},
         {**good, "weights": [{"coset_rep": [], "v": ["x"], "mult": 1}]},
         {k: v for k, v in good.items() if k != "weights"},
     ):

@@ -544,6 +544,20 @@ def test_decompose_refuses_a_label_that_cannot_be_written(capsys, tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+def test_decompose_refuses_a_bool_in_itheta(capsys, tmp_path):
+    # true is an int to isinstance, and would be read as index 1 and then
+    # written back as "j": [true]
+    f = tmp_path / "c.json"
+    argv = ["char", "--type", "A2", "--kind", "nabla", "--itheta", "1", "--j", "1"]
+    code, _, _ = run_cli(capsys, *argv, "--json", "--out", str(f))
+    assert code == 0
+    payload = json.loads(f.read_text())
+    assert payload["itheta"] == [1]
+    f.write_text(json.dumps({**payload, "itheta": [True]}))
+    code, out, err = run_cli(capsys, "decompose", "--in", str(f), "--json")
+    assert (code, out, err) == (2, "", "error: itheta must be a list of simple indices\n")
+
+
 def test_a_label_from_undecodable_argv_bytes_round_trips(capsys, tmp_path):
     # the bytes b"\xff" of a command line reach argv as "\udcff"
     char_file, text_file = tmp_path / "c.json", tmp_path / "d.txt"

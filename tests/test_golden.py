@@ -83,6 +83,21 @@ def test_verify_rank5_records_digest(tmp_path, cartan, digest):
     assert sha256(canon) == digest
 
 
+def test_verify_d6_filtration_records_digest(tmp_path):
+    # rank 6, under a budget: the filtration sweep's decompositions are
+    # linear in the size of the character
+    report = tmp_path / "report.json"
+    argv = ["verify", "--types", "D6", "--checks", "filtration", "--max-rank", "6"]
+    argv += ["--allow-large", "--seed", "1", "--out", str(report)]
+    t0 = time.perf_counter()
+    assert main(argv) == 0
+    assert time.perf_counter() - t0 < 20.0
+    records = without_timings(json.loads(report.read_text())["records"])
+    assert len(records) == 2916
+    canon = json.dumps(records, sort_keys=True, separators=(",", ":"))
+    assert sha256(canon) == "3543c03c923accaddfdb43532f563a4c480e57e6b9b3a604d1f528eeade82050"
+
+
 @pytest.mark.parametrize(
     "cartan, kind, itheta, j, digest",
     [
