@@ -38,7 +38,6 @@ from catx.rootsystem import RootSystem
 from catx.weyl import (
     WeylElement,
     _index_mask,
-    _memoized,
     coset_minimize,
     group_table,
     kept_masks,
@@ -878,47 +877,40 @@ def weight_universe(rs: RootSystem, theta: FormalCharacter) -> tuple[Weight, ...
     return tuple(_weight_of(rs, theta, p) for p in _universe_ids(rs, theta))
 
 
-def _stabilizer_images(
-    rs: RootSystem, itheta: frozenset[int]
-) -> tuple[tuple, tuple, tuple]:
-    """Per element u of the stabilizer subgroup on itheta: the images of
-    the 2n roots under u and under u^{-1} (see `WeylElement.image_bits`),
-    and the mask of the roots that u sends to negative roots.  Kept on
-    the root system's memo, one triple per subset."""
-    group = weyl_subgroup(rs, itheta)
-    n = len(rs.positive_roots)
-    preimages = tuple(u.inverse().image_bits for u in group)
-    negative = tuple(sum(pre[n:]) for pre in preimages)
-    return tuple(u.image_bits for u in group), preimages, negative
-
-
 def _order_rows(
-    rs: RootSystem, theta: FormalCharacter, universe: list[int]
-) -> list[int]:
-    """The weight order on a universe of packed weights over theta as one
-    bitset row per weight: bit b of row a is set exactly when universe[a]
-    lies below universe[b] (`weight_lt`).
+    rs: RootSystem, theta: FormalCharacter
+) -> tuple[list[int], list[int]]:
+    """The sweep universe of theta (`_universe_ids`) and the weight order
+    on it as one bitset row per weight: bit b of row a is set exactly
+    when universe[a] lies below universe[b] (`weight_lt`).
 
-    Each weight gives one mask over the 2n roots: its kept roots moved
-    by the inverse of its twist.  As the lower weight these are its
+    Each weight gives one mask over the n positive roots: its kept roots
+    moved by the inverse of its twist.  As the lower weight these are its
     pulled roots, as the upper one its target mask.  With K the kept-root
-    masks of `kept_masks`, a root lies in the mask of the weight (w, v)
-    exactly when w and then v keep it positive, so the mask is
-    K[w] & K[v * w].  The column of a root holds the weights whose target
-    mask contains it, so the weights that u carries the pulled roots of a
-    into are the intersection of the columns of their images.  Row a
-    joins that over the stabilizer elements u, among the shorter weights,
-    and stops once it holds all of them.  An element that sends a pulled
-    root outside every target mask is skipped with one mask test; those
-    roots are the preimages under u of the roots outside the reach of the
-    universe.
+    masks of `kept_masks`, a positive root lies in the mask of the weight
+    (w, v) exactly when w and then v keep it positive, so the mask is
+    K[w] & K[v * w].  No negative root lies in it: the universe weight of
+    an element x = w * u, with w minimal in x's coset and u in the
+    stabilizer, is (w, x^{-1}), so v * w = u^{-1}; a negative root would
+    need w and u^{-1} both to invert its positive, but w inverts no root
+    of the stabilizer's root system (Björner–Brenti §2.4) and u^{-1}
+    inverts no other root.
+
+    The column of a root holds the weights whose target mask contains
+    it, so the weights that u carries the pulled roots of a into are the
+    intersection of the columns of their images.  Row a joins that over
+    the stabilizer elements u, among the shorter weights, and stops once
+    it holds all of them.  An element that inverts a pulled root carries
+    it outside every target mask, and is skipped with one mask test.
     """
+    universe = _universe_ids(rs, theta)
     table = group_table(rs)
     n = len(table.elements)
     words, product = table.words, table.product
     kept = kept_masks(rs)
-    n_roots = 2 * len(rs.positive_roots)
-    columns = {1 << r: 0 for r in range(n_roots)}
+    n_roots = len(rs.positive_roots)
+    full = (1 << n_roots) - 1
+    columns = [0] * n_roots
     by_length: dict[int, int] = {}
     masks = []
     for b, p in enumerate(universe):
@@ -930,20 +922,13 @@ def _order_rows(
         while rest:
             root = rest & -rest
             rest ^= root
-            columns[root] |= bit
+            columns[root.bit_length() - 1] |= bit
         length = len(words[v])
         by_length[length] = by_length.get(length, 0) | bit
-    # the roots u sends outside the reach: those it sends negative,
-    # corrected on the few roots where the reach is not the positive ones
-    reach = sum(root for root, weights in columns.items() if weights)
-    flip_mask = reach ^ ((1 << len(rs.positive_roots)) - 1)
-    flips = [r for r in range(n_roots) if flip_mask >> r & 1]
-    images, preimages, missed = _memoized(_stabilizer_images, rs, theta.itheta)
-    if flips:
-        missed = [
-            m ^ sum(map(pre.__getitem__, flips)) for m, pre in zip(missed, preimages)
-        ]
-    stabilizer = list(zip(images, missed))
+    stabilizer = [
+        (u.perm, full ^ kept[_element_id(table, u)])
+        for u in weyl_subgroup(rs, theta.itheta)
+    ]
     column = columns.__getitem__
     rows = []
     for a, pulled_mask in zip(universe, masks):
@@ -951,15 +936,15 @@ def _order_rows(
         shorter = sum(m for k, m in by_length.items() if k < length)
         row = 0
         pulled = [r for r in range(n_roots) if pulled_mask >> r & 1]
-        for u_images, u_missed in stabilizer if shorter else ():
-            if pulled_mask & u_missed:
+        for perm, inverted in stabilizer if shorter else ():
+            if pulled_mask & inverted:
                 continue
-            fits = map(column, map(u_images.__getitem__, pulled))
+            fits = map(column, map(perm.__getitem__, pulled))
             row |= reduce(and_, fits, shorter & ~row)
             if row == shorter:
                 break
         rows.append(row)
-    return rows
+    return universe, rows
 
 
 def _first_broken_chain(rows: list[int]) -> Optional[tuple[int, int, int]]:
@@ -1068,9 +1053,8 @@ def _order_verdict(
 def order_axiom_records(rs: RootSystem, theta: FormalCharacter) -> list[dict]:
     """Irreflexivity and transitivity of the weight order on the sweep
     universe of theta, checked exhaustively on its bitset relation."""
-    universe = _universe_ids(rs, theta)
+    universe, rows = _order_rows(rs, theta)
     params = {"type": str(rs.cartan_type), "itheta": sorted(theta.itheta)}
-    rows = _order_rows(rs, theta, universe)
     return _order_verdict(
         rows, params, lambda k: repr(_weight_of(rs, theta, universe[k]))
     )

@@ -25,11 +25,24 @@ from catx.weyl import _index_mask, element_from_word, group_table
 _WEIGHT_KEYS = frozenset({"coset_rep", "v", "mult"})
 
 
+def check_label(label) -> None:
+    """Refuse a label that a character file cannot carry: one that is not
+    a non-empty string, or that holds a lone surrogate outside the
+    surrogateescape range (which holds command-line bytes the locale
+    could not decode), which has no bytes to write."""
+    if not isinstance(label, str) or not label:
+        raise InputError("label must be a non-empty string")
+    try:
+        label.encode("utf-8", "surrogateescape")
+    except UnicodeEncodeError:
+        raise InputError(f"label {label!r} is not encodable text") from None
+
+
 def _single_base(
     char: ModuleCharacter, base: Optional[FormalCharacter]
 ) -> FormalCharacter:
-    """The one torus character of a character to be written; an empty
-    character needs it given."""
+    """The one torus character of a character to be written, with a label
+    that the reader accepts; an empty character needs it given."""
     bases = set(char._entries)
     if len(bases) > 1:
         raise InputError("cannot serialize a character with mixed torus characters")
@@ -40,6 +53,7 @@ def _single_base(
         base = found
     if base is None:
         raise InputError("an empty character needs an explicit base to record")
+    check_label(base.label)
     return base
 
 
@@ -170,14 +184,7 @@ def character_from_json(
         raise InputError(
             f"payload is for type {data['type']!r}, expected {rs.cartan_type}"
         )
-    if not isinstance(data["label"], str) or not data["label"]:
-        raise InputError("label must be a non-empty string")
-    try:
-        # a lone surrogate outside the surrogateescape range (which holds
-        # command-line bytes the locale could not decode) cannot be written
-        data["label"].encode("utf-8", "surrogateescape")
-    except UnicodeEncodeError:
-        raise InputError(f"label {data['label']!r} is not encodable text") from None
+    check_label(data["label"])
     itheta = data["itheta"]
     # a bool is an int, but would come back out of the set as a bool
     if not isinstance(itheta, list) or not all(

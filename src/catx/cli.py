@@ -26,6 +26,7 @@ from catx.charcalc import (
 from catx.chario import (
     character_dumps,
     character_loads,
+    check_label,
     module_loads,
 )
 from catx.errors import InputError, ResourceGuardError
@@ -193,6 +194,7 @@ def _character(args, rs, theta, j):
 
 def _cmd_char(args) -> int:
     rs = build_root_system(args.type, allow_large=args.allow_large)
+    check_label(args.label)
     theta = FormalCharacter(args.label, _parse_indices(args.itheta, rs))
     j = _parse_indices(args.j, rs)
     char = _character(args, rs, theta, j)

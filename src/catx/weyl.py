@@ -451,14 +451,13 @@ def group_table(rs: RootSystem) -> _GroupTable:
 # subgroup on every simple index, which is the group itself (the order
 # guard then refuses oversize groups).  The memo holds at most three
 # entries per subset of the simple indices, plus the per-element kept-root
-# masks below.  `catx.charcalc` keeps its own entries here too: the
-# stabilizer images per subset, one word rank, the support of every
-# element, the coset minimum of every element per mask, the minimal coset
-# representatives w and the ids of w * w_J per J, and one simple
-# character per pair of masks of itheta and J, held as packed integer
-# ids; `catx.chario` keeps the text of every canonical word and
-# the id of every canonical word.  Each per-element table holds one entry
-# per group element.
+# masks below.  `catx.charcalc` keeps its own entries here too: one word
+# rank, the support of every element, the coset minimum of every element
+# per mask, the minimal coset representatives w and the ids of w * w_J
+# per J, and one simple character per pair of masks of itheta and J, held
+# as packed integer ids; `catx.chario` keeps the text of every canonical
+# word and the id of every canonical word.  Each per-element table holds
+# one entry per group element.
 
 
 def _memoized(build, rs: RootSystem, subset: Iterable[int]):
@@ -470,13 +469,10 @@ def _memoized(build, rs: RootSystem, subset: Iterable[int]):
 
 
 def kept_masks(rs: RootSystem) -> list[int]:
-    """Per element id x, the mask over the 2n roots (numbered as in
-    `WeylElement.image_bits`) of the roots that x sends to positive
-    roots: bit k when x keeps positive root k positive, bit n + k when x
-    sends positive root k negative, so its negative positive.  The low n
-    bits are the element's `plus_mask`.  Built once per enumerated group,
-    enumerating it under its order guard first, and kept on the root
-    system's memo.
+    """Per element id x, the mask of the positive roots that x keeps
+    positive: bit k when x keeps positive root k positive, the element's
+    `plus_mask`.  Built once per enumerated group, enumerating it under
+    its order guard first, and kept on the root system's memo.
 
     The inversion sets come from the table in id order: an element a
     other than the identity is s_i * b for b shorter, with s_i its
@@ -495,9 +491,8 @@ def kept_masks(rs: RootSystem) -> list[int]:
             i = (d & -d).bit_length()
             b = inverse[rmul[i][inverse[a]]]
             inverted[a] = inverted[b] | 1 << perms[b].index(simple_pos[i])
-        n = len(rs.positive_roots)
-        full = (1 << n) - 1
-        memo[kept_masks] = [full ^ m | m << n for m in inverted]
+        full = (1 << len(rs.positive_roots)) - 1
+        memo[kept_masks] = [full ^ m for m in inverted]
     return memo[kept_masks]
 
 
@@ -612,8 +607,7 @@ def enumerate_biclosed(
     """
     elements = enumerate_weyl(rs, allow_large=allow_large)
     roots = rs.positive_roots
-    full = (1 << len(roots)) - 1
-    witness = {m & full: w for m, w in zip(kept_masks(rs), elements)}
+    witness = dict(zip(kept_masks(rs), elements))
     masks = _biclosed_masks(len(roots), rs.sum_triples())
     # each set is the union of the sets of its mask's bytes, each of
     # those built once, so no root is hashed once per set

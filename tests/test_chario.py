@@ -83,6 +83,21 @@ def test_character_duplicate_weights_merge_or_fail():
         character_loads(rs, text, strict=True)
 
 
+def test_character_writers_refuse_a_label_the_reader_refuses():
+    rs = build_root_system("A2")
+    for label in ("", "\ud800"):
+        theta = FormalCharacter(label, frozenset([1]))
+        for char, base in ((simple_character(rs, theta, [1]), None), (ModuleCharacter(), theta)):
+            with pytest.raises(InputError):
+                character_dumps(rs, char, base=base)
+            with pytest.raises(InputError):
+                character_to_json(rs, char, base=base)
+    # a label from undecodable command-line bytes is written and read back
+    theta = FormalCharacter("\udcff", frozenset([1]))
+    text = character_dumps(rs, simple_character(rs, theta, [1]))
+    assert character_loads(rs, text)[1] == theta
+
+
 def test_character_payload_validation():
     rs = build_root_system("A2")
     good = {"type": "A2", "label": "theta", "itheta": [], "weights": []}

@@ -544,6 +544,23 @@ def test_decompose_refuses_a_label_that_cannot_be_written(capsys, tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "label, message",
+    [
+        ("", "label must be a non-empty string"),
+        ("\ud800", "label '\\ud800' is not encodable text"),
+    ],
+)
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+def test_char_refuses_a_label_that_decompose_refuses(capsys, tmp_path, label, message, mode):
+    # the file would be written, and then refused by its reader
+    f = tmp_path / "e.json"
+    argv = ["char", "--type", "A2", "--kind", "E", "--itheta", "1", "--j", "1"]
+    code, out, err = run_cli(capsys, *argv, "--label", label, *mode, "--out", str(f))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not f.exists()
+
+
 def test_decompose_refuses_a_bool_in_itheta(capsys, tmp_path):
     # true is an int to isinstance, and would be read as index 1 and then
     # written back as "j": [true]

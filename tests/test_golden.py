@@ -49,6 +49,16 @@ def test_verify_rank2_records_digest(tmp_path, capsys):
     assert sha256(canon) == "57cd9295562d102f9f21b1bdb83083b51ad2d478d207431f9ecc0076a46c0bc3"
 
 
+def test_verify_rank4_records_digest(tmp_path, capsys):
+    # every check on every type up to rank 4: the B4, C4 and F4 order rows too
+    report = tmp_path / "report.json"
+    assert main(["verify", "--max-rank", "4", "--seed", "1", "--out", str(report)]) == 0
+    records = without_timings(json.loads(report.read_text())["records"])
+    assert len(records) == 2377
+    canon = json.dumps(records, sort_keys=True, separators=(",", ":"))
+    assert sha256(canon) == "c9dbf605d5546cd27ef63fb4962c58b0725e7cbe42c6c601ffa7d64e82b43a3e"
+
+
 def test_verify_d4_rank4_records_digest(tmp_path):
     # the rank-4 weight ids under the filtration and order checks
     report = tmp_path / "report.json"

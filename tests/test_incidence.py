@@ -397,17 +397,18 @@ def test_locality_of_an_end_with_a_radical():
     assert incidence._is_local_end(incidence._HomSpace(p, p))
 
 
-def _tube_module():
-    """A local endomorphism algebra that is not a field.  The six middle
-    subsets of the cube form a hexagon with no relations among its
-    arrows; put Q^2 on each, the identity on every arrow but one and a
-    Jordan block J there.  The endomorphisms are the polynomials in J,
-    so End = Q[t]/t^2: local, with a one-dimensional radical."""
+def _tube_module(j=((2, 1), (0, 2))):
+    """The six middle subsets of the cube form a hexagon with no
+    relations among its arrows; put Q^2 on each, the identity on every
+    arrow but one and the matrix J there.  The endomorphisms are the
+    polynomials in J.  For the default Jordan block End = Q[t]/t^2: a
+    local endomorphism algebra that is not a field, with a
+    one-dimensional radical."""
     a = build_incidence_algebra(3)
     hexagon = [y for y in a.subsets if len(y) in (1, 2)]
     dims = {y: 2 if y in hexagon else 0 for y in a.subsets}
     maps = {(y, z): linalg.identity(2) for y in hexagon for z in hexagon if y < z}
-    maps[(S1, S12)] = linalg.mat([[2, 1], [0, 2]])
+    maps[(S1, S12)] = linalg.mat([list(row) for row in j])
     return AlgebraModule(a, dims, maps)
 
 
@@ -537,6 +538,27 @@ def test_factorizer_falls_back_on_quartic_parts_and_large_ends(fallbacks):
     assert factor(cubic) == [([Q(-2), Q(0), Q(0), Q(1)], 2)]
     assert fallbacks == [quartic, large_end]
     assert factor([]) == factor([Q(5)]) == factor([Q(5), Q(0)]) == []
+
+
+def test_a_split_that_needs_the_sympy_fallback(fallbacks):
+    """Two tubes whose J have minimal polynomials x^2 + 1 and x^2 - 2,
+    scrambled together.  A random endomorphism has a quartic minimal
+    polynomial without a rational root, the product of two quadratics;
+    only factoring it splits the module.  Each summand's End is a
+    quadratic field, local but with a semisimple quotient of dimension
+    2, so the trace form does not certify it."""
+    a = build_incidence_algebra(3)
+    tubes = [_tube_module(((0, -1), (1, 0))), _tube_module(((0, 2), (1, 0)))]
+    scrambled = _scrambled(direct_sum(a, tubes), random.Random(11))
+    pieces = krull_schmidt_decompose(a, scrambled)
+    assert [(piece.total_dim, mult, cert) for piece, mult, cert in pieces] == [
+        (12, 1, False),
+        (12, 1, False),
+    ]
+    assert [len(poly) - 1 for poly in fallbacks] == [4]
+    assert [len(f) - 1 for f, _ in reference(fallbacks[0])] == [2, 2]
+    matches = [[is_isomorphic(piece, tube) for tube in tubes] for piece, _, _ in pieces]
+    assert sorted(matches) == [[False, True], [True, False]]
 
 
 def _high_degree_corpus(rng):
