@@ -39,10 +39,14 @@ def check_label(label) -> None:
 
 
 def _single_base(
-    char: ModuleCharacter, base: Optional[FormalCharacter]
+    rs: RootSystem, char: ModuleCharacter, base: Optional[FormalCharacter]
 ) -> FormalCharacter:
-    """The one torus character of a character to be written, with a label
-    that the reader accepts; an empty character needs it given."""
+    """The one torus character of a character to be written over rs, with
+    a label that the reader accepts; an empty character needs it given."""
+    if char and char._rs != rs:
+        raise InputError(
+            f"character is over {char._rs.cartan_type}, not {rs.cartan_type}"
+        )
     bases = set(char._entries)
     if len(bases) > 1:
         raise InputError("cannot serialize a character with mixed torus characters")
@@ -60,7 +64,7 @@ def _single_base(
 def character_to_json(
     rs: RootSystem, char: ModuleCharacter, *, base: Optional[FormalCharacter] = None
 ) -> dict:
-    base = _single_base(char, base)
+    base = _single_base(rs, char, base)
     weights = []
     if char:
         words = char._rs._weyl_table.words
@@ -119,7 +123,7 @@ def character_dumps(
     json.dumps(..., indent=2) writes plus a newline, formatted directly
     for the fixed layout of a character payload from the text of each
     element's word."""
-    base = _single_base(char, base)
+    base = _single_base(rs, char, base)
     weights = "[]"
     if char:
         texts = _word_texts(char._rs)

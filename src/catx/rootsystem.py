@@ -76,7 +76,7 @@ class CartanType:
 
     @classmethod
     def parse(cls, text: str) -> "CartanType":
-        s = text.strip().upper()
+        s = text.strip().upper() if isinstance(text, str) else ""
         if len(s) < 2 or not s[0].isalpha() or not s[1:].isdigit():
             raise InputError(f"cannot parse Cartan type {text!r}")
         return cls(s[0], int(s[1:]))
@@ -373,8 +373,6 @@ def build_root_system(
     cartan_type: CartanType | str, *, allow_large: bool = False
 ) -> RootSystem:
     """Build (or fetch the cached copy of) the root system of a type."""
-    if isinstance(cartan_type, str):
+    if not isinstance(cartan_type, CartanType):
         cartan_type = CartanType.parse(cartan_type)
-    elif not isinstance(cartan_type, CartanType):
-        raise InputError(f"cannot parse Cartan type {cartan_type!r}")
     return _cached_system(cartan_type, allow_large)

@@ -23,6 +23,7 @@ from catx.charcalc import (
 )
 from catx.errors import InputError, ResourceGuardError
 from catx.incidence import (
+    IncidenceAlgebra,
     algebra_radical,
     all_subsets,
     build_incidence_algebra,
@@ -31,7 +32,7 @@ from catx.incidence import (
     krull_schmidt_decompose,
     regular_module,
 )
-from catx.rootsystem import build_root_system
+from catx.rootsystem import CartanType, build_root_system
 from catx.weyl import enumerate_biclosed
 
 CHECKS = ("biclosed", "filtration", "order-axioms", "algebra")
@@ -116,10 +117,10 @@ class SuiteConfig:
         if not self.types:
             self.types = default_types(self.max_rank)
         for t in self.types:
-            rs = build_root_system(t, allow_large=True)
-            if rs.rank > self.max_rank:
+            rank = CartanType.parse(t).rank
+            if rank > self.max_rank:
                 raise InputError(
-                    f"type {t} has rank {rs.rank} above max rank {self.max_rank}"
+                    f"type {t} has rank {rank} above max rank {self.max_rank}"
                 )
 
     def as_dict(self) -> dict:
@@ -142,193 +143,145 @@ def _itheta_sets(rank: int, mode: str):
     return list(all_subsets(rank))
 
 
-def _timed(records: list[dict], producer) -> None:
-    """Run the producer, then attach the wall-clock seconds of that call
-    to every record it yielded."""
-    t0 = time.perf_counter()
-    batch = producer()
+def _timed(records: list[dict], t0: float, batch: list[dict]) -> None:
+    """Attach the wall-clock seconds since t0 to every record of the
+    batch.  Arguments are evaluated left to right, so a call
+    `_timed(records, time.perf_counter(), produce(...))` times produce."""
     dt = round(time.perf_counter() - t0, 6)
     for rec in batch:
         rec["wall_time_s"] = dt
         records.append(rec)
 
 
-def _biclosed_records(cfg: SuiteConfig) -> list[dict]:
-    records: list[dict] = []
-    for t in cfg.types:
-        def produce(t=t):
-            rs = build_root_system(t, allow_large=cfg.allow_large)
-            data = enumerate_biclosed(rs, allow_large=cfg.allow_large)
-            order = rs.cartan_type.weyl_order()
-            missing = [s for s, w in data if w is None]
-            witnesses = [w for _, w in data if w is not None]
-            passed = (
-                not missing
-                and len(data) == order
-                and len(set(witnesses)) == len(data)
-            )
-            counterexample = None
-            if missing:
-                counterexample = {
-                    "set_without_witness": sorted(map(list, missing[0]))
-                }
-            elif not passed:
-                counterexample = {"n_biclosed": len(data), "weyl_order": order}
-            return [
-                {
-                    "check": "biclosed",
-                    "params": {"type": t, "n_positive_roots": len(rs.positive_roots)},
-                    "passed": passed,
-                    "counterexample": counterexample,
-                }
-            ]
-
-        _timed(records, produce)
-    return records
+def _record(check: str, params: dict, passed: bool, counterexample) -> dict:
+    return {
+        "check": check,
+        "params": params,
+        "passed": passed,
+        "counterexample": None if passed else counterexample,
+    }
 
 
-def _filtration_records(cfg: SuiteConfig) -> list[dict]:
+def _biclosed_record(t: str, allow_large: bool) -> dict:
+    rs = build_root_system(t, allow_large=allow_large)
+    data = enumerate_biclosed(rs, allow_large=allow_large)
+    order = rs.cartan_type.weyl_order()
+    missing = [s for s, w in data if w is None]
+    witnesses = [w for _, w in data if w is not None]
+    passed = not missing and len(data) == order and len(set(witnesses)) == len(data)
+    if missing:
+        counterexample = {"set_without_witness": sorted(map(list, missing[0]))}
+    else:
+        counterexample = {"n_biclosed": len(data), "weyl_order": order}
+    params = {"type": t, "n_positive_roots": len(rs.positive_roots)}
+    return _record("biclosed", params, passed, counterexample)
+
+
+def _theta_records(cfg: SuiteConfig) -> list[dict]:
+    """The filtration and order-axiom records, whichever of the two are
+    asked for, in one pass over the types and ithetas."""
     records: list[dict] = []
     for t in cfg.types:
         rs = build_root_system(t, allow_large=cfg.allow_large)
         for itheta in _itheta_sets(rs.rank, cfg.itheta_mode):
             theta = FormalCharacter(cfg.theta_label, itheta)
-            _timed(
-                records,
-                lambda rs=rs, theta=theta: verify_filtration(
-                    rs, theta, jprime_convention=cfg.jprime_convention
-                ),
-            )
+            if "filtration" in cfg.checks:
+                _timed(
+                    records,
+                    time.perf_counter(),
+                    verify_filtration(rs, theta, jprime_convention=cfg.jprime_convention),
+                )
+            if "order-axioms" in cfg.checks:
+                _timed(records, time.perf_counter(), order_axiom_records(rs, theta))
     return records
 
 
-def _order_records(cfg: SuiteConfig) -> list[dict]:
-    records: list[dict] = []
-    for t in cfg.types:
-        rs = build_root_system(t, allow_large=cfg.allow_large)
-        for itheta in _itheta_sets(rs.rank, cfg.itheta_mode):
-            theta = FormalCharacter(cfg.theta_label, itheta)
-            _timed(records, lambda rs=rs, theta=theta: order_axiom_records(rs, theta))
-    return records
+def _dimension_record(a: IncidenceAlgebra) -> dict:
+    _, series = algebra_radical(a)
+    dim_ok = a.dim == 3**a.n
+    series_ok = series[-1] == 0 and all(x > y for x, y in zip(series, series[1:]))
+    return _record(
+        "algebra-dimension",
+        {"n": a.n},
+        dim_ok and series_ok,
+        {"dim": a.dim, "radical_series": series},
+    )
+
+
+def _cartan_record(a: IncidenceAlgebra) -> dict:
+    n = a.n
+    cartan, ext1 = cartan_and_ext(a)
+    det = linalg.det(cartan)
+    contain_ok = all(
+        cartan[i][j] == (1 if y <= z else 0)
+        for i, y in enumerate(a.subsets)
+        for j, z in enumerate(a.subsets)
+    )
+    covering = {p for p in a.basis if p[0] < p[1] and len(p[1] - p[0]) == 1}
+    if n == 0:
+        count_ok = not ext1
+    elif n <= ALGEBRA_EXT_MAX:
+        count_ok = len(ext1) == n * 2 ** (n - 1)
+    else:
+        count_ok = True
+    ext_ok = set(ext1) == covering and count_ok
+    return _record(
+        "algebra-cartan",
+        {"n": n},
+        det == 1 and contain_ok and ext_ok,
+        {
+            "determinant": str(det),
+            "containment_matches": contain_ok,
+            "ext_count": len(ext1),
+        },
+    )
+
+
+def _heredity_record(a: IncidenceAlgebra) -> dict:
+    result = heredity_chain_check(a)
+    return _record(
+        "algebra-heredity", {"n": a.n}, result["passed"], {"layers": result["layers"]}
+    )
+
+
+def _split_record(a: IncidenceAlgebra, seed: int) -> dict:
+    parts = krull_schmidt_decompose(a, regular_module(a), seed=seed)
+    got = sorted((m.total_dim, mult, cert) for m, mult, cert in parts)
+    want = sorted((2 ** (a.n - len(y)), 1, True) for y in a.subsets)
+    return _record(
+        "algebra-regular-split",
+        {"n": a.n, "seed": seed},
+        got == want,
+        {"summands": [list(x) for x in got]},
+    )
 
 
 def _algebra_records(cfg: SuiteConfig) -> list[dict]:
+    """Per n, one incidence algebra and every algebra check on it; the
+    dimension record's time includes the build."""
     records: list[dict] = []
-
     for n in range(ALGEBRA_DIM_MAX + 1):
-        def produce_dim(n=n):
-            a = build_incidence_algebra(n)
-            _, series = algebra_radical(a)
-            dim_ok = a.dim == 3**n
-            series_ok = series[-1] == 0 and all(
-                x > y for x, y in zip(series, series[1:])
-            )
-            passed = dim_ok and series_ok
-            return [
-                {
-                    "check": "algebra-dimension",
-                    "params": {"n": n},
-                    "passed": passed,
-                    "counterexample": None
-                    if passed
-                    else {"dim": a.dim, "radical_series": series},
-                }
-            ]
-
-        _timed(records, produce_dim)
-
-    for n in range(ALGEBRA_CARTAN_MAX + 1):
-        def produce_cartan(n=n):
-            a = build_incidence_algebra(n)
-            cartan, ext1 = cartan_and_ext(a)
-            det = linalg.det(cartan)
-            contain_ok = all(
-                cartan[i][j] == (1 if y <= z else 0)
-                for i, y in enumerate(a.subsets)
-                for j, z in enumerate(a.subsets)
-            )
-            covering = {
-                p for p in a.basis if p[0] < p[1] and len(p[1] - p[0]) == 1
-            }
-            if n == 0:
-                count_ok = not ext1
-            elif n <= ALGEBRA_EXT_MAX:
-                count_ok = len(ext1) == n * 2 ** (n - 1)
-            else:
-                count_ok = True
-            ext_ok = set(ext1) == covering and count_ok
-            passed = det == 1 and contain_ok and ext_ok
-            return [
-                {
-                    "check": "algebra-cartan",
-                    "params": {"n": n},
-                    "passed": passed,
-                    "counterexample": None
-                    if passed
-                    else {
-                        "determinant": str(det),
-                        "containment_matches": contain_ok,
-                        "ext_count": len(ext1),
-                    },
-                }
-            ]
-
-        _timed(records, produce_cartan)
-
-    for n in range(ALGEBRA_HEREDITY_MAX + 1):
-        def produce_heredity(n=n):
-            result = heredity_chain_check(build_incidence_algebra(n))
-            return [
-                {
-                    "check": "algebra-heredity",
-                    "params": {"n": n},
-                    "passed": result["passed"],
-                    "counterexample": None
-                    if result["passed"]
-                    else {"layers": result["layers"]},
-                }
-            ]
-
-        _timed(records, produce_heredity)
-
-    for n in range(1, ALGEBRA_SPLIT_MAX + 1):
-        def produce_split(n=n):
-            a = build_incidence_algebra(n)
-            parts = krull_schmidt_decompose(a, regular_module(a), seed=cfg.seed)
-            got = sorted(
-                (m.total_dim, mult, cert) for m, mult, cert in parts
-            )
-            want = sorted((2 ** (n - len(y)), 1, True) for y in a.subsets)
-            passed = got == want
-            return [
-                {
-                    "check": "algebra-regular-split",
-                    "params": {"n": n, "seed": cfg.seed},
-                    "passed": passed,
-                    "counterexample": None
-                    if passed
-                    else {"summands": [list(x) for x in got]},
-                }
-            ]
-
-        _timed(records, produce_split)
-
+        t0 = time.perf_counter()
+        a = build_incidence_algebra(n)
+        _timed(records, t0, [_dimension_record(a)])
+        if n <= ALGEBRA_CARTAN_MAX:
+            _timed(records, time.perf_counter(), [_cartan_record(a)])
+        if n <= ALGEBRA_HEREDITY_MAX:
+            _timed(records, time.perf_counter(), [_heredity_record(a)])
+        if 1 <= n <= ALGEBRA_SPLIT_MAX:
+            _timed(records, time.perf_counter(), [_split_record(a, cfg.seed)])
     return records
-
-
-_PRODUCERS = {
-    "biclosed": _biclosed_records,
-    "filtration": _filtration_records,
-    "order-axioms": _order_records,
-    "algebra": _algebra_records,
-}
 
 
 def run_suite(cfg: SuiteConfig) -> dict:
     records: list[dict] = []
-    for check in CHECKS:
-        if check in cfg.checks:
-            records.extend(_PRODUCERS[check](cfg))
+    if "biclosed" in cfg.checks:
+        for t in cfg.types:
+            _timed(records, time.perf_counter(), [_biclosed_record(t, cfg.allow_large)])
+    if "filtration" in cfg.checks or "order-axioms" in cfg.checks:
+        records += _theta_records(cfg)
+    if "algebra" in cfg.checks:
+        records += _algebra_records(cfg)
     records.sort(key=lambda r: (r["check"], json.dumps(r["params"], sort_keys=True)))
     return {
         "report_schema": REPORT_SCHEMA_ID,

@@ -899,6 +899,20 @@ def test_decomposition_and_filtration_never_call_weight_lt(monkeypatch):
     assert dec.factors == {(theta, k): 1 for k in subsets_of([1, 2, 4])}
 
 
+def test_filtration_builds_no_character_per_subset(monkeypatch):
+    # the simple characters are summed as their memoised id tuples
+    def refuse(*args, **kwargs):
+        raise AssertionError("a simple character was built or summed per subset")
+
+    monkeypatch.setattr("catx.charcalc.simple_character", refuse)
+    monkeypatch.setattr(ModuleCharacter, "sum", staticmethod(refuse))
+    rs = build_root_system("B3")
+    theta = theta_for(rs, [1, 2])
+    assert all(r["passed"] for r in verify_filtration(rs, theta))
+    rejected = verify_filtration(rs, theta, jprime_convention="i-minus-j")
+    assert len(rejected) == 16 and not all(r["passed"] for r in rejected)
+
+
 def test_hot_paths_build_no_weight_objects(monkeypatch, tmp_path, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("a weight object was built on a hot path")

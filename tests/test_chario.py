@@ -98,6 +98,20 @@ def test_character_writers_refuse_a_label_the_reader_refuses():
     assert character_loads(rs, text)[1] == theta
 
 
+def test_character_writers_refuse_a_character_over_another_system():
+    # the words come from the character's own group, so the file would
+    # name one type and hold the words of another
+    b3, a3 = build_root_system("B3"), build_root_system("A3")
+    theta = FormalCharacter("theta", frozenset([1, 2, 3]))
+    char = costandard_character(b3, theta, [1])
+    for write in (character_dumps, character_to_json):
+        with pytest.raises(InputError, match="character is over B3, not A3"):
+            write(a3, char)
+    assert json.loads(character_dumps(b3, char))["type"] == "B3"
+    # an empty character carries no words, so any system may record it
+    assert character_to_json(a3, ModuleCharacter(), base=theta)["type"] == "A3"
+
+
 def test_character_payload_validation():
     rs = build_root_system("A2")
     good = {"type": "A2", "label": "theta", "itheta": [], "weights": []}

@@ -14,6 +14,7 @@ import time
 import pytest
 
 from catx.cli import main
+from catx.verify import SuiteConfig, run_suite
 
 
 def sha256(text):
@@ -91,6 +92,26 @@ def test_verify_rank5_records_digest(tmp_path, cartan, digest):
     assert len(records) == 1036
     canon = json.dumps(records, sort_keys=True, separators=(",", ":"))
     assert sha256(canon) == digest
+
+
+def test_rejected_convention_records_digest():
+    # a failing sweep: the multiset differences, the counting sides and
+    # the decomposition diagnostics of the rejected convention
+    cfg = SuiteConfig(
+        types=("A2", "B3", "C3", "G2"),
+        checks=("filtration",),
+        jprime_convention="i-minus-j",
+    )
+    records = without_timings(run_suite(cfg)["records"])
+    assert len(records) == 288
+    failing = {r["check"] for r in records if not r["passed"]}
+    assert failing == {
+        "costandard-decomposition",
+        "filtration-counting",
+        "filtration-multiset",
+    }
+    canon = json.dumps(records, sort_keys=True, separators=(",", ":"))
+    assert sha256(canon) == "27d330b23b5b008938b5369e1365fd0a14d221d77b9671384aa0abda07f13134"
 
 
 def test_verify_d6_filtration_records_digest(tmp_path):

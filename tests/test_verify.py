@@ -4,8 +4,10 @@ from pathlib import Path
 import pytest
 
 import catx
+import catx.verify
 from catx.errors import InputError, ResourceGuardError
 from catx.verify import (
+    ALGEBRA_DIM_MAX,
     CHECKS,
     REPORT_SCHEMA_ID,
     SuiteConfig,
@@ -49,6 +51,37 @@ def test_suite_config_validation():
     for bad in ({"max_rank": True}, {"seed": True}, {"max_rank": 2.0}, {"seed": "1"}):
         with pytest.raises(InputError):
             SuiteConfig(**bad)
+
+
+def test_suite_config_reads_ranks_without_building_root_systems(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("SuiteConfig built a root system")
+
+    monkeypatch.setattr(catx.verify, "build_root_system", refuse)
+    cfg = SuiteConfig(types=("E6", "A1"), max_rank=6, allow_large=True)
+    assert cfg.types == ("E6", "A1")
+    for types, message in (
+        (("XY",), "cannot parse Cartan type 'XY'"),
+        (("Z9",), "unknown family 'Z'"),
+        (("A0",), "invalid rank 0 for family A"),
+        (("A4",), "type A4 has rank 4 above max rank 3"),
+    ):
+        with pytest.raises(InputError, match=message):
+            SuiteConfig(types=types, max_rank=3)
+
+
+def test_algebra_check_builds_each_algebra_once(monkeypatch):
+    built = []
+    build = catx.verify.build_incidence_algebra
+
+    def counting(n, **kwargs):
+        built.append(n)
+        return build(n, **kwargs)
+
+    monkeypatch.setattr(catx.verify, "build_incidence_algebra", counting)
+    records = catx.verify._algebra_records(SuiteConfig(types=("A1",), checks=("algebra",)))
+    assert built == list(range(ALGEBRA_DIM_MAX + 1))
+    assert len(records) == 7 + 6 + 5 + 2
 
 
 def test_run_suite_a1_all_checks():
