@@ -19,9 +19,12 @@ Inside this module and `catx.chario` a weight is one int.  With the ids
 of the group table (`catx.weyl`), the weight with coset representative
 id r and second component id v packs as r * |W| + v, and a
 `ModuleCharacter` stores {torus character: {packed weight: mult}}.  The
-character builders, the simple-character memo, the decomposition (with
-one count of the weights left per support mask), the order rows and
-verdict, and the character files all run on these ints.
+character builders, the decomposition (with one count of the weights
+left per support mask), the order rows and verdict, and the character
+files all run on these ints.  Every standard family is a union of
+right-descent classes of the group, read off one table per itheta mask
+(`_class_ids`), which the root system's memo keeps beside one word rank
+and the support of every element.
 `Weight` and `TwistedCharacter` objects are built only at the edges: the
 public accessors of `ModuleCharacter`, `weight_universe`, `weight_lt`,
 and the repr of a weight named in a counterexample or diagnostic.
@@ -408,58 +411,63 @@ def weight_lt(a: Weight, b: Weight) -> bool:
 
 def _coset_mins(rs: RootSystem, mask: int) -> list[int]:
     """Per element id a, the id of the minimal element of a's left coset
-    modulo the subgroup on the simple indices of the mask; one list per
-    mask, kept on the root system's memo.
+    modulo the subgroup on the simple indices of the mask.
 
     Built in id order: ids increase with length, so for a right descent
     s_i of a inside the mask, a * s_i is shorter, already filled in, and
-    in the same coset.  Mask 0 gives the identity list, and every other
-    list starts as a copy of it, so all of them share its int objects."""
+    in the same coset."""
+    table = group_table(rs)
+    rmul = table.rmul
+    out = list(range(len(table.elements)))
+    for a, d in enumerate(table.descents):
+        if down := d & mask:
+            out[a] = out[rmul[(down & -down).bit_length()][a]]
+    return out
+
+
+def _class_ids(rs: RootSystem, mask: int) -> list[list[int]]:
+    """The group split into right-descent classes, as packed weights over
+    an itheta with this mask: list d holds, in id order, the weight
+    (minimum of x's coset, x^{-1}) of each x whose right-descent mask is
+    d.  One table per mask, kept on the root system's memo; the coset
+    minima it is built from are dropped."""
     memo = rs._weyl_memo
-    key = (_coset_mins, mask)
+    key = (_class_ids, mask)
     if key not in memo:
         table = group_table(rs)
-        if mask:
-            rmul = table.rmul
-            out = _coset_mins(rs, 0).copy()
-            for a, d in enumerate(table.descents):
-                if down := d & mask:
-                    out[a] = out[rmul[(down & -down).bit_length()][a]]
-        else:
-            out = list(range(len(table.elements)))
-        memo[key] = out
+        n, inverse = len(table.elements), table.inverse
+        classes = [[] for _ in range(1 << rs.cartan_type.rank)]
+        for x, (r, d) in enumerate(zip(_coset_mins(rs, mask), table.descents)):
+            classes[d].append(r * n + inverse[x])
+        memo[key] = classes
     return memo[key]
 
 
-def _coset_tops(rs: RootSystem, jj: frozenset[int]) -> tuple[list[int], list[int]]:
-    """The ids of the minimal coset representatives w of J, in id order,
-    and at the same places the ids of w * w_J, the longest elements of
-    their cosets: one group product per representative, kept on the root
-    system's memo per mask of J and shared by every itheta."""
-    memo = rs._weyl_memo
-    mask = _index_mask(jj)
-    key = (_coset_tops, mask)
-    if key not in memo:
-        table = group_table(rs)
-        wj = _element_id(table, longest_element(rs, jj))
-        product = table.product
-        reps = [a for a, d in zip(_coset_mins(rs, 0), table.descents) if not d & mask]
-        memo[key] = reps, [product(w, wj) for w in reps]
-    return memo[key]
+# Every family is a union of right-descent classes.  As w runs over the
+# minimal representatives of the left cosets of W_J, x = w * w_J runs
+# over exactly the elements with J inside their right descent set D_R(x)
+# (Bjorner-Brenti, Combinatorics of Coxeter Groups, section 2.4), and
+# w_J * w^{-1} = x^{-1}.  With J inside I = itheta, w and x share a coset
+# of W_I, so each x gives the weight (theta^x, x^{-1}), and:
+#   induced at J:    J inside D_R(x);
+#   simple at J:     D_R(x) & I = J;
+#   costandard at J: D_R(x) & J' empty (x = w itself), either convention.
+# Distinct x give distinct second components: every multiplicity is one.
+
+
+def _family_ids(
+    rs: RootSystem, theta: FormalCharacter, mask: int, want: int
+) -> list[int]:
+    """The packed weights of the x whose right-descent mask d has
+    d & mask == want, class by class in order of d."""
+    classes = _class_ids(rs, _index_mask(theta.itheta))
+    return [p for d, ids in enumerate(classes) if d & mask == want for p in ids]
 
 
 def _family(
     rs: RootSystem, theta: FormalCharacter, ids: Iterable[int]
 ) -> ModuleCharacter:
     return ModuleCharacter._of(rs, {theta: dict.fromkeys(ids, 1)})
-
-
-# The induced and simple families pair theta twisted by a representative
-# w with w_J * w^{-1}.  w_J is an involution (its inverse is as long, and
-# W_J has one longest element), so w_J * w^{-1} = (w * w_J)^{-1}: the
-# inverse of the coset top, one lookup in the table.  Distinct
-# representatives give distinct second components, so each weight has
-# multiplicity one.
 
 
 def induced_character(
@@ -470,22 +478,8 @@ def induced_character(
     One weight per minimal coset representative w: theta twisted by w,
     paired with w_J w^{-1}.
     """
-    jj = _check_j(rs, theta, j)
-    table = group_table(rs)
-    n, inverse = len(table.elements), table.inverse
-    m = _coset_mins(rs, _index_mask(theta.itheta))
-    reps, tops = _coset_tops(rs, jj)
-    return _family(rs, theta, [m[w] * n + inverse[x] for w, x in zip(reps, tops)])
-
-
-def _simple_pairs(
-    rs: RootSystem, theta: FormalCharacter, jj: frozenset[int]
-) -> list[tuple[int, int]]:
-    """The pairs (w, w * w_J) of `_coset_tops` at J whose second member
-    has every right descent inside J or outside itheta."""
-    refused = _index_mask(theta.itheta - jj)
-    descents = group_table(rs).descents
-    return [(w, x) for w, x in zip(*_coset_tops(rs, jj)) if not descents[x] & refused]
+    jmask = _index_mask(_check_j(rs, theta, j))
+    return _family(rs, theta, _family_ids(rs, theta, jmask, jmask))
 
 
 def simple_coset_reps(
@@ -494,37 +488,26 @@ def simple_coset_reps(
     """The representatives indexing the simple character at (theta, J).
 
     Keeps w in the minimal coset representatives whose product with w_J
-    has every right descent inside J or outside itheta.
+    has every right descent inside J or outside itheta: the minima under
+    J of the tops x of the simple character's weights, in id order.
     """
     jj = _check_j(rs, theta, j)
-    elements = group_table(rs).elements
-    return tuple(elements[w] for w, _ in _simple_pairs(rs, theta, jj))
+    table = group_table(rs)
+    n, inverse, jmask = len(table.elements), table.inverse, _index_mask(jj)
+    reps = [table.minimize(inverse[p % n], jmask) for p in _simple_ids(rs, theta, jj)]
+    return tuple(table.elements[w] for w in sorted(reps))
 
 
-def _simple_ids(
-    rs: RootSystem, theta: FormalCharacter, jj: frozenset[int]
-) -> tuple[int, ...]:
-    """The packed weights of the simple character at (theta, J), each of
-    multiplicity one, memoised on the root system under the masks of
-    itheta and J: the ids do not depend on theta's label, so the memo
-    holds at most 3^rank entries."""
-    memo = rs._weyl_memo
-    mask = _index_mask(theta.itheta)
-    key = (_simple_ids, mask, _index_mask(jj))
-    if key not in memo:
-        table = group_table(rs)
-        n, inverse = len(table.elements), table.inverse
-        m = _coset_mins(rs, mask)
-        memo[key] = tuple(m[w] * n + inverse[x] for w, x in _simple_pairs(rs, theta, jj))
-    return memo[key]
+def _simple_ids(rs: RootSystem, theta: FormalCharacter, jj: frozenset[int]) -> list[int]:
+    """The packed weights of the simple character at (theta, J)."""
+    return _family_ids(rs, theta, _index_mask(theta.itheta), _index_mask(jj))
 
 
 def simple_character(
     rs: RootSystem, theta: FormalCharacter, j: Iterable[int]
 ) -> ModuleCharacter:
     """Character of the simple quotient at (theta, J)."""
-    jj = _check_j(rs, theta, j)
-    return _family(rs, theta, _simple_ids(rs, theta, jj))
+    return _family(rs, theta, _simple_ids(rs, theta, _check_j(rs, theta, j)))
 
 
 def _jprime(
@@ -560,11 +543,7 @@ def costandard_character(
             f"expected one of {JPRIME_CONVENTIONS}"
         )
     jprime = _jprime(rs, theta, _check_j(rs, theta, j), jprime_convention)
-    table = group_table(rs)
-    n, inverse = len(table.elements), table.inverse
-    m = _coset_mins(rs, _index_mask(theta.itheta))
-    reps, _ = _coset_tops(rs, jprime)
-    return _family(rs, theta, [m[w] * n + inverse[w] for w in reps])
+    return _family(rs, theta, _family_ids(rs, theta, _index_mask(jprime), 0))
 
 
 # ----------------------------------------------------------------------
@@ -806,8 +785,16 @@ def verify_filtration(
     is their count); decomposing the costandard character returns exactly
     the subsets of J with multiplicity one; decomposing the induced
     character returns exactly the supersets of J inside itheta with
-    multiplicity one.  The simple characters are read as their memoised
-    packed ids (`_simple_ids`), and summed as one count per id.
+    multiplicity one.  The simple characters are read as their packed
+    ids (`_simple_ids`), and summed as one count per id.
+
+    Every family here is a union of right-descent classes (see the note
+    above `_family_ids`).  Under the adopted convention the costandard
+    family at J, the x with D_R(x) & (itheta - J) empty, is the disjoint
+    union of the simple ones at the subsets K of J, the x with
+    D_R(x) & itheta = K.  So the multiset and counting records pass by
+    that lemma, and fail only under the rejected convention; the tests
+    pin the definition through w * w_J by multiplying in the group.
 
     Returns one JSON-ready record per (J, check).
     """

@@ -342,9 +342,12 @@ def module_from_json(data: dict, *, allow_large: bool = False) -> AlgebraModule:
     algebra = build_incidence_algebra(n, allow_large=allow_large)
     if not isinstance(data["dims"], dict) or not isinstance(data["maps"], dict):
         raise InputError("dims and maps must be objects")
-    dims = {}
+    # a second spelling of one subset or pair would replace the first
+    dims, tags = {}, {}
     for tag, d in data["dims"].items():
         y = _parse_subset(tag, n, "dims")
+        if tags.setdefault(y, tag) != tag:
+            raise InputError(f"dims keys {tags[y]!r} and {tag!r} name one subset")
         if isinstance(d, bool) or not isinstance(d, int) or d < 0:
             raise InputError(f"dims[{tag!r}] must be a non-negative int")
         dims[y] = d
@@ -355,6 +358,8 @@ def module_from_json(data: dict, *, allow_large: bool = False) -> AlgebraModule:
         left, right = tag.split("->", 1)
         y = _parse_subset(left, n, "maps")
         z = _parse_subset(right, n, "maps")
+        if tags.setdefault((y, z), tag) != tag:
+            raise InputError(f"maps keys {tags[y, z]!r} and {tag!r} name one pair")
         if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
             raise InputError(f"maps[{tag!r}] must be a matrix")
         maps[(y, z)] = [

@@ -208,6 +208,8 @@ def heredity_chain_check(a: IncidenceAlgebra) -> dict:
 
 
 def _as_matrix(rows, nr: int, nc: int, what: str) -> list[list[Q]]:
+    if any(isinstance(x, (bool, float)) for row in rows for x in row):
+        raise InputError(f"{what}: a bool or float entry is not exact")
     m = [[Q(x) for x in row] for row in rows]
     if len(m) != nr or any(len(row) != nc for row in m):
         raise InputError(f"{what}: expected shape {nr}x{nc}")
@@ -232,9 +234,9 @@ class AlgebraModule:
         self.algebra = algebra
         self.dims: dict[Subset, int] = {}
         for y in algebra.subsets:
-            d = int(dims.get(y, 0))
-            if d < 0:
-                raise InputError(f"dimension at {sorted(y)} must be >= 0")
+            d = dims.get(y, 0)
+            if isinstance(d, bool) or not isinstance(d, int) or d < 0:
+                raise InputError(f"dimension at {sorted(y)} must be an int >= 0: {d!r}")
             self.dims[y] = d
         extra = set(dims) - set(algebra.subsets)
         if extra:

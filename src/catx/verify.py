@@ -122,6 +122,10 @@ class SuiteConfig:
                 raise InputError(
                     f"type {t} has rank {rank} above max rank {self.max_rank}"
                 )
+        names = [str(CartanType.parse(t)) for t in self.types]
+        if len(set(names)) < len(names):
+            raise InputError(f"types {list(self.types)} list one type twice")
+        self.types = tuple(names)
 
     def as_dict(self) -> dict:
         """The fields by name, in the order of the report's `config` block."""

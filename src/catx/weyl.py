@@ -452,12 +452,11 @@ def group_table(rs: RootSystem) -> _GroupTable:
 # guard then refuses oversize groups).  The memo holds at most three
 # entries per subset of the simple indices, plus the per-element kept-root
 # masks below.  `catx.charcalc` keeps its own entries here too: one word
-# rank, the support of every element, the coset minimum of every element
-# per mask, the minimal coset representatives w and the ids of w * w_J
-# per J, and one simple character per pair of masks of itheta and J, held
-# as packed integer ids; `catx.chario` keeps the text of every canonical
-# word and the id of every canonical word.  Each per-element table holds
-# one entry per group element.
+# rank, the support of every element, and per mask of itheta one table
+# of the right-descent classes, each element's weight held as a packed
+# integer id; `catx.chario` keeps the text of every canonical word and
+# the id of every canonical word.  Each per-element table, and each
+# class table taken whole, holds one entry per group element.
 
 
 def _memoized(build, rs: RootSystem, subset: Iterable[int]):

@@ -22,12 +22,11 @@ from catx.charcalc import (
     weight_sort_key,
     weight_universe,
     _candidates,
+    _class_ids,
     _coset_mins,
-    _coset_tops,
     _maximal,
     _order_rows,
     _order_verdict,
-    _simple_ids,
     _supports,
     _universe_ids,
     _weight_of,
@@ -1015,14 +1014,14 @@ def test_simple_character_memo_is_keyed_on_masks_not_labels():
     a = FormalCharacter("a", frozenset({1, 3}))
     b = FormalCharacter("b", frozenset({1, 3}))
 
-    def simple_keys():
-        return {k for k in rs._weyl_memo if isinstance(k, tuple) and k[0] is _simple_ids}
+    def table_keys():
+        return {k for k in rs._weyl_memo if isinstance(k, tuple) and k[0] is _class_ids}
 
     dec_a = decompose_character(rs, costandard_character(rs, a, [1, 3]))
-    grown = simple_keys()
-    assert len(grown) == 4  # one per subset of J
+    grown = table_keys()
+    assert grown == {(_class_ids, _index_mask({1, 3}))}  # one per itheta mask
     dec_b = decompose_character(rs, costandard_character(rs, b, [1, 3]))
-    assert simple_keys() == grown
+    assert table_keys() == grown
     assert dec_a.ok and dec_a.factors == {(a, k): 1 for k in subsets_of([1, 3])}
     assert dec_b.ok and dec_b.factors == {(b, k): 1 for k in subsets_of([1, 3])}
     both = costandard_character(rs, a, [1]) + costandard_character(rs, b, [3])
@@ -1030,7 +1029,7 @@ def test_simple_character_memo_is_keyed_on_masks_not_labels():
     assert dec.ok
     assert dec.factors == {(a, frozenset()): 1, (a, frozenset({1})): 1,
                            (b, frozenset()): 1, (b, frozenset({3})): 1}
-    assert simple_keys() == grown
+    assert table_keys() == grown
     assert set(simple_character(rs, b, [1])._entries) == {b}
 
 
@@ -1075,7 +1074,7 @@ def test_families_match_the_two_walk_formula(name, monkeypatch):
                 reference(itheta, min_coset_reps(rs, frozenset(rs.simple_indices) - j), 0),
             )
             assert list(simple_coset_reps(rs, theta_for(rs, itheta), j)) == simple
-        _coset_tops(rs, itheta)
+        _class_ids(rs, _index_mask(itheta))
 
     # once the tables are built, the families only look up
     def refuse(*args):
@@ -1083,6 +1082,12 @@ def test_families_match_the_two_walk_formula(name, monkeypatch):
 
     monkeypatch.setattr(_GroupTable, "minimize", refuse)
     monkeypatch.setattr(_GroupTable, "product", refuse)
+    # each family lists its weights class by class: by the right-descent
+    # mask of the top x (the inverse of the second component), then by x
+    def class_order(p):
+        x = inverse[p % n]
+        return table.descents[x], x
+
     for (itheta, j), (m, e, nabla, rejected) in want.items():
         theta = theta_for(rs, itheta)
         got = (
@@ -1092,6 +1097,6 @@ def test_families_match_the_two_walk_formula(name, monkeypatch):
             costandard_character(rs, theta, j, jprime_convention="i-minus-j"),
         )
         for char, ids in zip(got, (m, e, nabla, rejected)):
-            assert list(char._entries.get(theta, {}).items()) == [(p, 1) for p in ids], (
-                sorted(itheta), sorted(j)
-            )
+            assert list(char._entries.get(theta, {}).items()) == [
+                (p, 1) for p in sorted(ids, key=class_order)
+            ], (sorted(itheta), sorted(j))

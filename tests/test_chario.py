@@ -321,3 +321,33 @@ def test_module_payload_validation():
         with pytest.raises(InputError):
             module_loads(json.dumps(corrupt))
         module_loads(json.dumps(corrupt).replace("true", "1"))
+
+
+def test_module_reader_refuses_an_entry_spelled_twice():
+    # a second spelling of one subset or covering pair used to replace the
+    # first silently: dimension 2 at {1,2}, and a module with no map
+    for payload, keys in (
+        ({"n": 2, "dims": {"[1,2]": 1, "[2,1]": 2}, "maps": {}}, ("[1,2]", "[2,1]")),
+        (
+            {"n": 1, "dims": {"[]": 1, "[1]": 1},
+             "maps": {"[]->[1]": [[1]], "[] -> [1]": [[0]]}},
+            ("[]->[1]", "[] -> [1]"),
+        ),
+    ):
+        with pytest.raises(InputError) as err:
+            module_loads(json.dumps(payload))
+        assert all(repr(k) in str(err.value) for k in keys), err.value
+    # a non-canonical tag that occurs once still reads
+    once = module_loads(json.dumps(
+        {"n": 2, "dims": {"[2,1]": 1, "[1]": 1}, "maps": {"[1] -> [2,1]": [[1]]}}
+    ))
+    assert once.dims[frozenset({1, 2})] == 1
+    assert once.covering_map(frozenset({1}), frozenset({1, 2})) == [[Q(1)]]
+
+
+def test_algebra_command_refuses_a_module_entry_spelled_twice(tmp_path):
+    from catx.cli import main
+
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps({"n": 2, "dims": {"[1,2]": 1, "[2,1]": 2}, "maps": {}}))
+    assert main(["algebra", "--n", "2", "--module", str(path)]) == 2

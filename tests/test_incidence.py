@@ -632,3 +632,18 @@ def test_splitting_modules_does_not_import_sympy(tmp_path):
     algebra_calls, algebra_sympy = after_algebra.split()
     assert 0 < int(verify_calls) < int(algebra_calls)
     assert verify_sympy == algebra_sympy == "False"
+
+
+def test_module_refuses_inexact_dimensions_and_entries():
+    a = build_incidence_algebra(1)
+    # int(True) is 1 and int(1.9) is 1, and Fraction(0.1) is the binary
+    # value of the float: none of them is exact input
+    for dims in ({E: True}, {E: 1.9}, {E: 1.0}, {E: "1"}):
+        with pytest.raises(InputError):
+            AlgebraModule(a, dims)
+    for entry in (0.1, 1.0, True, False):
+        with pytest.raises(InputError):
+            AlgebraModule(a, {E: 1, S1: 1}, {(E, S1): [[entry]]})
+    ok = AlgebraModule(a, {E: 1, S1: 1}, {(E, S1): [["1/3"]]})
+    assert ok.covering_map(E, S1) == [[Q(1, 3)]]
+    assert AlgebraModule(a, {E: 1, S1: 1}, {(E, S1): [[2]]}).covering_map(E, S1) == [[Q(2)]]

@@ -159,3 +159,30 @@ def test_report_dumps_and_csv():
     assert len(lines) == 1 + len(report["records"])
     assert lines[1].startswith("biclosed,")
     assert ",pass," in lines[1]
+
+
+def test_a_type_is_verified_once_under_its_canonical_name():
+    assert SuiteConfig(types=("a2", " b3")).types == ("A2", "B3")
+    for types in (("a2", "A2"), ("A2", "a2 ")):
+        with pytest.raises(InputError, match="list one type twice"):
+            SuiteConfig(types=types)
+    report = run_suite(SuiteConfig(types=("a2",), checks=("biclosed", "filtration")))
+    assert {r["params"]["type"] for r in report["records"]} == {"A2"}
+    assert report["config"]["types"] == ["A2"]
+    from catx.cli import main
+
+    assert main(["verify", "--types", "a2,A2", "--checks", "biclosed,filtration"]) == 2
+
+
+def test_filtration_sweep_keeps_one_class_table_per_itheta():
+    from catx.cli import main
+    from catx.rootsystem import build_root_system
+
+    args = ["verify", "--types", "D4", "--checks", "filtration,order-axioms", "--max-rank", "4"]
+    assert main(args) == 0
+    kinds: dict[str, set] = {}
+    for key in build_root_system("D4")._weyl_memo:
+        if isinstance(key, tuple):
+            kinds.setdefault(key[0].__name__, set()).add(key[1])
+    assert kinds.get("_class_ids") == set(range(16))
+    assert not {"_coset_mins", "_coset_tops", "_simple_ids"} & kinds.keys()
