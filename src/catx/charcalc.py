@@ -23,8 +23,11 @@ character builders, the decomposition (with one count of the weights
 left per support mask), the order rows and verdict, and the character
 files all run on these ints.  Every standard family is a union of
 right-descent classes of the group, read off one table per itheta mask
-(`_class_ids`), which the root system's memo keeps beside one word rank
-and the support of every element.
+(`_class_ids`).  Under the adopted convention a family is the |W:W_I|
+translates of its slice at the identity coset, so the filtration sweep
+reads the classes of W_I alone (`_slice_ids`, |W_I| ids per table).  The
+root system's memo keeps these tables beside one word rank, the support
+of every element and the decomposition candidates of each itheta mask.
 `Weight` and `TwistedCharacter` objects are built only at the edges: the
 public accessors of `ModuleCharacter`, `weight_universe`, `weight_lt`,
 and the repr of a weight named in a counterexample or diagnostic.
@@ -154,11 +157,6 @@ class TwistedCharacter:
         return f"{self.base!r}^{self.coset_rep!r}"
 
 
-def canonical_twist(tc: TwistedCharacter, v: WeylElement) -> TwistedCharacter:
-    """Twist by a further element; twists compose through left products."""
-    return TwistedCharacter.of(tc.base, v * tc.coset_rep)
-
-
 class Weight:
     """A twisted character paired with a group element.
 
@@ -190,19 +188,6 @@ class Weight:
         return f"({self.tchar!r}, {self.v!r})"
 
 
-def weight_sort_key(w: Weight):
-    rep_word = w.tchar.coset_rep.word
-    v_word = w.v.word
-    return (
-        w.tchar.base.label,
-        tuple(sorted(w.tchar.base.itheta)),
-        len(rep_word),
-        rep_word,
-        len(v_word),
-        v_word,
-    )
-
-
 # ----------------------------------------------------------------------
 # weights as packed integer ids
 
@@ -221,10 +206,11 @@ def _weight_of(rs: RootSystem, base: FormalCharacter, packed: int) -> Weight:
 
 
 def _id_sort_key(rs: RootSystem) -> Callable[[int], int]:
-    """Sort key on the packed ids of one base that orders them exactly as
-    `weight_sort_key` orders their weights: the rank of each id when the
-    ids are sorted by (len(word), word), kept on the root system's memo,
-    one list per system."""
+    """Sort key on the packed ids of one base that orders their weights by
+    the canonical word of the coset representative, then by that of the
+    second component, each shorter first and then lexicographically: the
+    rank of each id when the ids are sorted by (len(word), word), kept on
+    the root system's memo, one list per system."""
     memo = rs._weyl_memo
     if _id_sort_key not in memo:
         words = rs._weyl_table.words
@@ -250,7 +236,9 @@ class ModuleCharacter:
     objects are packed on construction, enumerating the group of a
     system that has no table yet under its order guard.  The accessors
     `mapping`, `items`, `weights` and `get` speak in `Weight` objects and
-    build them on each call; `items` orders them by `weight_sort_key`.
+    build them on each call; `items` orders them by torus character (label,
+    then sorted itheta), then by the canonical words of the coset
+    representative and of the second component (`_id_sort_key`).
     """
 
     __slots__ = ("_rs", "_entries")
@@ -443,6 +431,26 @@ def _class_ids(rs: RootSystem, mask: int) -> list[list[int]]:
     return memo[key]
 
 
+def _slice_ids(rs: RootSystem, mask: int) -> list[list[int]]:
+    """The classes of `_class_ids` cut down to the subgroup W_I on the
+    itheta of this mask: list d holds, in id order, the weight
+    (theta, x^{-1}) of each x in W_I whose right-descent mask is d,
+    packed as the id of x^{-1}.  These are the untwisted weights of the
+    full table, |W_I| of them.  One table per mask, kept on the root
+    system's memo."""
+    memo = rs._weyl_memo
+    key = (_slice_ids, mask)
+    if key not in memo:
+        table = group_table(rs)
+        itheta = [i for i in rs.simple_indices if mask >> (i - 1) & 1]
+        classes = [[] for _ in range(1 << rs.cartan_type.rank)]
+        for x in weyl_subgroup(rs, itheta):  # in id order
+            x = _element_id(table, x)
+            classes[table.descents[x]].append(table.inverse[x])
+        memo[key] = classes
+    return memo[key]
+
+
 # Every family is a union of right-descent classes.  As w runs over the
 # minimal representatives of the left cosets of W_J, x = w * w_J runs
 # over exactly the elements with J inside their right descent set D_R(x)
@@ -453,20 +461,30 @@ def _class_ids(rs: RootSystem, mask: int) -> list[list[int]]:
 #   simple at J:     D_R(x) & I = J;
 #   costandard at J: D_R(x) & J' empty (x = w itself), either convention.
 # Distinct x give distinct second components: every multiplicity is one.
+#
+# Write x = r * y, r minimal in x W_I and y in W_I (the same section).
+# The right descents of x inside I are those of y, so when the mask of a
+# family lies inside I, as every mask does under the adopted convention,
+# x is in the family exactly when y is.  Its weight (r, y^{-1} r^{-1})
+# goes to (1, y^{-1}) under (r, v) -> (1, v * r): the family is the
+# |W:W_I| translates of its slice at r = 1, the same test applied to the
+# classes of `_slice_ids`.  The rejected convention's J' leaves I, and
+# its families are not translation-invariant.
 
 
-def _family_ids(
-    rs: RootSystem, theta: FormalCharacter, mask: int, want: int
-) -> list[int]:
-    """The packed weights of the x whose right-descent mask d has
-    d & mask == want, class by class in order of d."""
-    classes = _class_ids(rs, _index_mask(theta.itheta))
+def _family_ids(classes: list[list[int]], mask: int, want: int) -> list[int]:
+    """The packed weights of a class table (`_class_ids` or `_slice_ids`)
+    whose right-descent mask d has d & mask == want, class by class in
+    order of d."""
     return [p for d, ids in enumerate(classes) if d & mask == want for p in ids]
 
 
 def _family(
-    rs: RootSystem, theta: FormalCharacter, ids: Iterable[int]
+    rs: RootSystem, theta: FormalCharacter, mask: int, want: int
 ) -> ModuleCharacter:
+    """The full family of the x whose right-descent mask d has
+    d & mask == want."""
+    ids = _family_ids(_class_ids(rs, _index_mask(theta.itheta)), mask, want)
     return ModuleCharacter._of(rs, {theta: dict.fromkeys(ids, 1)})
 
 
@@ -479,35 +497,23 @@ def induced_character(
     paired with w_J w^{-1}.
     """
     jmask = _index_mask(_check_j(rs, theta, j))
-    return _family(rs, theta, _family_ids(rs, theta, jmask, jmask))
-
-
-def simple_coset_reps(
-    rs: RootSystem, theta: FormalCharacter, j: Iterable[int]
-) -> tuple[WeylElement, ...]:
-    """The representatives indexing the simple character at (theta, J).
-
-    Keeps w in the minimal coset representatives whose product with w_J
-    has every right descent inside J or outside itheta: the minima under
-    J of the tops x of the simple character's weights, in id order.
-    """
-    jj = _check_j(rs, theta, j)
-    table = group_table(rs)
-    n, inverse, jmask = len(table.elements), table.inverse, _index_mask(jj)
-    reps = [table.minimize(inverse[p % n], jmask) for p in _simple_ids(rs, theta, jj)]
-    return tuple(table.elements[w] for w in sorted(reps))
-
-
-def _simple_ids(rs: RootSystem, theta: FormalCharacter, jj: frozenset[int]) -> list[int]:
-    """The packed weights of the simple character at (theta, J)."""
-    return _family_ids(rs, theta, _index_mask(theta.itheta), _index_mask(jj))
+    return _family(rs, theta, jmask, jmask)
 
 
 def simple_character(
     rs: RootSystem, theta: FormalCharacter, j: Iterable[int]
 ) -> ModuleCharacter:
     """Character of the simple quotient at (theta, J)."""
-    return _family(rs, theta, _simple_ids(rs, theta, _check_j(rs, theta, j)))
+    jmask = _index_mask(_check_j(rs, theta, j))
+    return _family(rs, theta, _index_mask(theta.itheta), jmask)
+
+
+def _check_convention(convention: str) -> None:
+    if convention not in JPRIME_CONVENTIONS:
+        raise InputError(
+            f"unknown jprime convention {convention!r}; "
+            f"expected one of {JPRIME_CONVENTIONS}"
+        )
 
 
 def _jprime(
@@ -537,13 +543,9 @@ def costandard_character(
     complement-in-I reading stays available behind the flag so sweeps
     can demonstrate where it breaks the filtration identity.
     """
-    if jprime_convention not in JPRIME_CONVENTIONS:
-        raise InputError(
-            f"unknown jprime convention {jprime_convention!r}; "
-            f"expected one of {JPRIME_CONVENTIONS}"
-        )
+    _check_convention(jprime_convention)
     jprime = _jprime(rs, theta, _check_j(rs, theta, j), jprime_convention)
-    return _family(rs, theta, _family_ids(rs, theta, _index_mask(jprime), 0))
+    return _family(rs, theta, _index_mask(jprime), 0)
 
 
 # ----------------------------------------------------------------------
@@ -620,11 +622,20 @@ def _candidates(
     Groups, section 2.4.)  So the up-set is the untwisted weights (ids
     below |W|) whose v has its support (`_supports`) inside K, less the
     candidate, and maximality needs one count per support mask.
+
+    The triples of every K are built once per root system and kept on
+    its memo, in `_subsets` order; a base keeps those with K inside its
+    itheta, which stay in that order.
     """
-    table = group_table(rs)
-    longest = [(j, longest_element(rs, j)) for j in _subsets(base.itheta)]
-    ids = [(j, _element_id(table, w), _index_mask(j)) for j, w in longest]
-    return [cand for cand in ids if cand[1] in inner]
+    memo = rs._weyl_memo
+    if _candidates not in memo:
+        table = group_table(rs)
+        memo[_candidates] = [
+            (k, _element_id(table, longest_element(rs, k)), _index_mask(k))
+            for k in _subsets(rs.simple_indices)
+        ]
+    outside = ~_index_mask(base.itheta)
+    return [c for c in memo[_candidates] if not c[2] & outside and c[1] in inner]
 
 
 def _maximal(cands: list, work: dict, counts: dict) -> list:
@@ -668,14 +679,25 @@ def decompose_character(
     """
     if tie_break not in (0, 1, 2):
         raise InputError("tie_break must be 0, 1, or 2")
-    out = Decomposition()
     if not char:
-        return out
+        return Decomposition()
     if char._rs != rs:
         raise InputError(
             f"character is over {char._rs.cartan_type}, not {rs.cartan_type}"
         )
     work = {base: dict(inner) for base, inner in char._entries.items()}
+    return _eliminate(rs, work, _class_ids, tie_break)
+
+
+def _eliminate(
+    rs: RootSystem, work: dict, tables: Callable, tie_break: int
+) -> Decomposition:
+    """The elimination loop of `decompose_character` on work, {base:
+    {packed weight: multiplicity}}, which it consumes.  The simple
+    character at (theta, J) is read from the class table
+    tables(rs, mask of itheta): `_class_ids` for full characters,
+    `_slice_ids` for their slices at the identity coset."""
+    out = Decomposition()
     n, support = len(group_table(rs).elements), _supports(rs)
     counts, cands = {}, []
     for base, inner in work.items():
@@ -698,7 +720,8 @@ def decompose_character(
         )
         pick = {0: 0, 1: len(maximal) - 1, 2: len(maximal) // 2}[tie_break]
         base, j = maximal[pick]
-        piece = _simple_ids(rs, base, j)
+        imask = _index_mask(base.itheta)
+        piece = _family_ids(tables(rs, imask), imask, _index_mask(j))
         inner = work[base]
         short = [p for p in piece if p not in inner]
         if short:
@@ -785,8 +808,8 @@ def verify_filtration(
     is their count); decomposing the costandard character returns exactly
     the subsets of J with multiplicity one; decomposing the induced
     character returns exactly the supersets of J inside itheta with
-    multiplicity one.  The simple characters are read as their packed
-    ids (`_simple_ids`), and summed as one count per id.
+    multiplicity one.  The simple characters are read as packed ids, and
+    summed as one count per id.
 
     Every family here is a union of right-descent classes (see the note
     above `_family_ids`).  Under the adopted convention the costandard
@@ -796,22 +819,36 @@ def verify_filtration(
     that lemma, and fail only under the rejected convention; the tests
     pin the definition through w * w_J by multiplying in the group.
 
+    Under the adopted convention the checks run on the slices of the
+    families at the identity coset (`_slice_ids`, and the note above
+    `_family_ids`), the counting identity's right side being |W:W_I|
+    times the slice counts; under the rejected one, on the full families.
+
     Returns one JSON-ready record per (J, check).
     """
     _check_itheta(rs, theta)
+    _check_convention(jprime_convention)
+    tables = _slice_ids if jprime_convention == "itheta-minus-j" else _class_ids
+    imask = _index_mask(theta.itheta)
+    classes = tables(rs, imask)
+    copies = len(group_table(rs).elements) // sum(map(len, classes))
+    every_k = _subsets(theta.itheta)
     records = []
     tname = str(rs.cartan_type)
-    for j in _subsets(theta.itheta):
+    for j in every_k:
         params = {
             "type": tname,
             "itheta": sorted(theta.itheta),
             "j": sorted(j),
             "jprime_convention": jprime_convention,
         }
-        nabla = costandard_character(rs, theta, j, jprime_convention=jprime_convention)
-        simples = [_simple_ids(rs, theta, k) for k in _subsets(j)]
-        summed = ModuleCharacter._of(rs, {theta: Counter(chain(*simples))})
-        diff = _weight_diff(nabla, summed)
+        jprime = _jprime(rs, theta, j, jprime_convention)
+        nabla = _family_ids(classes, _index_mask(jprime), 0)
+        simples = [_family_ids(classes, imask, _index_mask(k)) for k in _subsets(j)]
+        diff = _weight_diff(
+            ModuleCharacter._of(rs, {theta: dict.fromkeys(nabla, 1)}),
+            ModuleCharacter._of(rs, {theta: Counter(chain(*simples))}),
+        )
         records.append(
             {
                 "check": "filtration-multiset",
@@ -821,8 +858,8 @@ def verify_filtration(
             }
         )
 
-        lhs = len(min_coset_reps(rs, _jprime(rs, theta, j, jprime_convention)))
-        rhs = sum(map(len, simples))
+        lhs = len(min_coset_reps(rs, jprime))
+        rhs = copies * sum(map(len, simples))
         records.append(
             {
                 "check": "filtration-counting",
@@ -832,22 +869,15 @@ def verify_filtration(
             }
         )
 
-        records.append(
-            _decomposition_record(
-                "costandard-decomposition",
-                params,
-                decompose_character(rs, nabla),
-                {(theta, k): 1 for k in _subsets(j)},
-            )
-        )
-        records.append(
-            _decomposition_record(
-                "projective-pattern",
-                params,
-                decompose_character(rs, induced_character(rs, theta, j)),
-                {(theta, k): 1 for k in _subsets(theta.itheta) if j <= k},
-            )
-        )
+        jmask = _index_mask(j)
+        induced = _family_ids(classes, jmask, jmask)
+        for check, ids, factors in (
+            ("costandard-decomposition", nabla, [k for k in every_k if k <= j]),
+            ("projective-pattern", induced, [k for k in every_k if j <= k]),
+        ):
+            dec = _eliminate(rs, {theta: dict.fromkeys(ids, 1)}, tables, 0)
+            want = {(theta, k): 1 for k in factors}
+            records.append(_decomposition_record(check, params, dec, want))
     return records
 
 

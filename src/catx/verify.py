@@ -5,7 +5,8 @@ checks over a chosen family of types, and returns one JSON-ready report:
 metadata, the exact configuration, one record per individual check with
 its parameters and an explicit counterexample on failure, and an
 overall status.  Records are sorted canonically; the only
-run-dependent fields are the timestamp and the per-record wall times.
+run-dependent fields are the timestamp and the wall times, each the
+time of the batch of records that one call produced (`_timed`).
 """
 
 from __future__ import annotations

@@ -16,7 +16,6 @@ from catx.charcalc import (
     induced_character,
     order_axiom_records,
     simple_character,
-    simple_coset_reps,
 )
 from catx.incidence import (
     all_subsets,
@@ -32,6 +31,7 @@ from catx.incidence import (
 )
 from catx.rootsystem import build_root_system
 from catx.weyl import enumerate_biclosed, min_coset_reps
+from reference import simple_coset_reps
 
 RANK_LE_3 = ("A1", "A2", "B2", "C2", "G2", "A3", "B3", "C3")
 

@@ -10,23 +10,23 @@ from catx.charcalc import (
     ModuleCharacter,
     TwistedCharacter,
     Weight,
-    canonical_twist,
     costandard_character,
     decompose_character,
     induced_character,
     order_axiom_records,
     simple_character,
-    simple_coset_reps,
     verify_filtration,
     weight_lt,
-    weight_sort_key,
     weight_universe,
     _candidates,
     _class_ids,
     _coset_mins,
+    _eliminate,
+    _family_ids,
     _maximal,
     _order_rows,
     _order_verdict,
+    _slice_ids,
     _supports,
     _universe_ids,
     _weight_of,
@@ -46,6 +46,7 @@ from catx.weyl import (
     min_coset_reps,
     weyl_subgroup,
 )
+from reference import canonical_twist, simple_coset_reps, weight_sort_key
 
 
 def theta_for(rs, itheta):
@@ -1100,3 +1101,86 @@ def test_families_match_the_two_walk_formula(name, monkeypatch):
             assert list(char._entries.get(theta, {}).items()) == [
                 (p, 1) for p in sorted(ids, key=class_order)
             ], (sorted(itheta), sorted(j))
+
+
+def translates(rs, itheta, slice_ids):
+    """The packed weights (r, v) with r a minimal representative of the
+    cosets of W_itheta and (1, v * r) in the slice: v = s * r^{-1} for
+    each slice weight (1, s)."""
+    table = group_table(rs)
+    n, product, inverse = len(table.elements), table.product, table.inverse
+    return {
+        r._id * n + product(s, inverse[r._id])
+        for r in min_coset_reps(rs, itheta)
+        for s in slice_ids
+    }
+
+
+def family_masks(itheta, j):
+    """Per family of the adopted convention, its builder and the (mask,
+    want) of its right-descent test."""
+    imask, jmask = _index_mask(itheta), _index_mask(j)
+    return (
+        (costandard_character, imask & ~jmask, 0),
+        (induced_character, jmask, jmask),
+        (simple_character, imask, jmask),
+    )
+
+
+@pytest.mark.parametrize("name", RANK_4_AND_BELOW)
+def test_every_family_is_the_translates_of_its_slice(name):
+    rs = build_root_system(name)
+    n = len(enumerate_weyl(rs))
+    for itheta in subsets_of(rs.simple_indices):
+        theta = theta_for(rs, itheta)
+        classes = _slice_ids(rs, _index_mask(itheta))
+        assert sum(map(len, classes)) == len(weyl_subgroup(rs, itheta))
+        for j in subsets_of(itheta):
+            for build, mask, want in family_masks(itheta, j):
+                full = list(build(rs, theta, j)._entries[theta])
+                part = _family_ids(classes, mask, want)
+                label = (name, build.__name__, sorted(itheta), sorted(j))
+                assert all(p < n for p in part), label
+                assert set(full) == translates(rs, itheta, part), label
+                assert len(full) == len(min_coset_reps(rs, itheta)) * len(part), label
+
+
+@pytest.mark.parametrize("name", RANK_4_AND_BELOW)
+def test_slice_decompositions_match_the_full_ones(name):
+    rs = build_root_system(name)
+    for itheta in subsets_of(rs.simple_indices):
+        theta = theta_for(rs, itheta)
+        classes = _slice_ids(rs, _index_mask(itheta))
+        for j in subsets_of(itheta):
+            for build, mask, want in family_masks(itheta, j):
+                full = decompose_character(rs, build(rs, theta, j))
+                work = {theta: dict.fromkeys(_family_ids(classes, mask, want), 1)}
+                part = _eliminate(rs, work, _slice_ids, 0)
+                label = (name, build.__name__, sorted(itheta), sorted(j))
+                assert full.ok and part.ok, label
+                assert part.factors == full.factors, label
+
+
+def test_the_rejected_costandard_family_is_translation_invariant_where_it_passes():
+    """Its slice is the part at the identity coset (ids below |W|).  The
+    (itheta, J) where the full family is not the translates of that slice
+    are exactly those with a failing record."""
+    counts = {}
+    for name in ("A2", "B3", "C3", "G2"):
+        rs = build_root_system(name)
+        n = len(enumerate_weyl(rs))
+        moved, failing = set(), set()
+        for itheta in subsets_of(rs.simple_indices):
+            theta = theta_for(rs, itheta)
+            for j in subsets_of(itheta):
+                full = costandard_character(rs, theta, j, jprime_convention="i-minus-j")
+                ids = full._entries[theta]
+                if set(ids) != translates(rs, itheta, [p for p in ids if p < n]):
+                    moved.add((itheta, j))
+            records = verify_filtration(rs, theta, jprime_convention="i-minus-j")
+            failing |= {
+                (itheta, frozenset(r["params"]["j"])) for r in records if not r["passed"]
+            }
+        assert moved == failing, name
+        counts[name] = len(moved)
+    assert counts == {"A2": 5, "B3": 19, "C3": 19, "G2": 5}

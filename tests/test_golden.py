@@ -114,19 +114,32 @@ def test_rejected_convention_records_digest():
     assert sha256(canon) == "27d330b23b5b008938b5369e1365fd0a14d221d77b9671384aa0abda07f13134"
 
 
-def test_verify_d6_filtration_records_digest(tmp_path):
-    # rank 6, under a budget: the filtration sweep's decompositions are
-    # linear in the size of the character
+def rank6_filtration_digest(tmp_path, cartan, budget):
+    # rank 6, under a budget: the sweep runs on the slices of the families
+    # at the identity coset, |W_itheta| weights each, not |W|
     report = tmp_path / "report.json"
-    argv = ["verify", "--types", "D6", "--checks", "filtration", "--max-rank", "6"]
+    argv = ["verify", "--types", cartan, "--checks", "filtration", "--max-rank", "6"]
     argv += ["--allow-large", "--seed", "1", "--out", str(report)]
     t0 = time.perf_counter()
     assert main(argv) == 0
-    assert time.perf_counter() - t0 < 20.0
+    assert time.perf_counter() - t0 < budget
     records = without_timings(json.loads(report.read_text())["records"])
     assert len(records) == 2916
-    canon = json.dumps(records, sort_keys=True, separators=(",", ":"))
-    assert sha256(canon) == "3543c03c923accaddfdb43532f563a4c480e57e6b9b3a604d1f528eeade82050"
+    return sha256(json.dumps(records, sort_keys=True, separators=(",", ":")))
+
+
+def test_verify_d6_filtration_records_digest(tmp_path):
+    assert (
+        rank6_filtration_digest(tmp_path, "D6", 6.0)
+        == "3543c03c923accaddfdb43532f563a4c480e57e6b9b3a604d1f528eeade82050"
+    )
+
+
+def test_verify_e6_filtration_records_digest(tmp_path):
+    assert (
+        rank6_filtration_digest(tmp_path, "E6", 10.0)
+        == "b03b7888dc42265e9f49f1ceb518cc7a31e59003ca2dad8c387cb9be19446772"
+    )
 
 
 @pytest.mark.parametrize(

@@ -174,15 +174,32 @@ def test_a_type_is_verified_once_under_its_canonical_name():
     assert main(["verify", "--types", "a2,A2", "--checks", "biclosed,filtration"]) == 2
 
 
-def test_filtration_sweep_keeps_one_class_table_per_itheta():
-    from catx.cli import main
-    from catx.rootsystem import build_root_system
-
-    args = ["verify", "--types", "D4", "--checks", "filtration,order-axioms", "--max-rank", "4"]
-    assert main(args) == 0
+def memo_kinds(rs) -> dict[str, set]:
+    """The keys of a root system's memo that name a builder and an
+    argument, grouped by the builder's name."""
     kinds: dict[str, set] = {}
-    for key in build_root_system("D4")._weyl_memo:
+    for key in rs._weyl_memo:
         if isinstance(key, tuple):
             kinds.setdefault(key[0].__name__, set()).add(key[1])
+    return kinds
+
+
+def test_filtration_sweep_keeps_one_class_table_per_itheta(monkeypatch):
+    from catx.cli import main
+    from catx.rootsystem import CartanType, RootSystem, build_root_system
+
+    # the filtration alone reads only the slices: one per itheta mask
+    fresh = RootSystem(CartanType.parse("D4"))
+    monkeypatch.setattr(catx.verify, "build_root_system", lambda t, **kw: fresh)
+    report = run_suite(SuiteConfig(types=("D4",), checks=("filtration",), max_rank=4))
+    assert report["overall_status"] == "pass"
+    kinds = memo_kinds(fresh)
+    assert kinds.get("_slice_ids") == set(range(16))
+    assert "_class_ids" not in kinds
+    monkeypatch.undo()
+    # the order check's universe reads the full table
+    args = ["verify", "--types", "D4", "--checks", "filtration,order-axioms", "--max-rank", "4"]
+    assert main(args) == 0
+    kinds = memo_kinds(build_root_system("D4"))
     assert kinds.get("_class_ids") == set(range(16))
     assert not {"_coset_mins", "_coset_tops", "_simple_ids"} & kinds.keys()
