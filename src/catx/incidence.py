@@ -5,6 +5,16 @@ pair (Y, Z) of subsets, multiplying like matrix units: (Y, Z) times
 (Z', W) is (Y, W) when Z = Z' and zero otherwise.  Basis pairs are kept
 in the fixed order (|Y|, lex Y, |Z|, lex Z).
 
+A set of basis pairs is a list of 2^n bitset rows, one per subset in
+`subset_key` order: bit j of row i stands for the pair (subsets[i],
+subsets[j]).  Walking the rows in index order, and each row's bits
+upwards, gives the basis order.  The algebra's own rows hold every
+containment pair, and the span product of two row sets ORs, for each
+set bit j of a row of the first, row j of the second.  The radical
+series, the Cartan matrix and arrows, and the heredity chain run on
+rows; they turn rows into pairs, in basis order, only for what they
+return.
+
 A right module is stored vertex-wise: a dimension per subset and one
 exact rational matrix per covering pair, mapping the Y-component into
 the Z-component (rows act from the left on the matrix, so shapes are
@@ -20,8 +30,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as Q
+from functools import reduce
 from itertools import combinations, zip_longest
 from math import gcd, isqrt, lcm
+from operator import and_
 from typing import Iterable, Mapping, Optional, Sequence
 
 from catx import linalg
@@ -51,7 +63,11 @@ def all_subsets(n: int) -> tuple[Subset, ...]:
 
 
 class IncidenceAlgebra:
-    """Matrix-unit presentation of the Boolean-lattice incidence algebra."""
+    """Matrix-unit presentation of the Boolean-lattice incidence algebra.
+
+    `rows[i]` has bit j set when subsets[i] is contained in subsets[j]:
+    the basis pairs (subsets[i], Z), in the row layout described above.
+    """
 
     def __init__(self, n: int, *, allow_large: bool = False):
         if isinstance(n, bool) or not isinstance(n, int) or n < 0:
@@ -64,12 +80,17 @@ class IncidenceAlgebra:
         self.n = n
         self.subsets = all_subsets(n)
         self.subset_index = {s: i for i, s in enumerate(self.subsets)}
-        self.basis: tuple[Pair, ...] = tuple(
-            sorted(
-                ((y, z) for y in self.subsets for z in self.subsets if y <= z),
-                key=lambda p: subset_key(p[0]) + subset_key(p[1]),
-            )
+        # containing[x]: the subsets that hold x; the row of Y is the
+        # intersection of containing[x] over x in Y
+        containing = {
+            x: sum(1 << j for j, s in enumerate(self.subsets) if x in s)
+            for x in range(1, n + 1)
+        }
+        everything = (1 << len(self.subsets)) - 1
+        self.rows: tuple[int, ...] = tuple(
+            reduce(and_, (containing[x] for x in y), everything) for y in self.subsets
         )
+        self.basis: tuple[Pair, ...] = _row_pairs(self, self.rows)
         self.basis_index = {p: i for i, p in enumerate(self.basis)}
         self.dim = len(self.basis)
         if self.dim != 3**n:
@@ -91,11 +112,38 @@ def build_incidence_algebra(n: int, *, allow_large: bool = False) -> IncidenceAl
     return IncidenceAlgebra(n, allow_large=allow_large)
 
 
-def _pair_product(s: Iterable[Pair], t: Iterable[Pair]) -> set[Pair]:
-    by_start: dict[Subset, list[Subset]] = {}
-    for z, w in t:
-        by_start.setdefault(z, []).append(w)
-    return {(y, w) for y, z in s for w in by_start.get(z, ())}
+def _row_product(s: Sequence[int], t: Sequence[int]) -> list[int]:
+    """The span product: (Y, Z) times (Z, W) is (Y, W)."""
+    out = []
+    for row in s:
+        acc = 0
+        while row:
+            low = row & -row
+            acc |= t[low.bit_length() - 1]
+            row ^= low
+        out.append(acc)
+    return out
+
+
+def _row_pairs(a: IncidenceAlgebra, rows: Sequence[int]) -> tuple[Pair, ...]:
+    """The pairs of a row set, in basis order."""
+    subsets = a.subsets
+    out = []
+    for y, row in zip(subsets, rows):
+        while row:
+            low = row & -row
+            out.append((y, subsets[low.bit_length() - 1]))
+            row ^= low
+    return tuple(out)
+
+
+def _radical_rows(rows: Sequence[int]) -> list[int]:
+    """The strict pairs of a row set."""
+    return [row & ~(1 << i) for i, row in enumerate(rows)]
+
+
+def _size(rows: Iterable[int]) -> int:
+    return sum(row.bit_count() for row in rows)
 
 
 def algebra_radical(a: IncidenceAlgebra) -> tuple[tuple[Pair, ...], list[int]]:
@@ -105,15 +153,14 @@ def algebra_radical(a: IncidenceAlgebra) -> tuple[tuple[Pair, ...], list[int]]:
     closed form, and the returned list ends with the 0 of the first
     vanishing power.
     """
-    rad = {p for p in a.basis if p[0] != p[1]}
+    rad = _radical_rows(a.rows)
     series = []
-    cur = set(rad)
-    while cur:
-        series.append(len(cur))
-        cur = _pair_product(cur, rad)
+    cur = rad
+    while any(cur):
+        series.append(_size(cur))
+        cur = _row_product(cur, rad)
     series.append(0)
-    basis = tuple(sorted(rad, key=lambda p: subset_key(p[0]) + subset_key(p[1])))
-    return basis, series
+    return _row_pairs(a, rad), series
 
 
 def cartan_and_ext(
@@ -125,16 +172,11 @@ def cartan_and_ext(
     corner; arrows live on the pairs spanning rad but not rad squared.
     """
     m = len(a.subsets)
-    cartan = [[0] * m for _ in range(m)]
-    for y, z in a.basis:
-        cartan[a.subset_index[y]][a.subset_index[z]] += 1
-    rad = {p for p in a.basis if p[0] != p[1]}
-    rad2 = _pair_product(rad, rad)
-    ext1 = {
-        p: 1
-        for p in sorted(rad - rad2, key=lambda p: subset_key(p[0]) + subset_key(p[1]))
-    }
-    return cartan, ext1
+    cartan = [[row >> j & 1 for j in range(m)] for row in a.rows]
+    rad = _radical_rows(a.rows)
+    rad2 = _row_product(rad, rad)
+    arrows = [r & ~r2 for r, r2 in zip(rad, rad2)]
+    return cartan, dict.fromkeys(_row_pairs(a, arrows), 1)
 
 
 def cartan_determinant(a: IncidenceAlgebra) -> Q:
@@ -151,7 +193,7 @@ def heredity_chain_check(a: IncidenceAlgebra) -> dict:
     multiplication map from the two one-sided pieces over the (diagonal,
     hence semisimple) corner is a dimension-exact surjection onto the
     ideal.  All of it runs at the matrix-unit level, where every span
-    is a set of pairs.
+    is a list of bitset rows, one per subset (see `IncidenceAlgebra`).
     """
     if a.n == 0:
         return {
@@ -160,36 +202,33 @@ def heredity_chain_check(a: IncidenceAlgebra) -> dict:
             "passed": True,
             "note": "ground field; nothing to peel",
         }
-    quotient = set(a.basis)
+    quotient = list(a.rows)
     layers = []
     passed = True
     for level in range(a.n, -1, -1):
-        level_sets = [c for c in a.subsets if len(c) == level]
-        ideal = {
-            (y, w)
-            for y, w in quotient
-            if any((y, c) in quotient and (c, w) in quotient for c in level_sets)
-        }
-        idem_ok = _pair_product(ideal, ideal) == ideal
-        rad = {(y, z) for y, z in quotient if y != z}
-        kills_rad = not _pair_product(_pair_product(ideal, rad), ideal)
-        left = {(y, c) for y, c in quotient if len(c) == level}
-        right = {(c, z) for c, z in quotient if len(c) == level}
-        corner = {
-            (c, c2) for c, c2 in quotient if len(c) == level and len(c2) == level
-        }
-        corner_diagonal = all(c == c2 for c, c2 in corner)
-        left_at = {c: sum(1 for _, cc in left if cc == c) for c in level_sets}
-        right_at = {c: sum(1 for cc, _ in right if cc == c) for c in level_sets}
-        tensor_dim = sum(left_at[c] * right_at[c] for c in level_sets)
-        surjective = _pair_product(left, right) == ideal
-        tensor_ok = corner_diagonal and surjective and tensor_dim == len(ideal)
+        level_ids = [c for c, s in enumerate(a.subsets) if len(s) == level]
+        level_mask = sum(1 << c for c in level_ids)
+        # the pieces (Y, C) and (C, Z) of the quotient through the level
+        left = [row & level_mask for row in quotient]
+        right = [row if level_mask >> i & 1 else 0 for i, row in enumerate(quotient)]
+        through = _row_product(left, right)
+        ideal = [t & q for t, q in zip(through, quotient)]
+        idem_ok = _row_product(ideal, ideal) == ideal
+        rad = _radical_rows(quotient)
+        kills_rad = not any(_row_product(_row_product(ideal, rad), ideal))
+        corner_diagonal = all(not left[c] & ~(1 << c) for c in level_ids)
+        tensor_dim = sum(
+            sum(row >> c & 1 for row in left) * right[c].bit_count() for c in level_ids
+        )
+        ideal_dim = _size(ideal)
+        surjective = through == ideal
+        tensor_ok = corner_diagonal and surjective and tensor_dim == ideal_dim
         layer_ok = idem_ok and kills_rad and tensor_ok
         passed = passed and layer_ok
         layers.append(
             {
                 "level": level,
-                "ideal_dim": len(ideal),
+                "ideal_dim": ideal_dim,
                 "idempotent": idem_ok,
                 "kills_quotient_radical": kills_rad,
                 "tensor_dimension": tensor_dim,
@@ -197,8 +236,8 @@ def heredity_chain_check(a: IncidenceAlgebra) -> dict:
                 "passed": layer_ok,
             }
         )
-        quotient -= ideal
-    if quotient:
+        quotient = [q & ~i for q, i in zip(quotient, ideal)]
+    if any(quotient):
         passed = False
     return {"n": a.n, "layers": layers, "passed": passed}
 
@@ -383,33 +422,6 @@ def regular_module(a: IncidenceAlgebra) -> AlgebraModule:
     return direct_sum(a, [interval_module(a, y, top) for y in a.subsets])
 
 
-def projective_injective_dims(a: IncidenceAlgebra) -> dict:
-    """Dimensions and composition data of the projectives and injectives.
-
-    Built from the actual interval modules: the projective at Y lives on
-    [Y, top], the injective at Z on [bottom, Z].  Composition length is
-    the total dimension (vertex simples), and every factor has
-    multiplicity at most one exactly when every vertex dimension is.
-    """
-    top = frozenset(range(1, a.n + 1))
-    bottom: Subset = frozenset()
-    out: dict[str, dict[Subset, dict]] = {"projective": {}, "injective": {}}
-    for y in a.subsets:
-        p = interval_module(a, y, top)
-        i = interval_module(a, bottom, y)
-        out["projective"][y] = {
-            "dim": p.total_dim,
-            "length": sum(p.dims.values()),
-            "multiplicity_free": all(d <= 1 for d in p.dims.values()),
-        }
-        out["injective"][y] = {
-            "dim": i.total_dim,
-            "length": sum(i.dims.values()),
-            "multiplicity_free": all(d <= 1 for d in i.dims.values()),
-        }
-    return out
-
-
 # ----------------------------------------------------------------------
 # hom spaces, endomorphism algebras, and Krull-Schmidt splitting
 
@@ -486,13 +498,6 @@ class _HomSpace:
                 for j, x in enumerate(basis_vec):
                     vec[j] += coeff * x
         return self.matrices(vec)
-
-
-def hom_basis(
-    source: AlgebraModule, target: AlgebraModule
-) -> list[dict[Subset, list[list[Q]]]]:
-    space = _HomSpace(source, target)
-    return [space.matrices(v) for v in space.vectors]
 
 
 def _is_local_end(space: _HomSpace) -> bool:

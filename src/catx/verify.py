@@ -17,6 +17,7 @@ import time
 
 from catx import __version__, linalg
 from catx.charcalc import (
+    JPRIME_CONVENTIONS,
     STABILIZER_MODEL,
     FormalCharacter,
     order_axiom_records,
@@ -45,6 +46,10 @@ ALGEBRA_CARTAN_MAX = 5
 ALGEBRA_EXT_MAX = 4
 ALGEBRA_HEREDITY_MAX = 4
 ALGEBRA_SPLIT_MAX = 2
+
+# The text of json.dumps(obj, sort_keys=True), from one shared encoder
+# instead of a new one per call.
+_CANONICAL = json.JSONEncoder(sort_keys=True)
 
 _TYPES_BY_RANK = {
     1: ("A1",),
@@ -105,6 +110,11 @@ class SuiteConfig:
         if self.itheta_mode not in ITHETA_MODES:
             raise InputError(
                 f"unknown itheta mode {self.itheta_mode!r}; known: {list(ITHETA_MODES)}"
+            )
+        if self.jprime_convention not in JPRIME_CONVENTIONS:
+            raise InputError(
+                f"unknown jprime convention {self.jprime_convention!r}; "
+                f"known: {list(JPRIME_CONVENTIONS)}"
             )
         for name, value in (("max rank", self.max_rank), ("seed", self.seed)):
             if isinstance(value, bool) or not isinstance(value, int):
@@ -222,7 +232,7 @@ def _cartan_record(a: IncidenceAlgebra) -> dict:
         for i, y in enumerate(a.subsets)
         for j, z in enumerate(a.subsets)
     )
-    covering = {p for p in a.basis if p[0] < p[1] and len(p[1] - p[0]) == 1}
+    covering = {(y, y | {x}) for y in a.subsets for x in range(1, n + 1) if x not in y}
     if n == 0:
         count_ok = not ext1
     elif n <= ALGEBRA_EXT_MAX:
@@ -287,7 +297,7 @@ def run_suite(cfg: SuiteConfig) -> dict:
         records += _theta_records(cfg)
     if "algebra" in cfg.checks:
         records += _algebra_records(cfg)
-    records.sort(key=lambda r: (r["check"], json.dumps(r["params"], sort_keys=True)))
+    records.sort(key=lambda r: (r["check"], _CANONICAL.encode(r["params"])))
     return {
         "report_schema": REPORT_SCHEMA_ID,
         "tool_version": __version__,
@@ -314,10 +324,10 @@ def report_to_csv(report: dict) -> str:
         writer.writerow(
             [
                 rec["check"],
-                json.dumps(rec["params"], sort_keys=True),
+                _CANONICAL.encode(rec["params"]),
                 "pass" if rec["passed"] else "fail",
                 "" if rec["counterexample"] is None
-                else json.dumps(rec["counterexample"], sort_keys=True),
+                else _CANONICAL.encode(rec["counterexample"]),
                 rec["wall_time_s"],
             ]
         )

@@ -1,9 +1,12 @@
 """Readable reference helpers that only the tests use.
 
-Each restates, on `Weight` and `WeylElement` objects, an order or a
-construction that `catx.charcalc` computes on packed integer ids.
+Most restate, on `Weight` and `WeylElement` objects, an order or a
+construction that `catx.charcalc` computes on packed integer ids.  The
+incidence-algebra ones restate, on sets of (Y, Z) frozenset pairs, the
+checks that `catx.incidence` runs on bitset rows.
 """
 
+from fractions import Fraction as Q
 from typing import Iterable
 
 from catx.charcalc import (
@@ -13,6 +16,15 @@ from catx.charcalc import (
     _check_j,
     _class_ids,
     _family_ids,
+)
+from catx.incidence import (
+    AlgebraModule,
+    IncidenceAlgebra,
+    Pair,
+    Subset,
+    _HomSpace,
+    interval_module,
+    subset_key,
 )
 from catx.rootsystem import RootSystem
 from catx.weyl import WeylElement, _index_mask, group_table
@@ -52,3 +64,134 @@ def simple_coset_reps(
     simple = _family_ids(_class_ids(rs, imask), imask, jmask)
     reps = [table.minimize(inverse[p % n], jmask) for p in simple]
     return tuple(table.elements[w] for w in sorted(reps))
+
+
+# ----------------------------------------------------------------------
+# the incidence algebra on frozenset pairs
+
+
+def _pair_key(p: Pair):
+    return subset_key(p[0]) + subset_key(p[1])
+
+
+def pair_basis(a: IncidenceAlgebra) -> tuple[Pair, ...]:
+    """The containment pairs, sorted into the (|Y|, lex Y, |Z|, lex Z) order."""
+    return tuple(
+        sorted(((y, z) for y in a.subsets for z in a.subsets if y <= z), key=_pair_key)
+    )
+
+
+def _pair_product(s: Iterable[Pair], t: Iterable[Pair]) -> set[Pair]:
+    by_start: dict[Subset, list[Subset]] = {}
+    for z, w in t:
+        by_start.setdefault(z, []).append(w)
+    return {(y, w) for y, z in s for w in by_start.get(z, ())}
+
+
+def pair_radical(a: IncidenceAlgebra) -> tuple[tuple[Pair, ...], list[int]]:
+    """`algebra_radical` by span products of pair sets."""
+    rad = {p for p in pair_basis(a) if p[0] != p[1]}
+    series = []
+    cur = set(rad)
+    while cur:
+        series.append(len(cur))
+        cur = _pair_product(cur, rad)
+    series.append(0)
+    return tuple(sorted(rad, key=_pair_key)), series
+
+
+def pair_cartan_and_ext(a: IncidenceAlgebra) -> tuple[list[list[int]], dict[Pair, int]]:
+    """`cartan_and_ext`: corner counts, and rad minus rad squared."""
+    m = len(a.subsets)
+    cartan = [[0] * m for _ in range(m)]
+    for y, z in pair_basis(a):
+        cartan[a.subset_index[y]][a.subset_index[z]] += 1
+    rad = {p for p in pair_basis(a) if p[0] != p[1]}
+    rad2 = _pair_product(rad, rad)
+    return cartan, {p: 1 for p in sorted(rad - rad2, key=_pair_key)}
+
+
+def pair_heredity_chain_check(a: IncidenceAlgebra) -> dict:
+    """`heredity_chain_check`, every span a set of pairs."""
+    if a.n == 0:
+        return {
+            "n": 0,
+            "layers": [],
+            "passed": True,
+            "note": "ground field; nothing to peel",
+        }
+    quotient = set(pair_basis(a))
+    layers = []
+    passed = True
+    for level in range(a.n, -1, -1):
+        level_sets = [c for c in a.subsets if len(c) == level]
+        ideal = {
+            (y, w)
+            for y, w in quotient
+            if any((y, c) in quotient and (c, w) in quotient for c in level_sets)
+        }
+        idem_ok = _pair_product(ideal, ideal) == ideal
+        rad = {(y, z) for y, z in quotient if y != z}
+        kills_rad = not _pair_product(_pair_product(ideal, rad), ideal)
+        left = {(y, c) for y, c in quotient if len(c) == level}
+        right = {(c, z) for c, z in quotient if len(c) == level}
+        corner = {
+            (c, c2) for c, c2 in quotient if len(c) == level and len(c2) == level
+        }
+        corner_diagonal = all(c == c2 for c, c2 in corner)
+        left_at = {c: sum(1 for _, cc in left if cc == c) for c in level_sets}
+        right_at = {c: sum(1 for cc, _ in right if cc == c) for c in level_sets}
+        tensor_dim = sum(left_at[c] * right_at[c] for c in level_sets)
+        surjective = _pair_product(left, right) == ideal
+        tensor_ok = corner_diagonal and surjective and tensor_dim == len(ideal)
+        layer_ok = idem_ok and kills_rad and tensor_ok
+        passed = passed and layer_ok
+        layers.append(
+            {
+                "level": level,
+                "ideal_dim": len(ideal),
+                "idempotent": idem_ok,
+                "kills_quotient_radical": kills_rad,
+                "tensor_dimension": tensor_dim,
+                "tensor_bijective": tensor_ok,
+                "passed": layer_ok,
+            }
+        )
+        quotient -= ideal
+    if quotient:
+        passed = False
+    return {"n": a.n, "layers": layers, "passed": passed}
+
+
+def projective_injective_dims(a: IncidenceAlgebra) -> dict:
+    """Dimensions and composition data of the projectives and injectives.
+
+    Built from the actual interval modules: the projective at Y lives on
+    [Y, top], the injective at Z on [bottom, Z].  Composition length is
+    the total dimension (vertex simples), and every factor has
+    multiplicity at most one exactly when every vertex dimension is.
+    """
+    top = frozenset(range(1, a.n + 1))
+    bottom: Subset = frozenset()
+    out: dict[str, dict[Subset, dict]] = {"projective": {}, "injective": {}}
+    for y in a.subsets:
+        p = interval_module(a, y, top)
+        i = interval_module(a, bottom, y)
+        out["projective"][y] = {
+            "dim": p.total_dim,
+            "length": sum(p.dims.values()),
+            "multiplicity_free": all(d <= 1 for d in p.dims.values()),
+        }
+        out["injective"][y] = {
+            "dim": i.total_dim,
+            "length": sum(i.dims.values()),
+            "multiplicity_free": all(d <= 1 for d in i.dims.values()),
+        }
+    return out
+
+
+def hom_basis(
+    source: AlgebraModule, target: AlgebraModule
+) -> list[dict[Subset, list[list[Q]]]]:
+    space = _HomSpace(source, target)
+    return [space.matrices(v) for v in space.vectors]

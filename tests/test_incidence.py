@@ -3,7 +3,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction as Q
-from math import prod
+from math import comb, prod
 from pathlib import Path
 
 import pytest
@@ -18,12 +18,18 @@ from catx.incidence import (
     cartan_determinant,
     direct_sum,
     heredity_chain_check,
-    hom_basis,
     interval_module,
     is_isomorphic,
     krull_schmidt_decompose,
-    projective_injective_dims,
     regular_module,
+)
+from reference import (
+    hom_basis,
+    pair_basis,
+    pair_cartan_and_ext,
+    pair_heredity_chain_check,
+    pair_radical,
+    projective_injective_dims,
 )
 
 E = frozenset()
@@ -110,6 +116,44 @@ def test_heredity_chain():
         assert all(layer["passed"] for layer in out["layers"])
     out2 = heredity_chain_check(build_incidence_algebra(2))
     assert [layer["ideal_dim"] for layer in out2["layers"]] == [4, 4, 1]
+
+
+def test_rows_are_the_containment_relation():
+    for n in range(7):
+        a = build_incidence_algebra(n)
+        assert a.rows == tuple(
+            sum(1 << j for j, z in enumerate(a.subsets) if y <= z) for y in a.subsets
+        )
+        assert a.basis == pair_basis(a)
+
+
+def test_row_checks_match_the_pair_reference():
+    for n in range(7):
+        a = build_incidence_algebra(n)
+        assert algebra_radical(a) == pair_radical(a), n
+        assert cartan_and_ext(a) == pair_cartan_and_ext(a), n
+        assert list(cartan_and_ext(a)[1]) == list(pair_cartan_and_ext(a)[1]), n
+        assert heredity_chain_check(a) == pair_heredity_chain_check(a), n
+
+
+def test_closed_forms_of_the_algebra_checks():
+    for n in range(7):
+        a = build_incidence_algebra(n)
+        # rad^k is spanned by the pairs with |Z - Y| >= k
+        _, series = algebra_radical(a)
+        assert series == [
+            sum(comb(n, j) * 2 ** (n - j) for j in range(k, n + 1))
+            for k in range(1, n + 1)
+        ] + [0], n
+        _, ext1 = cartan_and_ext(a)
+        covering = [
+            (y, y | {x}) for y in a.subsets for x in range(1, n + 1) if x not in y
+        ]
+        assert set(ext1) == set(covering) and len(ext1) == len(covering), n
+        assert set(ext1.values()) <= {1}, n
+        for layer in heredity_chain_check(a)["layers"]:
+            want = comb(n, layer["level"]) * 2 ** layer["level"]
+            assert layer["ideal_dim"] == layer["tensor_dimension"] == want, (n, layer)
 
 
 def test_interval_module_shapes():

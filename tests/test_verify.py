@@ -124,6 +124,12 @@ def test_rejected_convention_reported_as_failure():
     assert all(r["counterexample"] is not None for r in failing)
 
 
+def test_an_unknown_jprime_convention_is_refused_up_front():
+    for checks in (("biclosed",), ("filtration",), ("biclosed", "filtration")):
+        with pytest.raises(InputError, match="bogus"):
+            SuiteConfig(types=("A1",), checks=checks, jprime_convention="bogus")
+
+
 def test_report_matches_schema():
     jsonschema = pytest.importorskip("jsonschema")
     schema = json.loads(
