@@ -1,11 +1,15 @@
 """JSON serialization for characters and lattice modules.
 
 Characters ship as words in the simple generators so files stay
-readable and system independent; readers canonicalize every word and
-either warn or fail (strict mode) on non-canonical coset data.  Module
-files carry vertex dimensions and the nonzero covering matrices with
-exact rational entries.  Writing is canonical: for any payload, write
-then read then write is byte identical.
+readable and system independent.  A file laid out byte for byte as
+`character_dumps` writes it is read by the text of its words: only its
+header goes through the JSON decoder, and each weight is two lookups of
+a word's text.  Any other text is decoded whole, and every word in it is
+canonicalized, with a warning or (strict mode) a failure on
+non-canonical coset data.  Module files carry vertex dimensions and the
+nonzero covering matrices with exact rational entries.  Writing is
+canonical: for any payload, write then read then write is byte
+identical.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from itertools import repeat
 from typing import Optional
 
 from catx.charcalc import FormalCharacter, ModuleCharacter
-from catx.errors import InputError
+from catx.errors import InputError, ResourceGuardError
 from catx.incidence import AlgebraModule, build_incidence_algebra
 from catx.rootsystem import RootSystem, build_root_system
 from catx.weyl import _index_mask, element_from_word, group_table
@@ -95,15 +99,39 @@ def _int_list(items: list[int], indent: str) -> str:
     return "[" + inner + ("," + inner).join(map(str, items)) + "\n" + indent + "]"
 
 
-def _word_texts(rs: RootSystem) -> list[str]:
-    """Per element id, its canonical word as `character_dumps` lays out
-    the words of a weight; one entry per element of the enumerated
-    group, kept on the root system's memo."""
+# A weight of a file that character_dumps writes has no quotes but those
+# around its three keys.  The piece of a word is the text between the
+# quote after its key and the quote before the next key: ': ', the word
+# as json.dumps(indent=2) lays it out there, then _WORD_END.
+_WEIGHTS_OPEN = '\n  "weights": ['
+_FIRST_WEIGHT = "\n    {\n      "
+_WORD_END = ",\n      "
+_MULT_END = "\n    },\n    {\n      "
+_WEIGHTS_END = "\n    }\n  ]\n}\n"
+# the weights are cut a chunk of about this many characters at a time,
+# so that a large file's pieces are not all held at once
+_CHUNK = 16384
+
+
+def _word_pieces(rs: RootSystem) -> list[str]:
+    """Per element id, the piece of its canonical word; one entry per
+    element of the enumerated group, kept on the root system's memo."""
     memo = rs._weyl_memo
-    if _word_texts not in memo:
-        words = rs._weyl_table.words
-        memo[_word_texts] = [_int_list(list(word), "      ") for word in words]
-    return memo[_word_texts]
+    if _word_pieces not in memo:
+        words = group_table(rs).words
+        memo[_word_pieces] = [
+            f": {_int_list(list(word), '      ')}{_WORD_END}" for word in words
+        ]
+    return memo[_word_pieces]
+
+
+def _piece_ids(rs: RootSystem) -> dict[str, int]:
+    """The id of every canonical word by its piece, kept on the root
+    system's memo."""
+    memo = rs._weyl_memo
+    if _piece_ids not in memo:
+        memo[_piece_ids] = {piece: a for a, piece in enumerate(_word_pieces(rs))}
+    return memo[_piece_ids]
 
 
 def _word_ids(rs: RootSystem) -> dict[tuple[int, ...], int]:
@@ -116,6 +144,17 @@ def _word_ids(rs: RootSystem) -> dict[tuple[int, ...], int]:
     return memo[_word_ids]
 
 
+def _header_text(rs: RootSystem, base: FormalCharacter) -> str:
+    """The lines of a character file before its weights, as
+    `character_dumps` writes them."""
+    return (
+        "{\n"
+        f'  "type": {json.dumps(str(rs.cartan_type))},\n'
+        f'  "label": {json.dumps(base.label)},\n'
+        f'  "itheta": {_int_list(sorted(base.itheta), "  ")},'
+    )
+
+
 def character_dumps(
     rs: RootSystem, char: ModuleCharacter, *, base: Optional[FormalCharacter] = None
 ) -> str:
@@ -126,28 +165,21 @@ def character_dumps(
     base = _single_base(rs, char, base)
     weights = "[]"
     if char:
-        texts = _word_texts(char._rs)
-        n = len(texts)
+        pieces = _word_pieces(char._rs)
+        n = len(pieces)
         mults = char._entries[base]
         blocks = []
         for p in char._sorted_ids(base):
             rep, v = divmod(p, n)
+            # a piece runs from the quote after one key to the next
             blocks.append(
-                "    {\n"
-                f'      "coset_rep": {texts[rep]},\n'
-                f'      "v": {texts[v]},\n'
-                f'      "mult": {mults[p]}\n'
+                '    {\n      "coset_rep"'
+                f'{pieces[rep]}"v"{pieces[v]}"mult": {mults[p]}\n'
                 "    }"
             )
         weights = "[\n" + ",\n".join(blocks) + "\n  ]"
-    return (
-        "{\n"
-        f'  "type": {json.dumps(str(rs.cartan_type))},\n'
-        f'  "label": {json.dumps(base.label)},\n'
-        f'  "itheta": {_int_list(sorted(base.itheta), "  ")},\n'
-        f'  "weights": {weights}\n'
-        "}\n"
-    )
+    # one f-string, so that the text is built once
+    return f'{_header_text(rs, base)}\n  "weights": {weights}\n}}\n'
 
 
 def character_from_json(
@@ -257,6 +289,98 @@ def character_from_json(
     return ModuleCharacter._of(rs, {base: entries}), base, warnings
 
 
+def _written_character(
+    rs: Optional[RootSystem],
+    text: str,
+    *,
+    allow_large: bool,
+    expect_type: Optional[str],
+) -> Optional[tuple[ModuleCharacter, FormalCharacter, list[str]]]:
+    """`character_loads` on a text that is byte for byte what
+    `character_dumps` writes, without decoding its weights; None for any
+    other text.
+
+    The header is decoded and checked by `character_from_json` with no
+    weights, and must be written back to the same bytes.  A written
+    weight holds no quote but those around its three keys, so cutting
+    the weights at quotes, a chunk of whole weights at a time, gives six
+    pieces per weight: a key, then the text up to the next key.  Each
+    word's piece must be a canonical word's, each multiplicity a
+    positive int written back to the same bytes, each representative
+    canonical and each weight new.  Such a text decodes to the same
+    payload, which `character_from_json` reads with no warnings, so the
+    result is the same and strict mode cannot change it.
+    """
+    cut = text.find(_WEIGHTS_OPEN)
+    if cut < 0:
+        return None
+    head = text[:cut]
+    try:
+        header = json.loads(head[:-1] + "}")
+        header["weights"] = []
+        char, base, _ = character_from_json(
+            rs, header, allow_large=allow_large, expect_type=expect_type
+        )
+    except (ValueError, ResourceGuardError):
+        # an InputError is a ValueError; decoding the whole text gives
+        # the decoder's error or the same one
+        return None
+    rs = char._rs
+    if head != _header_text(rs, base):
+        return None
+    if text == head + _WEIGHTS_OPEN + "]\n}\n":
+        return char, base, []
+    start = cut + len(_WEIGHTS_OPEN) + len(_FIRST_WEIGHT)
+    end = len(text) - len(_WEIGHTS_END)
+    if not (
+        text.startswith(_FIRST_WEIGHT, cut + len(_WEIGHTS_OPEN))
+        and text.endswith(_WEIGHTS_END)
+        and start < end
+    ):
+        return None
+    table = group_table(rs)
+    word_id = _piece_ids(rs).get
+    reps, vs, mults = [], [], []
+    while start < end:
+        # whole weights, up to the first weight boundary past _CHUNK
+        stop = text.find(_MULT_END, start + _CHUNK, end)
+        if stop < 0:
+            stop = end
+        pieces = text[start:stop].split('"')
+        # the last multiplicity is closed like the others, so all read alike
+        pieces[-1] += _MULT_END
+        count = len(pieces) // 6
+        if (
+            len(pieces) != 6 * count + 1
+            or pieces[0]
+            or pieces[1::6].count("coset_rep") != count
+            or pieces[3::6].count("v") != count
+            or pieces[5::6].count("mult") != count
+        ):
+            return None
+        mult_pieces = pieces[6::6]
+        try:
+            ints = [int(piece[2 : -len(_MULT_END)]) for piece in mult_pieces]
+        except ValueError:  # not an int, or past the digit limit
+            return None
+        if mult_pieces != [f": {m}{_MULT_END}" for m in ints]:
+            return None
+        reps += map(word_id, pieces[2::6])
+        vs += map(word_id, pieces[4::6])
+        mults += ints
+        start = stop + len(_MULT_END)
+    if None in reps or None in vs or min(mults) < 1:
+        return None
+    mask = _index_mask(base.itheta)
+    if mask and any(table.descents[rep] & mask for rep in reps):
+        return None
+    n = len(table.elements)
+    entries = dict(zip([rep * n + v for rep, v in zip(reps, vs)], mults))
+    if len(entries) != len(reps):
+        return None
+    return ModuleCharacter._of(rs, {base: entries}), base, []
+
+
 def character_loads(
     rs: Optional[RootSystem],
     text: str,
@@ -265,11 +389,21 @@ def character_loads(
     allow_large: bool = False,
     expect_type: Optional[str] = None,
 ) -> tuple[ModuleCharacter, FormalCharacter, list[str]]:
-    """`character_from_json` on the text of a character file, which is
-    parsed once."""
+    """`character_from_json` on the text of a character file.
+
+    A text that `character_dumps` wrote is read by the text of its words,
+    with only its header decoded; any other text is decoded whole, once.
+    Both give the same character, base and warnings, or the same error.
+    """
+    found = _written_character(
+        rs, text, allow_large=allow_large, expect_type=expect_type
+    )
+    if found is not None:
+        return found
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # a JSONDecodeError, or an int past the decoder's digit limit
         raise InputError(f"invalid JSON: {exc}") from exc
     return character_from_json(
         rs, data, strict=strict, allow_large=allow_large, expect_type=expect_type
@@ -287,7 +421,7 @@ def _subset_tag(s) -> str:
 def _parse_subset(tag: str, n: int, what: str) -> frozenset[int]:
     try:
         items = json.loads(tag)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise InputError(f"{what}: bad subset key {tag!r}") from exc
     if not isinstance(items, list) or not all(
         isinstance(x, int) and not isinstance(x, bool) for x in items
@@ -371,6 +505,7 @@ def module_from_json(data: dict, *, allow_large: bool = False) -> AlgebraModule:
 def module_loads(text: str, *, allow_large: bool = False) -> AlgebraModule:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # a JSONDecodeError, or an int past the decoder's digit limit
         raise InputError(f"invalid JSON: {exc}") from exc
     return module_from_json(data, allow_large=allow_large)

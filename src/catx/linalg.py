@@ -131,10 +131,18 @@ def nullspace(rows, ncols: int | None = None) -> tuple[list[list[Q]], list[int]]
 
 
 def det(rows) -> Q:
-    m = mat(rows)
-    n = len(m)
-    if any(len(row) != n for row in m):
+    """The determinant; of an upper triangular matrix, such as a zeta
+    matrix in a linear extension of its order, the product of the
+    diagonal, read without converting any other entry."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
         raise ValueError("determinant needs a square matrix")
+    if not any(x for i, row in enumerate(rows) for x in row[:i]):
+        out = Q(1)
+        for i, row in enumerate(rows):
+            out *= Q(row[i])
+        return out
+    m = mat(rows)
     sign = 1
     out = Q(1)
     for c in range(n):

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable
 
 from catx.errors import InputError, ResourceGuardError, refuse_change
 
@@ -191,8 +190,6 @@ class RootSystem:
         self._simple_pos = tuple(
             self._index[self.simple_root(i)] for i in self.simple_indices
         )
-        self._heights = tuple(sum(r) for r in self.positive_roots)
-        self._max_height = max(self._heights)
         self._sum_index = self._build_sum_index()
         self._simple_perm = tuple(
             self._reflection_perm(i) for i in self.simple_indices
@@ -300,51 +297,6 @@ class RootSystem:
         if not self.is_root(r):
             raise InputError(f"{root} is not a root of {self.cartan_type}")
         return self._reflect_coords(i, r)
-
-    def root_string(self, alpha: Root, beta: Root) -> frozenset[tuple[int, int]]:
-        """All (m, n) with m, n >= 1 such that m*alpha + n*beta is a root.
-
-        Both arguments must be distinct positive roots.  Any such
-        combination has all-nonnegative coordinates, so membership is
-        tested against the positive roots only, with the loop bounded
-        by the maximal root height.
-        """
-        a, b = tuple(alpha), tuple(beta)
-        if not self.is_positive_root(a) or not self.is_positive_root(b):
-            raise InputError("root_string arguments must be positive roots")
-        if a == b:
-            raise InputError("root_string arguments must be distinct")
-        ha, hb = sum(a), sum(b)
-        out = set()
-        m = 1
-        while m * ha + hb <= self._max_height:
-            n = 1
-            while m * ha + n * hb <= self._max_height:
-                cand = tuple(m * x + n * y for x, y in zip(a, b))
-                if cand in self._index:
-                    out.add((m, n))
-                n += 1
-            m += 1
-        return frozenset(out)
-
-    def is_closed_subset(self, subset: Iterable[Root]) -> bool:
-        """True when the subset of positive roots is closed under addition.
-
-        Closed means: whenever two members sum to a root, that sum is
-        also a member.
-        """
-        idx = []
-        for root in subset:
-            r = tuple(root)
-            if r not in self._index:
-                raise InputError(f"{root} is not a positive root of {self.cartan_type}")
-            idx.append(self._index[r])
-        chosen = set(idx)
-        for ka, kb in combinations(sorted(chosen), 2):
-            k = self._sum_index.get((ka, kb))
-            if k is not None and k not in chosen:
-                return False
-        return True
 
     def sum_triples(self) -> tuple[tuple[int, int, int], ...]:
         """All (i, j, k) with i < j and root_i + root_j = root_k."""

@@ -180,14 +180,6 @@ class WeylElement:
         full = (1 << len(self.perm)) - 1
         return full ^ self.inversion_mask
 
-    def inverted_roots(self) -> frozenset[Root]:
-        roots = self.rs.positive_roots
-        return frozenset(roots[k] for k, j in enumerate(self.perm) if j < 0)
-
-    def preserved_roots(self) -> frozenset[Root]:
-        roots = self.rs.positive_roots
-        return frozenset(roots[k] for k, j in enumerate(self.perm) if j >= 0)
-
     def descent_set(self) -> frozenset[int]:
         """Simple indices i with (self * s_i) shorter than self."""
         return frozenset(_perm_descents(self.rs, self.perm))

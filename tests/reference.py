@@ -1,6 +1,7 @@
 """Readable reference helpers that only the tests use.
 
-Most restate, on `Weight` and `WeylElement` objects, an order or a
+The root-system ones read roots as coordinate tuples.  Most others
+restate, on `Weight` and `WeylElement` objects, an order or a
 construction that `catx.charcalc` computes on packed integer ids.  The
 incidence-algebra ones restate, on sets of (Y, Z) frozenset pairs, the
 checks that `catx.incidence` runs on bitset rows.
@@ -26,8 +27,57 @@ from catx.incidence import (
     interval_module,
     subset_key,
 )
-from catx.rootsystem import RootSystem
+from catx.errors import InputError
+from catx.rootsystem import Root, RootSystem
 from catx.weyl import WeylElement, _index_mask, group_table
+
+
+def root_string(rs: RootSystem, alpha: Root, beta: Root) -> frozenset[tuple[int, int]]:
+    """All (m, n) with m, n >= 1 such that m*alpha + n*beta is a root.
+
+    Both arguments must be distinct positive roots.  Any such
+    combination has all-nonnegative coordinates, so membership is
+    tested against the positive roots only, with the loop bounded
+    by the maximal root height.
+    """
+    a, b = tuple(alpha), tuple(beta)
+    if not rs.is_positive_root(a) or not rs.is_positive_root(b):
+        raise InputError("root_string arguments must be positive roots")
+    if a == b:
+        raise InputError("root_string arguments must be distinct")
+    ha, hb = sum(a), sum(b)
+    top = max(map(sum, rs.positive_roots))
+    out = set()
+    m = 1
+    while m * ha + hb <= top:
+        n = 1
+        while m * ha + n * hb <= top:
+            if rs.is_positive_root(tuple(m * x + n * y for x, y in zip(a, b))):
+                out.add((m, n))
+            n += 1
+        m += 1
+    return frozenset(out)
+
+
+def is_closed_subset(rs: RootSystem, subset: Iterable[Root]) -> bool:
+    """True when a subset of positive roots is closed under addition:
+    whenever two members sum to a root, that sum is also a member."""
+    chosen = {rs.positive_index(root) for root in subset}
+    return all(
+        k in chosen for i, j, k in rs.sum_triples() if i in chosen and j in chosen
+    )
+
+
+def inverted_roots(w: WeylElement) -> frozenset[Root]:
+    """The positive roots that w sends negative."""
+    roots = w.rs.positive_roots
+    return frozenset(roots[k] for k, j in enumerate(w.perm) if j < 0)
+
+
+def preserved_roots(w: WeylElement) -> frozenset[Root]:
+    """The positive roots that w keeps positive."""
+    roots = w.rs.positive_roots
+    return frozenset(roots[k] for k, j in enumerate(w.perm) if j >= 0)
 
 
 def canonical_twist(tc: TwistedCharacter, v: WeylElement) -> TwistedCharacter:

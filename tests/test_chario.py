@@ -3,6 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from catx import chario
 from catx.charcalc import (
     FormalCharacter,
     ModuleCharacter,
@@ -11,6 +12,7 @@ from catx.charcalc import (
     simple_character,
 )
 from catx.chario import (
+    _written_character,
     character_dumps,
     character_from_json,
     character_loads,
@@ -18,9 +20,10 @@ from catx.chario import (
     module_dumps,
     module_loads,
 )
-from catx.errors import InputError
+from catx.errors import InputError, ResourceGuardError
 from catx.incidence import build_incidence_algebra, regular_module
-from catx.rootsystem import build_root_system
+from catx.rootsystem import RootSystem, build_root_system
+from catx.verify import default_types
 
 
 def test_character_roundtrip_byte_identical():
@@ -266,6 +269,189 @@ def test_character_dumps_matches_the_json_encoder_on_odd_labels_and_empties():
             )
             loaded, base, _ = character_loads(rs, character_dumps(rs, empty, base=theta))
             assert not loaded and base == theta
+
+
+def decoded_loads(rs, text, **kwargs):
+    """A character file read by decoding all of its text: the reader's
+    path for any text that `character_dumps` did not write."""
+    try:
+        data = json.loads(text)
+    except ValueError as exc:
+        raise InputError(f"invalid JSON: {exc}") from exc
+    return character_from_json(rs, data, **kwargs)
+
+
+def outcome(read, text, **kwargs):
+    """What a reader gives on a text: the character with its system, the
+    base and the warnings, or the type and message of its error."""
+    try:
+        char, base, warnings = read(None, text, **kwargs)
+    except (InputError, ResourceGuardError) as exc:
+        return type(exc).__name__, str(exc)
+    return char, char._rs, base, warnings
+
+
+def read_by_its_words(text, **kwargs):
+    return _written_character(
+        None, text, allow_large=False, expect_type=kwargs.get("expect_type")
+    )
+
+
+# escapes, non-ASCII text, and a byte the locale could not decode
+_LABELS = ("theta", 'say "hi"\\', "tab\tnew\nline", "θ-ü-€-😀", "\udcff")
+
+
+def assert_read_by_its_words(text, char, base):
+    found = read_by_its_words(text)
+    assert found is not None
+    assert found == decoded_loads(None, text) == (char, base, [])
+    assert found[0]._rs == char._rs
+    assert character_loads(None, text, strict=True) == found
+    assert character_dumps(char._rs, found[0], base=base) == text
+
+
+@pytest.mark.parametrize("name", default_types(3))
+def test_written_files_read_by_their_words_as_decoded(name):
+    rs = build_root_system(name)
+    k = 0
+    for itheta in subsets_of(rs.simple_indices):
+        for j in subsets_of(itheta):
+            for build in (induced_character, simple_character, costandard_character):
+                theta = FormalCharacter(_LABELS[k % len(_LABELS)], itheta)
+                k += 1
+                char = build(rs, theta, j)
+                assert_read_by_its_words(character_dumps(rs, char, base=theta), char, theta)
+
+
+@pytest.mark.parametrize("name", ["B4", "C4", "D4"])
+def test_written_rank_4_files_read_by_their_words_as_decoded(name):
+    rs = build_root_system(name)
+    itheta = frozenset(rs.simple_indices)
+    for k, j in enumerate(([], [1], [2, 4], [1, 3, 4], sorted(itheta))):
+        theta = FormalCharacter(_LABELS[k], itheta)
+        for build in (induced_character, simple_character, costandard_character):
+            char = build(rs, theta, j)
+            assert_read_by_its_words(character_dumps(rs, char, base=theta), char, theta)
+
+
+def test_a_written_file_reads_over_a_system_with_no_group_table_yet():
+    # as in a fresh process, which reads a file before it builds a table
+    rs = build_root_system("B3")
+    theta = FormalCharacter("theta", frozenset({2}))
+    char = costandard_character(rs, theta, [])
+    text = character_dumps(rs, char)
+    fresh = RootSystem(rs.cartan_type)
+    assert fresh._weyl_table is None
+    found = _written_character(fresh, text, allow_large=False, expect_type=None)
+    assert found == (char, theta, []) and found[0]._rs is fresh
+
+def swap_lines(text, a, b):
+    lines = text.split("\n")
+    i, j = lines.index(a), lines.index(b)
+    lines[i], lines[j] = lines[j], lines[i]
+    return "\n".join(lines)
+
+
+def edits_of(text):
+    """Edits of a written file whose first weight has two empty words and
+    multiplicity 1, with its itheta [1, 2]: none is a text the writer
+    writes."""
+    start_text = '    {\n      "coset_rep"'
+    start = text.index(start_text)
+    first = text[start : text.index("    }", start) + 5]
+    assert first == '    {\n      "coset_rep": [],\n      "v": [],\n      "mult": 1\n    }'
+    itheta = "[\n    1,\n    2\n  ]"
+    yield "changed space", text.replace('"v": ', '"v":  ', 1)
+    yield "changed header space", text.replace('"type": ', '"type":  ')
+    yield "tab for spaces", text.replace("        ", "\t", 1)
+    yield "changed first indent", text.replace(start_text, " " + start_text, 1)
+    yield "changed first key indent", text.replace(start_text, start_text.replace(' "', '  "'), 1)
+    second = text.index(start_text, start + 1)
+    yield "changed second key indent", text[:second] + text[second:].replace(
+        start_text, start_text.replace(' "', '  "'), 1
+    )
+    yield "bracket for a brace", text.replace(start_text, start_text.replace("{", "["), 1)
+    for key in ('"coset_rep"', '"v"', '"mult"'):
+        yield f"renamed {key}", text.replace(key + ":", '"u":', 1)
+    yield "moved last brace", text[: -len("\n}\n")] + "}\n\n"
+    yield "cut after the weights' bracket", text[: text.index('"weights": [') + 12]
+    yield "empty weight", text[: text.index('"weights": [') + 12] + (
+        "\n    {\n      \n    }\n  ]\n}\n"
+    )
+    yield "unclosed key", text[: -len("\n    }\n  ]\n}\n")] + (
+        '\n    },\n    {\n      "x\n    }\n  ]\n}\n'
+    )
+    yield "last weight without words", text[: -len("\n  ]\n}\n")] + (
+        ',\n    {\n      "x": 1\n    }\n  ]\n}\n'
+    )
+    yield "swapped weight keys", swap_lines(text, '      "coset_rep": [],', '      "v": [],')
+    yield "swapped header keys", swap_lines(text, '  "type": "B3",', '  "label": "theta",')
+    for letter in ("1.0", "true"):
+        yield f"{letter} in a word", text.replace("\n        1", f"\n        {letter}", 1)
+    for mult in ("0", "01", "-1", "+1", "1 ", "1" * 5000):
+        yield f"mult {mult[:8]}", text.replace('"mult": 1\n', f'"mult": {mult}\n', 1)
+    yield "non-canonical coset_rep", text.replace(
+        '"coset_rep": [],', '"coset_rep": [\n        1\n      ],', 1
+    )
+    yield "duplicated weight", text.replace(first, f"{first},\n{first}", 1)
+    yield "unsorted itheta", text.replace(itheta, "[\n    2,\n    1\n  ]")
+    yield "repeated itheta", text.replace(itheta, "[\n    1,\n    1,\n    2\n  ]")
+    yield "extra header key", text.replace('  "label"', '  "extra": 1,\n  "label"')
+    yield "repeated header key", text.replace('  "label"', '  "type": "B3",\n  "label"')
+    yield "extra weight key", text.replace('"mult": 1\n', '"mult": 1,\n      "x": 1\n', 1)
+    yield "trailing text", text + "x"
+    yield "trailing newline", text + "\n"
+    yield "no final newline", text[:-1]
+    yield "CRLF line ends", text.replace("\n", "\r\n")
+
+
+@pytest.mark.parametrize("chunk", ["default", 1])
+def test_edited_written_files_are_decoded_whole(chunk, monkeypatch):
+    if chunk != "default":  # every weight a chunk of its own
+        monkeypatch.setattr(chario, "_CHUNK", chunk)
+    rs = build_root_system("B3")
+    theta = FormalCharacter("theta", frozenset({1, 2}))
+    char = induced_character(rs, theta, [])
+    text = character_dumps(rs, char)
+    assert_read_by_its_words(text, char, theta)
+    edits = dict(edits_of(text))
+    # every edit is a text of its own
+    assert len(set(edits.values()) - {text}) == len(edits) == len(list(edits_of(text)))
+    for what, edited in edits.items():
+        assert read_by_its_words(edited) is None, what
+        for strict in (False, True):
+            assert outcome(character_loads, edited, strict=strict) == outcome(
+                decoded_loads, edited, strict=strict
+            ), (what, strict)
+    # the edits reach the decoded path's own messages
+    for what, message in (
+        ("1.0 in a word", "list of simple indices"),
+        ("mult 0", "mult must be a positive int"),
+        ("mult 11111111", "invalid JSON: Exceeds the limit"),
+        ("trailing text", "invalid JSON: Extra data"),
+    ):
+        assert message in outcome(character_loads, edits[what])[1], what
+    warnings = outcome(character_loads, edits["non-canonical coset_rep"])[3]
+    assert "not canonical" in warnings[0]
+
+
+def test_written_files_with_a_header_error_give_the_decoded_error():
+    rs = build_root_system("A2")
+    theta = FormalCharacter("t", frozenset({1}))
+    text = character_dumps(rs, induced_character(rs, theta, []))
+    for edited, expect_type, error in (
+        (text.replace('"A2"', '"a2"'), None, "payload is for type 'a2', expected A2"),
+        (text.replace('"A2"', '"E8"'), None, "E8 has Weyl order"),
+        (text.replace("[\n    1\n  ]", "[\n    3\n  ]"), None, "out of range"),
+        (text.replace('"t"', '""'), None, "label must be a non-empty string"),
+        (text, "B2", "but --type says 'B2'"),
+        # in a text that does not decode, the decoder's error comes first
+        (text.replace('"A2"', '"a2"') + "x", None, "invalid JSON: Extra data"),
+    ):
+        assert read_by_its_words(edited, expect_type=expect_type) is None
+        got = outcome(character_loads, edited, expect_type=expect_type)
+        assert error in got[1]
+        assert got == outcome(decoded_loads, edited, expect_type=expect_type)
 
 
 def test_module_roundtrip_byte_identical():

@@ -338,25 +338,55 @@ def test_decompose_error_contract(capsys, tmp_path, text, extra, code, err):
     assert (got_code, got_err) == (code, err.replace("PATH", str(f)))
 
 
-def test_decompose_parses_its_input_once(capsys, tmp_path, monkeypatch):
-    char_file = tmp_path / "nabla.json"
+def test_decompose_decodes_only_the_header_of_a_file_that_char_wrote(
+    capsys, tmp_path, monkeypatch
+):
+    written = tmp_path / "nabla.json"
     run_cli(
         capsys,
         "char", "--type", "B2", "--kind", "nabla", "--j", "1,2",
-        "--json", "--out", str(char_file),
+        "--json", "--out", str(written),
     )
-    calls = []
+    text = written.read_text()
+    compact = tmp_path / "compact.json"
+    compact.write_text(json.dumps(json.loads(text)))
     loads = json.loads
+    calls = []
 
-    def counting_loads(text, *args, **kwargs):
-        calls.append(text)
-        return loads(text, *args, **kwargs)
+    def counting_loads(s, *args, **kwargs):
+        calls.append(s)
+        return loads(s, *args, **kwargs)
 
     monkeypatch.setattr(json, "loads", counting_loads)
-    code = main(["decompose", "--in", str(char_file), "--json"])
+    runs = {}
+    for path in (written, compact):
+        calls.clear()
+        code = main(["decompose", "--in", str(path), "--json"])
+        runs[path] = code, capsys.readouterr().out, list(calls)
     monkeypatch.undo()
-    assert code == 0 and calls == [char_file.read_text()]
-    assert json.loads(capsys.readouterr().out)["ok"] is True
+    # the file that catx char wrote: one decode, of its header alone
+    code, out, [header] = runs[written]
+    assert code == 0 and json.loads(out)["ok"] is True
+    assert "weights" not in header and text.startswith(header[:-1])
+    # any other layout: the whole text, decoded once, to the same output
+    assert runs[compact] == (0, out, [compact.read_text()])
+
+
+def test_integers_past_the_decoders_digit_limit_are_invalid_json(capsys, tmp_path):
+    big = "1" * 5000
+    rs = build_root_system("A2")
+    char = simple_character(rs, FormalCharacter("t", frozenset()), [])
+    f = tmp_path / "big.json"
+    f.write_text(character_dumps(rs, char).replace('"mult": 1', f'"mult": {big}', 1))
+    code, _, err = run_cli(capsys, "decompose", "--in", str(f))
+    assert code == 2 and err.startswith("error: invalid JSON: Exceeds the limit")
+    for payload, message in (
+        ('{"n": 1, "dims": {"[]": %s}, "maps": {}}' % big, "invalid JSON: Exceeds the limit"),
+        ('{"n": 1, "dims": {"[%s]": 1}, "maps": {}}' % big, "dims: bad subset key"),
+    ):
+        f.write_text(payload)
+        code, _, err = run_cli(capsys, "algebra", "--n", "1", "--module", str(f))
+        assert code == 2 and err.startswith(f"error: {message}"), err[:80]
 
 
 def test_input_errors_exit_2(capsys):

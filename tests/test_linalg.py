@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as Q
 
@@ -46,6 +47,45 @@ def test_det_oracles():
     # permutation matrix sign
     p = [[Q(0), Q(1), Q(0)], [Q(0), Q(0), Q(1)], [Q(1), Q(0), Q(0)]]
     assert linalg.det(p) == 1
+
+
+def leibniz_det(rows):
+    """The determinant as the signed sum over permutations."""
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = (-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+def test_det_of_triangular_and_other_integer_matrices():
+    rng = random.Random(7)
+    for _ in range(200):
+        n = rng.randint(0, 6)
+        upper = [
+            [rng.randint(-3, 3) if j >= i else 0 for j in range(n)] for i in range(n)
+        ]
+        if n and rng.random() < 0.5:
+            upper[rng.randrange(n)] = [0] * n  # a zero on the diagonal too
+        # conjugating by a permutation keeps the determinant, and leaves
+        # most matrices not triangular
+        perm = rng.sample(range(n), n)
+        shuffled = [[upper[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+        dense = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        for m in (upper, shuffled, dense):
+            got = linalg.det(m)
+            assert isinstance(got, Q) and got == leibniz_det(m), m
+        assert linalg.det(upper) == linalg.det(shuffled)
+    # the zeta matrix of the subsets of {1, 2, 3}, in a linear extension
+    subsets = sorted(range(8), key=lambda y: (bin(y).count("1"), y))
+    zeta = [[int(y & z == y) for z in subsets] for y in subsets]
+    assert linalg.det(zeta) == 1
+    with pytest.raises(ValueError, match="square"):
+        linalg.det([[1, 2]])
 
 
 def test_coords_in_span_roundtrip():
