@@ -50,7 +50,6 @@ from catx.weyl import (
     group_table,
     kept_masks,
     longest_element,
-    min_coset_reps,
     weyl_subgroup,
 )
 
@@ -604,6 +603,19 @@ def _supports(rs: RootSystem) -> list[int]:
     return memo[_supports]
 
 
+def _descent_counts(rs: RootSystem) -> list[int]:
+    """Per mask of simple indices, how many elements have exactly that
+    mask of right descents.  Built once per enumerated group and kept on
+    the root system's memo."""
+    memo = rs._weyl_memo
+    if _descent_counts not in memo:
+        counts = [0] * (1 << rs.rank)
+        for d in group_table(rs).descents:
+            counts[d] += 1
+        memo[_descent_counts] = counts
+    return memo[_descent_counts]
+
+
 def _candidates(
     rs: RootSystem, base: FormalCharacter, inner: Mapping[int, int]
 ) -> list[tuple[frozenset[int], int, int]]:
@@ -842,8 +854,8 @@ def verify_filtration(
             "j": sorted(j),
             "jprime_convention": jprime_convention,
         }
-        jprime = _jprime(rs, theta, j, jprime_convention)
-        nabla = _family_ids(classes, _index_mask(jprime), 0)
+        jpmask = _index_mask(_jprime(rs, theta, j, jprime_convention))
+        nabla = _family_ids(classes, jpmask, 0)
         simples = [_family_ids(classes, imask, _index_mask(k)) for k in _subsets(j)]
         diff = _weight_diff(
             ModuleCharacter._of(rs, {theta: dict.fromkeys(nabla, 1)}),
@@ -858,7 +870,8 @@ def verify_filtration(
             }
         )
 
-        lhs = len(min_coset_reps(rs, jprime))
+        # the minimal representatives of W/W_J', by their right descents
+        lhs = sum(c for d, c in enumerate(_descent_counts(rs)) if not d & jpmask)
         rhs = copies * sum(map(len, simples))
         records.append(
             {

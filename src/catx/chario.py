@@ -1,5 +1,9 @@
 """JSON serialization for characters and lattice modules.
 
+This module owns the indent-2 layout of every file catx writes
+(`json_text`): characters, modules, verification reports and the
+command line's JSON payloads.
+
 Characters ship as words in the simple generators so files stay
 readable and system independent.  A file laid out byte for byte as
 `character_dumps` writes it is read by the text of its words: only its
@@ -15,6 +19,7 @@ identical.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction as Q
 from itertools import repeat
 from typing import Optional
@@ -90,13 +95,72 @@ def character_to_json(
     }
 
 
-def _int_list(items: list[int], indent: str) -> str:
-    """A list of ints laid out as json.dumps(indent=2) lays it out when
-    its opening bracket sits on a line indented by `indent`."""
-    if not items:
-        return "[]"
-    inner = "\n" + indent + "  "
-    return "[" + inner + ("," + inner).join(map(str, items)) + "\n" + indent + "]"
+_encode_str = json.encoder.encode_basestring_ascii
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+_INF = float("inf")
+
+
+def _float_text(x: float) -> str:
+    """A float as json writes it: its repr, or the JavaScript names of
+    NaN and the infinities."""
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _indented(value, pad: str) -> str:
+    """value laid out as json.dumps(indent=2) lays it out when it starts
+    on a line indented by pad.
+
+    Only values of exactly the types dict (with str keys), list, tuple,
+    str, int, float, bool and None are written; anything else, a
+    subclass included, raises TypeError, so that any text it returns is
+    json's.  A value that holds itself is not detected.
+    """
+    kind = type(value)
+    if kind is str:
+        return _encode_str(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        # a key that is not a str is a TypeError of _encode_str
+        items = [
+            f"{_encode_str(k)}: {_indented(v, inner)}" for k, v in value.items()
+        ]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        items = [_indented(v, inner) for v in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    if kind is bool or value is None:
+        return _CONSTANTS[value]
+    if kind is float:
+        return _float_text(value)
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+if sys.version_info >= (3, 13):
+    # json's C encoder lays out indent itself from 3.13 on, and is
+    # faster there than _indented
+    def json_text(value) -> str:
+        """The text of json.dumps(value, indent=2) and a newline."""
+        return json.dumps(value, indent=2) + "\n"
+
+else:
+    # before 3.13, indent sends json.dumps to its pure-Python encoder,
+    # which takes about twice as long as _indented
+    def json_text(value) -> str:
+        """The text of json.dumps(value, indent=2) and a newline."""
+        return _indented(value, "") + "\n"
 
 
 # A weight of a file that character_dumps writes has no quotes but those
@@ -120,7 +184,7 @@ def _word_pieces(rs: RootSystem) -> list[str]:
     if _word_pieces not in memo:
         words = group_table(rs).words
         memo[_word_pieces] = [
-            f": {_int_list(list(word), '      ')}{_WORD_END}" for word in words
+            f": {_indented(word, '      ')}{_WORD_END}" for word in words
         ]
     return memo[_word_pieces]
 
@@ -149,9 +213,9 @@ def _header_text(rs: RootSystem, base: FormalCharacter) -> str:
     `character_dumps` writes them."""
     return (
         "{\n"
-        f'  "type": {json.dumps(str(rs.cartan_type))},\n'
-        f'  "label": {json.dumps(base.label)},\n'
-        f'  "itheta": {_int_list(sorted(base.itheta), "  ")},'
+        f'  "type": {_encode_str(str(rs.cartan_type))},\n'
+        f'  "label": {_encode_str(base.label)},\n'
+        f'  "itheta": {_indented(sorted(base.itheta), "  ")},'
     )
 
 
@@ -461,7 +525,7 @@ def module_to_json(module: AlgebraModule) -> dict:
 
 
 def module_dumps(module: AlgebraModule) -> str:
-    return json.dumps(module_to_json(module), indent=2) + "\n"
+    return json_text(module_to_json(module))
 
 
 def module_from_json(data: dict, *, allow_large: bool = False) -> AlgebraModule:

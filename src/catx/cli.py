@@ -27,6 +27,7 @@ from catx.chario import (
     character_dumps,
     character_loads,
     check_label,
+    json_text,
     module_loads,
 )
 from catx.errors import InputError, ResourceGuardError
@@ -77,11 +78,13 @@ def _emit(text: str, out: Optional[str]) -> None:
     """Write text to stdout, or overwrite the file out in place.
 
     The file is opened without truncation, written, and only then cut to
-    length (regular files only, so devices, FIFOs and /dev/stdout work).
-    Truncating on open makes ext4 start writeback on close, which stalls
-    the next rewrite of the same path.  The text is encoded first, so an
-    encoding error leaves the file as it was; surrogateescape restores
-    command-line bytes that the locale could not decode.
+    length, if it is a regular file (so devices, FIFOs and /dev/stdout
+    work) that was longer than the text: the write starts at the top, so
+    any byte past the text is the old file's.  Truncating on open makes
+    ext4 start writeback on close, which stalls the next rewrite of the
+    same path.  The text is encoded first, so an encoding error leaves
+    the file as it was; surrogateescape restores command-line bytes that
+    the locale could not decode.
     """
     if out is None or out == "-":
         sys.stdout.write(text)
@@ -90,7 +93,8 @@ def _emit(text: str, out: Optional[str]) -> None:
     try:
         with open(out, "wb", opener=_open_in_place) as f:
             f.write(data)
-            if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+            st = os.fstat(f.fileno())
+            if stat.S_ISREG(st.st_mode) and st.st_size > len(data):
                 f.truncate(len(data))
     except OSError as exc:
         raise InputError(f"cannot write {out}: {exc.strerror}") from None
@@ -128,7 +132,7 @@ def _cmd_roots(args) -> int:
             "count": len(rs.positive_roots),
             "weyl_order": rs.cartan_type.weyl_order(),
         }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit(json_text(payload), args.out)
         return 0
     lines = [f"type {rs.cartan_type}: {len(rs.positive_roots)} positive roots, "
              f"group order {rs.cartan_type.weyl_order()}"]
@@ -163,7 +167,7 @@ def _cmd_weyl(args) -> int:
         if not payload["biclosed"]["matches_group"]:
             status = 1
     if args.json:
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit(json_text(payload), args.out)
         return status
     lines = [
         f"type {payload['type']}: group order {payload['order']}, "
@@ -239,7 +243,7 @@ def _cmd_decompose(args) -> int:
             "remainder_total": dec.remainder.total(),
             "diagnostic": dec.diagnostic,
         }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit(json_text(payload), args.out)
     else:
         lines = []
         for label, k, mult in factors:
@@ -330,7 +334,7 @@ def _cmd_algebra(args) -> int:
                 for m, mult, cert in parts
             ],
         }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit(json_text(payload), args.out)
         return 0
     lines = [
         f"incidence algebra on {a.n} points: dim {a.dim}",
@@ -441,15 +445,39 @@ def build_parser() -> argparse.ArgumentParser:
 
 # Built on the first call to main, not at import, and shared by the
 # later calls of the process: parsing never changes it, and argparse
-# looks sys.stdout and sys.stderr up when it writes.
+# looks sys.stdout and sys.stderr up when it writes.  _commands holds
+# the subcommands' parsers by name, the choices of its subparsers action.
 _parser: Optional[argparse.ArgumentParser] = None
+_commands: dict[str, argparse.ArgumentParser] = {}
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """_parser.parse_args(argv), with one parser's pass instead of two
+    when argv starts with a command: the rest is parsed by that
+    command's parser, which is what the subparsers action would do, and
+    extras are refused by _parser as parse_args refuses them.  Any other
+    argv (help, none, an unknown command) goes to _parser."""
+    command = _commands.get(argv[0]) if argv else None
+    if command is None:
+        return _parser.parse_args(argv)
+    args, extras = command.parse_known_args(
+        argv[1:], argparse.Namespace(command=argv[0])
+    )
+    if extras:
+        _parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv=None) -> int:
-    global _parser
+    global _parser, _commands
     if _parser is None:
         _parser = build_parser()
-    args = _parser.parse_args(argv)
+        (_commands,) = (
+            action.choices
+            for action in _parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except (InputError, ResourceGuardError) as exc:

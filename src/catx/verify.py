@@ -7,6 +7,8 @@ its parameters and an explicit counterexample on failure, and an
 overall status.  Records are sorted canonically; the only
 run-dependent fields are the timestamp and the wall times, each the
 time of the batch of records that one call produced (`_timed`).
+`report_dumps` writes a report as json.dumps(indent=2) does, through
+`chario.json_text`.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from catx.charcalc import (
     order_axiom_records,
     verify_filtration,
 )
+from catx.chario import json_text
 from catx.errors import InputError, ResourceGuardError
 from catx.incidence import (
     IncidenceAlgebra,
@@ -310,7 +313,7 @@ def run_suite(cfg: SuiteConfig) -> dict:
 
 
 def report_dumps(report: dict) -> str:
-    return json.dumps(report, indent=2) + "\n"
+    return json_text(report)
 
 
 def report_to_csv(report: dict) -> str:

@@ -21,6 +21,7 @@ from catx.charcalc import (
     _candidates,
     _class_ids,
     _coset_mins,
+    _descent_counts,
     _eliminate,
     _family_ids,
     _maximal,
@@ -1045,6 +1046,28 @@ def test_coset_minima_match_the_descent_walk(name):
     for j in subsets_of(rs.simple_indices):
         mask = _index_mask(j)
         assert _coset_mins(rs, mask) == [table.minimize(a, mask) for a in ids], sorted(j)
+
+
+def _counted_reps(rs, j):
+    """The count of minimal coset representatives that the counting
+    record reads off the descent histogram."""
+    mask = _index_mask(j)
+    return sum(c for d, c in enumerate(_descent_counts(rs)) if not d & mask)
+
+
+@pytest.mark.parametrize("name", RANK_4_AND_BELOW)
+def test_descent_counts_count_the_minimal_coset_reps(name):
+    rs = build_root_system(name)
+    counts = _descent_counts(rs)
+    assert len(counts) == 2 ** rs.rank and sum(counts) == len(group_table(rs).elements)
+    for j in subsets_of(rs.simple_indices):
+        assert _counted_reps(rs, j) == len(min_coset_reps(rs, j)), sorted(j)
+
+
+def test_descent_counts_count_the_minimal_coset_reps_of_e6():
+    rs = build_root_system("E6", allow_large=True)
+    for j in ([], [2], [1, 3], [2, 4, 5], [1, 2, 3, 4, 5, 6]):
+        assert _counted_reps(rs, j) == len(min_coset_reps(rs, j)), j
 
 
 @pytest.mark.parametrize("name", RANK_4_AND_BELOW)

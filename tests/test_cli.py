@@ -437,6 +437,22 @@ def test_one_parser_serves_every_call_of_a_process(capsys, tmp_path):
             ["char", "--type", "B2", "--kind", "nabla", "--j", "1,2",
              "--json", "--out", str(char_file)],
             ["decompose", "--in", str(char_file), "--json"],
+            # help, no command, an unknown command: the top-level parser
+            ["char", "--help"],
+            ["--help"],
+            [],
+            ["nope"],
+            ["nope", "--type", "A1"],
+            # extras after a command are refused by the top-level parser
+            ["roots", "--type", "A1", "extra"],
+            ["roots", "--type", "A1", "--bogus", "1"],
+            ["roots", "--type", "A1", "--", "extra"],
+            # abbreviated and --opt=value spellings, a choices rejection
+            ["roots", "--ty", "A1"],
+            ["roots", "--type=A2", "--js"],
+            ["char", "--type", "A2", "--kind", "X"],
+            ["decompose", "--in", str(char_file), "--tie-break", "3"],
+            ["verify", "--types", "A1", "--checks", "biclosed", "--max-rank", "x"],
         ]
         got = []
         for argv in calls:
@@ -449,12 +465,29 @@ def test_one_parser_serves_every_call_of_a_process(capsys, tmp_path):
         assert cli._parser is parser
         capsys.readouterr()
     assert outcomes["shared"] == outcomes["fresh"]
-    (bad, bad_out, bad_err), (char_code, _, _), (dec_code, dec_out, _) = (
-        outcomes["shared"][0]
-    )
+    got = outcomes["shared"][0]
+    (bad, bad_out, bad_err), (char_code, _, _), (dec_code, dec_out, _) = got[:3]
     assert (bad, char_code, dec_code) == (2, 0, 0)
     assert bad_out == "" and "--kind" in bad_err
     assert json.loads(dec_out)["ok"] is True
+    assert [code for code, _, _ in got[3:]] == [0, 0, 2, 2, 2, 2, 2, 2, 0, 0, 2, 2, 2]
+    assert got[3][1].startswith("usage: catx char ")
+    assert got[4][1].startswith("usage: catx ") and "{roots," in got[4][1]
+    assert got[8][2].endswith("catx: error: unrecognized arguments: extra\n")
+    assert got[11][1].startswith("type A1:") and got[12][1].startswith("{")
+
+
+def test_a_command_is_parsed_by_its_own_parser_alone(capsys, monkeypatch):
+    main(["roots", "--type", "A1"])
+    capsys.readouterr()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the top-level parser parsed a command's argv")
+
+    monkeypatch.setattr(cli._parser, "parse_args", refuse)
+    monkeypatch.setattr(cli._parser, "parse_known_args", refuse)
+    assert main(["roots", "--type", "A2", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["weyl_order"] == 6
 
 
 def test_verify_quick_pass(capsys, tmp_path):
@@ -652,6 +685,15 @@ def test_verify_csv_over_a_longer_file_leaves_no_stale_tail(capsys, tmp_path):
     rows = list(csv.reader(io.StringIO(text)))
     assert rows[0] == ["check", "params", "passed", "counterexample", "wall_time_s"]
     assert len(rows) > 1 and all(len(r) == 5 and r[2] == "pass" for r in rows[1:])
+
+
+@pytest.mark.parametrize("old_size", [0, 99, 100, 101, 100_000])
+def test_out_leaves_exactly_the_new_bytes(tmp_path, old_size):
+    out = tmp_path / "f.txt"
+    if old_size:
+        out.write_bytes(b"~" * old_size)
+    cli._emit("\u03b8" * 50, str(out))  # 100 bytes of UTF-8
+    assert out.read_bytes() == "\u03b8".encode() * 50
 
 
 def test_out_to_devnull_keeps_the_device(capsys):
