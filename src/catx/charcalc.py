@@ -441,10 +441,8 @@ def _slice_ids(rs: RootSystem, mask: int) -> list[list[int]]:
     key = (_slice_ids, mask)
     if key not in memo:
         table = group_table(rs)
-        itheta = [i for i in rs.simple_indices if mask >> (i - 1) & 1]
         classes = [[] for _ in range(1 << rs.cartan_type.rank)]
-        for x in weyl_subgroup(rs, itheta):  # in id order
-            x = _element_id(table, x)
+        for x in _subgroup_ids(rs, mask):
             classes[table.descents[x]].append(table.inverse[x])
         memo[key] = classes
     return memo[key]
@@ -476,6 +474,16 @@ def _family_ids(classes: list[list[int]], mask: int, want: int) -> list[int]:
     whose right-descent mask d has d & mask == want, class by class in
     order of d."""
     return [p for d, ids in enumerate(classes) if d & mask == want for p in ids]
+
+
+def _simple_pieces(classes: list[list[int]], mask: int) -> list[list[int]]:
+    """`_family_ids(classes, mask, want)` for every want inside the mask
+    at once, in one pass over the class table: entry want holds the
+    packed weights of the simple family at the J of that mask."""
+    pieces = [[] for _ in range(mask + 1)]
+    for d, ids in enumerate(classes):
+        pieces[d & mask] += ids
+    return pieces
 
 
 def _family(
@@ -603,6 +611,14 @@ def _supports(rs: RootSystem) -> list[int]:
     return memo[_supports]
 
 
+def _subgroup_ids(rs: RootSystem, mask: int) -> list[int]:
+    """The ids of the standard subgroup on the simple indices of the
+    mask, in id order: the elements whose support (`_supports`) lies
+    inside it."""
+    outside = ~mask
+    return [x for x, support in enumerate(_supports(rs)) if not support & outside]
+
+
 def _descent_counts(rs: RootSystem) -> list[int]:
     """Per mask of simple indices, how many elements have exactly that
     mask of right descents.  Built once per enumerated group and kept on
@@ -708,16 +724,24 @@ def _eliminate(
     {packed weight: multiplicity}}, which it consumes.  The simple
     character at (theta, J) is read from the class table
     tables(rs, mask of itheta): `_class_ids` for full characters,
-    `_slice_ids` for their slices at the identity coset."""
+    `_slice_ids` for their slices at the identity coset.  The simple
+    characters of a table are cut from it once per call
+    (`_simple_pieces`), not per round.
+
+    Sorted once into tie order, the candidates give the maxima of every
+    round already in that order: the stable sort of each round's maxima
+    by (|J| descending, J, label) that the tie-break is defined on."""
     out = Decomposition()
     n, support = len(group_table(rs).elements), _supports(rs)
-    counts, cands = {}, []
+    counts, cands, pieces = {}, [], {}
     for base, inner in work.items():
         counts[base] = count = [0] * (1 << rs.cartan_type.rank)
         for p in inner:
             if p < n:
                 count[support[p]] += 1
         cands += [(base, *cand) for cand in _candidates(rs, base, inner)]
+    # in tie order, once: `_maximal` keeps candidate order
+    cands.sort(key=lambda c: (-len(c[1]), tuple(sorted(c[1])), c[0].label))
     while any(work.values()):
         maximal = _maximal(cands, work, counts)
         if not maximal:
@@ -727,13 +751,12 @@ def _eliminate(
                 f"{left} weight(s) left"
             )
             break
-        maximal.sort(
-            key=lambda bj: (-len(bj[1]), tuple(sorted(bj[1])), bj[0].label)
-        )
         pick = {0: 0, 1: len(maximal) - 1, 2: len(maximal) // 2}[tie_break]
         base, j = maximal[pick]
         imask = _index_mask(base.itheta)
-        piece = _family_ids(tables(rs, imask), imask, _index_mask(j))
+        if imask not in pieces:
+            pieces[imask] = _simple_pieces(tables(rs, imask), imask)
+        piece = pieces[imask][_index_mask(j)]
         inner = work[base]
         short = [p for p in piece if p not in inner]
         if short:
@@ -844,6 +867,7 @@ def verify_filtration(
     imask = _index_mask(theta.itheta)
     classes = tables(rs, imask)
     copies = len(group_table(rs).elements) // sum(map(len, classes))
+    pieces = _simple_pieces(classes, imask)
     every_k = _subsets(theta.itheta)
     records = []
     tname = str(rs.cartan_type)
@@ -856,7 +880,7 @@ def verify_filtration(
         }
         jpmask = _index_mask(_jprime(rs, theta, j, jprime_convention))
         nabla = _family_ids(classes, jpmask, 0)
-        simples = [_family_ids(classes, imask, _index_mask(k)) for k in _subsets(j)]
+        simples = [pieces[_index_mask(k)] for k in _subsets(j)]
         diff = _weight_diff(
             ModuleCharacter._of(rs, {theta: dict.fromkeys(nabla, 1)}),
             ModuleCharacter._of(rs, {theta: Counter(chain(*simples))}),
@@ -956,8 +980,8 @@ def _order_rows(
         length = len(words[v])
         by_length[length] = by_length.get(length, 0) | bit
     stabilizer = [
-        (u.perm, full ^ kept[_element_id(table, u)])
-        for u in weyl_subgroup(rs, theta.itheta)
+        (table.elements[u].perm, full ^ kept[u])
+        for u in _subgroup_ids(rs, _index_mask(theta.itheta))
     ]
     column = columns.__getitem__
     rows = []

@@ -22,6 +22,7 @@ import json
 import sys
 from fractions import Fraction as Q
 from itertools import repeat
+from operator import add
 from typing import Optional
 
 from catx.charcalc import FormalCharacter, ModuleCharacter
@@ -171,6 +172,7 @@ _WEIGHTS_OPEN = '\n  "weights": ['
 _FIRST_WEIGHT = "\n    {\n      "
 _WORD_END = ",\n      "
 _MULT_END = "\n    },\n    {\n      "
+_MULT_ONE = ": 1" + _MULT_END
 _WEIGHTS_END = "\n    }\n  ]\n}\n"
 # the weights are cut a chunk of about this many characters at a time,
 # so that a large file's pieces are not all held at once
@@ -423,12 +425,16 @@ def _written_character(
         ):
             return None
         mult_pieces = pieces[6::6]
-        try:
-            ints = [int(piece[2 : -len(_MULT_END)]) for piece in mult_pieces]
-        except ValueError:  # not an int, or past the digit limit
-            return None
-        if mult_pieces != [f": {m}{_MULT_END}" for m in ints]:
-            return None
+        if mult_pieces.count(_MULT_ONE) == count:
+            # every family that catx char writes has multiplicity one
+            ints = [1] * count
+        else:
+            try:
+                ints = [int(piece[2 : -len(_MULT_END)]) for piece in mult_pieces]
+            except ValueError:  # not an int, or past the digit limit
+                return None
+            if mult_pieces != [f": {m}{_MULT_END}" for m in ints]:
+                return None
         reps += map(word_id, pieces[2::6])
         vs += map(word_id, pieces[4::6])
         mults += ints
@@ -436,10 +442,10 @@ def _written_character(
     if None in reps or None in vs or min(mults) < 1:
         return None
     mask = _index_mask(base.itheta)
-    if mask and any(table.descents[rep] & mask for rep in reps):
+    if mask and any(map(mask.__and__, map(table.descents.__getitem__, reps))):
         return None
     n = len(table.elements)
-    entries = dict(zip([rep * n + v for rep, v in zip(reps, vs)], mults))
+    entries = dict(zip(map(add, map(n.__mul__, reps), vs), mults))
     if len(entries) != len(reps):
         return None
     return ModuleCharacter._of(rs, {base: entries}), base, []

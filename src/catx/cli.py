@@ -2,17 +2,20 @@
 
 Subcommands: roots, weyl, char, decompose, verify, algebra.  Exit codes:
 0 success, 1 a verification or decomposition failed, 2 invalid input.
+Their options are declared once, in `COMMANDS`: a command line that
+spells them out exactly is read directly, any other by argparse, which
+is imported only then.
 """
 
 from __future__ import annotations
 
-import argparse
 import io
 import json
 import os
 import stat
 import sys
-from typing import Optional
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Optional
 
 from catx import linalg
 from catx.charcalc import (
@@ -49,6 +52,9 @@ from catx.verify import (
     run_suite,
 )
 from catx.weyl import enumerate_biclosed, enumerate_weyl, longest_element
+
+if TYPE_CHECKING:
+    import argparse
 
 KINDS = ("M", "E", "nabla")
 
@@ -354,129 +360,208 @@ def _cmd_algebra(args) -> int:
     return 0
 
 
+# The command line, one entry per command: its name, help, function and
+# options.  An option is its flag and the keyword arguments that
+# argparse's add_argument takes for it, of which the entries use only
+# action ("store_true"), dest, type, choices, default, required and help:
+# `build_parser` passes them to argparse as they are, and `_parse` reads
+# the same ones.
+_COMMON = (
+    ("--out", {"default": None, "help": "write output to this file"}),
+    ("--json", {"action": "store_true", "help": "machine-readable output"}),
+    ("--allow-large", {"action": "store_true", "help": "lift resource guards"}),
+)
+COMMANDS = (
+    ("roots", "positive roots of a type", _cmd_roots, (
+        ("--type", {"required": True, "help": "Cartan type, e.g. A2 or B3"}),
+        *_COMMON,
+    )),
+    ("weyl", "reflection group data", _cmd_weyl, (
+        ("--type", {"required": True}),
+        ("--elements", {"action": "store_true", "help": "list all elements"}),
+        ("--biclosed", {
+            "action": "store_true",
+            "help": "find the two-sided-closed subsets and match them to the group",
+        }),
+        *_COMMON,
+    )),
+    ("char", "compute a module character", _cmd_char, (
+        ("--type", {"required": True}),
+        ("--kind", {
+            "choices": KINDS,
+            "required": True,
+            "help": "M induced, E simple, nabla costandard",
+        }),
+        ("--itheta", {
+            "default": "all",
+            "help": "comma list of simple indices fixed by theta; 'all' or ''",
+        }),
+        ("--label", {"default": "theta", "help": "name for the torus character"}),
+        ("--j", {"default": "", "help": "comma list, a subset of itheta"}),
+        ("--jprime-convention", {
+            "choices": JPRIME_CONVENTIONS,
+            "default": JPRIME_CONVENTIONS[0],
+            "help": "complement used for the costandard character",
+        }),
+        *_COMMON,
+    )),
+    ("decompose", "decompose a character file", _cmd_decompose, (
+        ("--in", {
+            "dest": "infile",
+            "required": True,
+            "help": "character JSON file, or - for stdin",
+        }),
+        ("--type", {"default": None, "help": "crosscheck the payload type"}),
+        ("--strict", {
+            "action": "store_true",
+            "help": "reject non-canonical or duplicate input instead of fixing it",
+        }),
+        ("--tie-break", {
+            "type": int,
+            "default": 0,
+            "choices": (0, 1, 2),
+            "help": "which maximal label to peel when several are available",
+        }),
+        *_COMMON,
+    )),
+    ("verify", "run a verification sweep", _cmd_verify, (
+        ("--types", {
+            "default": None,
+            "help": "comma list of Cartan types; default from --max-rank",
+        }),
+        ("--checks", {
+            "default": None,
+            "help": f"comma list from {','.join(CHECKS)}; default all",
+        }),
+        ("--itheta-mode", {"choices": ITHETA_MODES, "default": ITHETA_MODES[0]}),
+        ("--max-rank", {"type": int, "default": 3}),
+        ("--seed", {"type": int, "default": 1729}),
+        ("--jprime-convention", {
+            "choices": JPRIME_CONVENTIONS,
+            "default": JPRIME_CONVENTIONS[0],
+        }),
+        ("--theta-label", {"default": "theta"}),
+        ("--csv", {"default": None, "help": "also write a CSV view to this file"}),
+        ("--out", {"default": None, "help": "write the JSON report to this file"}),
+        ("--allow-large", {"action": "store_true"}),
+    )),
+    ("algebra", "incidence-algebra invariants and splitting", _cmd_algebra, (
+        ("--n", {"type": int, "required": True, "help": "ground-set size"}),
+        ("--module", {
+            "default": None,
+            "help": "module JSON file to decompose; default the regular module",
+        }),
+        ("--seed", {"type": int, "default": 1729}),
+        *_COMMON,
+    )),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of `COMMANDS`.  argparse is imported here, not
+    with the module: only a command line that `_parse` does not read
+    itself needs it."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="catx",
         description="Exact combinatorics of root systems, twisted characters, "
         "and the Boolean-lattice incidence algebra.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--out", default=None, help="write output to this file")
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument(
-            "--allow-large", action="store_true", help="lift resource guards"
-        )
-
-    p = sub.add_parser("roots", help="positive roots of a type")
-    p.add_argument("--type", required=True, help="Cartan type, e.g. A2 or B3")
-    add_common(p)
-    p.set_defaults(func=_cmd_roots)
-
-    p = sub.add_parser("weyl", help="reflection group data")
-    p.add_argument("--type", required=True)
-    p.add_argument("--elements", action="store_true", help="list all elements")
-    p.add_argument(
-        "--biclosed",
-        action="store_true",
-        help="find the two-sided-closed subsets and match them to the group",
-    )
-    add_common(p)
-    p.set_defaults(func=_cmd_weyl)
-
-    p = sub.add_parser("char", help="compute a module character")
-    p.add_argument("--type", required=True)
-    p.add_argument("--kind", choices=KINDS, required=True,
-                   help="M induced, E simple, nabla costandard")
-    p.add_argument("--itheta", default="all",
-                   help="comma list of simple indices fixed by theta; 'all' or ''")
-    p.add_argument("--label", default="theta", help="name for the torus character")
-    p.add_argument("--j", default="", help="comma list, a subset of itheta")
-    p.add_argument(
-        "--jprime-convention",
-        choices=JPRIME_CONVENTIONS,
-        default=JPRIME_CONVENTIONS[0],
-        help="complement used for the costandard character",
-    )
-    add_common(p)
-    p.set_defaults(func=_cmd_char)
-
-    p = sub.add_parser("decompose", help="decompose a character file")
-    p.add_argument("--in", dest="infile", required=True,
-                   help="character JSON file, or - for stdin")
-    p.add_argument("--type", default=None, help="crosscheck the payload type")
-    p.add_argument("--strict", action="store_true",
-                   help="reject non-canonical or duplicate input instead of fixing it")
-    p.add_argument("--tie-break", type=int, default=0, choices=(0, 1, 2),
-                   help="which maximal label to peel when several are available")
-    add_common(p)
-    p.set_defaults(func=_cmd_decompose)
-
-    p = sub.add_parser("verify", help="run a verification sweep")
-    p.add_argument("--types", default=None,
-                   help="comma list of Cartan types; default from --max-rank")
-    p.add_argument("--checks", default=None,
-                   help=f"comma list from {','.join(CHECKS)}; default all")
-    p.add_argument("--itheta-mode", choices=ITHETA_MODES, default=ITHETA_MODES[0])
-    p.add_argument("--max-rank", type=int, default=3)
-    p.add_argument("--seed", type=int, default=1729)
-    p.add_argument(
-        "--jprime-convention",
-        choices=JPRIME_CONVENTIONS,
-        default=JPRIME_CONVENTIONS[0],
-    )
-    p.add_argument("--theta-label", default="theta")
-    p.add_argument("--csv", default=None, help="also write a CSV view to this file")
-    p.add_argument("--out", default=None, help="write the JSON report to this file")
-    p.add_argument("--allow-large", action="store_true")
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("algebra", help="incidence-algebra invariants and splitting")
-    p.add_argument("--n", type=int, required=True, help="ground-set size")
-    p.add_argument("--module", default=None,
-                   help="module JSON file to decompose; default the regular module")
-    p.add_argument("--seed", type=int, default=1729)
-    add_common(p)
-    p.set_defaults(func=_cmd_algebra)
-
+    for name, summary, func, options in COMMANDS:
+        p = sub.add_parser(name, help=summary)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
-# Built on the first call to main, not at import, and shared by the
-# later calls of the process: parsing never changes it, and argparse
-# looks sys.stdout and sys.stderr up when it writes.  _commands holds
-# the subcommands' parsers by name, the choices of its subparsers action.
+def _reading(func, options):
+    """What `_parse` needs of one command's options: per flag, its dest,
+    whether it is a switch, its type and its choices; the dests with
+    their defaults, in parser order, then func; the required dests."""
+    flags, defaults, required = {}, {}, []
+    for flag, kwargs in options:
+        dest = kwargs.get("dest", flag[2:].replace("-", "_"))
+        switch = kwargs.get("action") == "store_true"
+        flags[flag] = (dest, switch, kwargs.get("type"), kwargs.get("choices"))
+        defaults[dest] = kwargs.get("default", False if switch else None)
+        if kwargs.get("required"):
+            required.append(dest)
+    defaults["func"] = func
+    return flags, defaults, required
+
+
+_READINGS = {name: _reading(func, options) for name, _, func, options in COMMANDS}
+
+# Built on the first command line that `_parse` hands to argparse, and
+# shared by the later ones of the process: parsing never changes it, and
+# argparse looks sys.stdout and sys.stderr up when it writes.
 _parser: Optional[argparse.ArgumentParser] = None
-_commands: dict[str, argparse.ArgumentParser] = {}
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """_parser.parse_args(argv), with one parser's pass instead of two
-    when argv starts with a command: the rest is parsed by that
-    command's parser, which is what the subparsers action would do, and
-    extras are refused by _parser as parse_args refuses them.  Any other
-    argv (help, none, an unknown command) goes to _parser."""
-    command = _commands.get(argv[0]) if argv else None
-    if command is None:
-        return _parser.parse_args(argv)
-    args, extras = command.parse_known_args(
-        argv[1:], argparse.Namespace(command=argv[0])
-    )
-    if extras:
-        _parser.error(f"unrecognized arguments: {' '.join(extras)}")
+def _read(argv: list[str]) -> Optional[SimpleNamespace]:
+    """The namespace of argv, a command then its own flags, each spelled
+    out in full, once, and every required one: a switch alone, any other
+    flag with one value that passes its type and lies in its choices.
+    The value must be "-" or not start with "-", as argparse reads any
+    other as an option or a negative number.  The namespace holds what
+    argparse's would, in its order: command, every dest, func.  None for
+    any other argv."""
+    reading = _READINGS.get(argv[0]) if argv else None
+    if reading is None:
+        return None
+    flags, defaults, required = reading
+    values = {}
+    i, n = 1, len(argv)
+    while i < n:
+        option = flags.get(argv[i])
+        if option is None:
+            return None
+        dest, switch, kind, choices = option
+        if dest in values:
+            return None
+        if switch:
+            values[dest] = True
+            i += 1
+            continue
+        if i + 1 == n:
+            return None
+        value = argv[i + 1]
+        if value.startswith("-") and value != "-":
+            return None
+        if kind is not None:
+            try:
+                value = kind(value)
+            except (TypeError, ValueError):
+                return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+        i += 2
+    if not all(dest in values for dest in required):
+        return None
+    args = {"command": argv[0], **defaults}
+    args.update(values)
+    return SimpleNamespace(**args)
+
+
+def _parse(argv: list[str]) -> SimpleNamespace | argparse.Namespace:
+    """build_parser().parse_args(argv): read directly by `_read` where it
+    can, and by argparse otherwise (help, no or an unknown command, an
+    abbreviation, --opt=value, a repeat, a bad or missing value, --,
+    extras), for its own help, usage and error texts."""
+    global _parser
+    args = _read(argv)
+    if args is None:
+        if _parser is None:
+            _parser = build_parser()
+        args = _parser.parse_args(argv)
     return args
 
 
 def main(argv=None) -> int:
-    global _parser, _commands
-    if _parser is None:
-        _parser = build_parser()
-        (_commands,) = (
-            action.choices
-            for action in _parser._actions
-            if isinstance(action, argparse._SubParsersAction)
-        )
     args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)

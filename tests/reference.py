@@ -4,19 +4,32 @@ The root-system ones read roots as coordinate tuples.  Most others
 restate, on `Weight` and `WeylElement` objects, an order or a
 construction that `catx.charcalc` computes on packed integer ids.  The
 incidence-algebra ones restate, on sets of (Y, Z) frozenset pairs, the
-checks that `catx.incidence` runs on bitset rows.
+checks that `catx.incidence` runs on bitset rows.  `build_parser` is
+the command line's argparse parser as it was written out by hand, before
+`catx.cli` declared its options in one table.
 """
 
+import argparse
 from fractions import Fraction as Q
 from typing import Iterable
 
 from catx.charcalc import (
+    JPRIME_CONVENTIONS,
     FormalCharacter,
     TwistedCharacter,
     Weight,
     _check_j,
     _class_ids,
     _family_ids,
+)
+from catx.cli import (
+    KINDS,
+    _cmd_algebra,
+    _cmd_char,
+    _cmd_decompose,
+    _cmd_roots,
+    _cmd_verify,
+    _cmd_weyl,
 )
 from catx.incidence import (
     AlgebraModule,
@@ -29,6 +42,7 @@ from catx.incidence import (
 )
 from catx.errors import InputError
 from catx.rootsystem import Root, RootSystem
+from catx.verify import CHECKS, ITHETA_MODES
 from catx.weyl import WeylElement, _index_mask, group_table
 
 
@@ -245,3 +259,92 @@ def hom_basis(
 ) -> list[dict[Subset, list[list[Q]]]]:
     space = _HomSpace(source, target)
     return [space.matrices(v) for v in space.vectors]
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="catx",
+        description="Exact combinatorics of root systems, twisted characters, "
+        "and the Boolean-lattice incidence algebra.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_common(p):
+        p.add_argument("--out", default=None, help="write output to this file")
+        p.add_argument("--json", action="store_true", help="machine-readable output")
+        p.add_argument(
+            "--allow-large", action="store_true", help="lift resource guards"
+        )
+
+    p = sub.add_parser("roots", help="positive roots of a type")
+    p.add_argument("--type", required=True, help="Cartan type, e.g. A2 or B3")
+    add_common(p)
+    p.set_defaults(func=_cmd_roots)
+
+    p = sub.add_parser("weyl", help="reflection group data")
+    p.add_argument("--type", required=True)
+    p.add_argument("--elements", action="store_true", help="list all elements")
+    p.add_argument(
+        "--biclosed",
+        action="store_true",
+        help="find the two-sided-closed subsets and match them to the group",
+    )
+    add_common(p)
+    p.set_defaults(func=_cmd_weyl)
+
+    p = sub.add_parser("char", help="compute a module character")
+    p.add_argument("--type", required=True)
+    p.add_argument("--kind", choices=KINDS, required=True,
+                   help="M induced, E simple, nabla costandard")
+    p.add_argument("--itheta", default="all",
+                   help="comma list of simple indices fixed by theta; 'all' or ''")
+    p.add_argument("--label", default="theta", help="name for the torus character")
+    p.add_argument("--j", default="", help="comma list, a subset of itheta")
+    p.add_argument(
+        "--jprime-convention",
+        choices=JPRIME_CONVENTIONS,
+        default=JPRIME_CONVENTIONS[0],
+        help="complement used for the costandard character",
+    )
+    add_common(p)
+    p.set_defaults(func=_cmd_char)
+
+    p = sub.add_parser("decompose", help="decompose a character file")
+    p.add_argument("--in", dest="infile", required=True,
+                   help="character JSON file, or - for stdin")
+    p.add_argument("--type", default=None, help="crosscheck the payload type")
+    p.add_argument("--strict", action="store_true",
+                   help="reject non-canonical or duplicate input instead of fixing it")
+    p.add_argument("--tie-break", type=int, default=0, choices=(0, 1, 2),
+                   help="which maximal label to peel when several are available")
+    add_common(p)
+    p.set_defaults(func=_cmd_decompose)
+
+    p = sub.add_parser("verify", help="run a verification sweep")
+    p.add_argument("--types", default=None,
+                   help="comma list of Cartan types; default from --max-rank")
+    p.add_argument("--checks", default=None,
+                   help=f"comma list from {','.join(CHECKS)}; default all")
+    p.add_argument("--itheta-mode", choices=ITHETA_MODES, default=ITHETA_MODES[0])
+    p.add_argument("--max-rank", type=int, default=3)
+    p.add_argument("--seed", type=int, default=1729)
+    p.add_argument(
+        "--jprime-convention",
+        choices=JPRIME_CONVENTIONS,
+        default=JPRIME_CONVENTIONS[0],
+    )
+    p.add_argument("--theta-label", default="theta")
+    p.add_argument("--csv", default=None, help="also write a CSV view to this file")
+    p.add_argument("--out", default=None, help="write the JSON report to this file")
+    p.add_argument("--allow-large", action="store_true")
+    p.set_defaults(func=_cmd_verify)
+
+    p = sub.add_parser("algebra", help="incidence-algebra invariants and splitting")
+    p.add_argument("--n", type=int, required=True, help="ground-set size")
+    p.add_argument("--module", default=None,
+                   help="module JSON file to decompose; default the regular module")
+    p.add_argument("--seed", type=int, default=1729)
+    add_common(p)
+    p.set_defaults(func=_cmd_algebra)
+
+    return parser

@@ -27,7 +27,9 @@ from catx.charcalc import (
     _maximal,
     _order_rows,
     _order_verdict,
+    _simple_pieces,
     _slice_ids,
+    _subgroup_ids,
     _supports,
     _universe_ids,
     _weight_of,
@@ -1207,3 +1209,27 @@ def test_the_rejected_costandard_family_is_translation_invariant_where_it_passes
         assert moved == failing, name
         counts[name] = len(moved)
     assert counts == {"A2": 5, "B3": 19, "C3": 19, "G2": 5}
+
+
+@pytest.mark.parametrize("name", RANK_4_AND_BELOW)
+def test_subgroup_ids_are_the_standard_subgroup_in_id_order(name):
+    rs = build_root_system(name)
+    table = group_table(rs)
+    for itheta in subsets_of(rs.simple_indices):
+        want = [table.index[u.perm] for u in weyl_subgroup(rs, itheta)]
+        assert _subgroup_ids(rs, _index_mask(itheta)) == want, (name, sorted(itheta))
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "G2", "C4"])
+def test_simple_pieces_are_the_simple_families_of_the_class_table(name):
+    rs = build_root_system(name)
+    for itheta in subsets_of(rs.simple_indices):
+        imask = _index_mask(itheta)
+        for tables in (_class_ids, _slice_ids):
+            classes = tables(rs, imask)
+            pieces = _simple_pieces(classes, imask)
+            for j in subsets_of(itheta):
+                jmask = _index_mask(j)
+                assert pieces[jmask] == _family_ids(classes, imask, jmask)
+            # every id of the table lies in exactly one simple family
+            assert sum(map(len, pieces)) == sum(map(len, classes))

@@ -477,19 +477,6 @@ def test_one_parser_serves_every_call_of_a_process(capsys, tmp_path):
     assert got[11][1].startswith("type A1:") and got[12][1].startswith("{")
 
 
-def test_a_command_is_parsed_by_its_own_parser_alone(capsys, monkeypatch):
-    main(["roots", "--type", "A1"])
-    capsys.readouterr()
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("the top-level parser parsed a command's argv")
-
-    monkeypatch.setattr(cli._parser, "parse_args", refuse)
-    monkeypatch.setattr(cli._parser, "parse_known_args", refuse)
-    assert main(["roots", "--type", "A2", "--json"]) == 0
-    assert json.loads(capsys.readouterr().out)["weyl_order"] == 6
-
-
 def test_verify_quick_pass(capsys, tmp_path):
     report_file = tmp_path / "report.json"
     csv_file = tmp_path / "report.csv"
@@ -773,7 +760,7 @@ def test_console_entry_point():
 
 def test_importing_the_cli_loads_no_unused_modules():
     # in a fresh interpreter: the test process itself has imported these
-    unused = ("dataclasses", "inspect", "csv", "datetime")
+    unused = ("dataclasses", "inspect", "csv", "datetime", "argparse", "gettext")
     proc = subprocess.run(
         [
             sys.executable, "-c",
@@ -783,3 +770,36 @@ def test_importing_the_cli_loads_no_unused_modules():
         text=True,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_exact_command_lines_never_load_argparse(tmp_path):
+    # in a fresh interpreter: an exact call of each command is read by
+    # catx itself, and only help (or any other argv) builds the parser
+    script = """
+import contextlib, io, sys
+from catx.cli import main
+calls = [
+    ["roots", "--type", "A2", "--json"],
+    ["weyl", "--type", "B2", "--elements"],
+    ["char", "--type", "A2", "--kind", "nabla", "--j", "1", "--json", "--out", sys.argv[1]],
+    ["decompose", "--in", sys.argv[1], "--tie-break", "2", "--json"],
+    ["verify", "--types", "A1", "--checks", "biclosed", "--max-rank", "1", "--seed", "1"],
+    ["algebra", "--n", "2", "--seed", "3"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in calls]
+print(codes, "argparse" in sys.modules, "gettext" in sys.modules)
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    try:
+        main(["--help"])
+    except SystemExit as exc:
+        code = exc.code
+print(code, out.getvalue().startswith("usage: catx"), "argparse" in sys.modules)
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "c.json")],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "[0, 0, 0, 0, 0, 0] False False\n0 True True\n"
