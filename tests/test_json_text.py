@@ -178,8 +178,9 @@ class _Text(str):
         {1: "int key"},
         {None: 0},
         {(1, 2): 0},
-        object(),
-        [object()],
+        # A bare object's repr holds its address, so these two get fixed ids.
+        pytest.param(object(), id="object()"),
+        pytest.param([object()], id="[object()]"),
         {"k": {1, 2}},
         _Colour.RED,
         _Text("sub"),
