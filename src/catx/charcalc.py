@@ -703,7 +703,9 @@ def decompose_character(
 
     A subtraction that would drive a multiplicity negative stops the
     loop, leaving the offending weights in the remainder and naming
-    the missing ones in the diagnostic.
+    the missing ones in the diagnostic.  So does an empty simple
+    character, which only a broken class table gives: the diagnostic
+    names its (theta, J).
     """
     if tie_break not in (0, 1, 2):
         raise InputError("tie_break must be 0, 1, or 2")
@@ -757,6 +759,13 @@ def _eliminate(
         if imask not in pieces:
             pieces[imask] = _simple_pieces(tables(rs, imask), imask)
         piece = pieces[imask][_index_mask(j)]
+        if not piece:
+            # a round that removes nothing would pick the same maximum again
+            out.diagnostic = (
+                f"the simple character at ({base!r}, J={sorted(j)}) is empty; "
+                "the class table is broken"
+            )
+            break
         inner = work[base]
         short = [p for p in piece if p not in inner]
         if short:

@@ -22,8 +22,11 @@ dim(Y) x dim(Z)).  Maps for longer containments are chain products,
 which path-independence validation makes well defined.
 
 Everything downstream (radical series, heredity layers, endomorphism
-algebras, direct-summand splitting) is computed over exact rationals;
-randomized steps take explicit seeds and are certified after the fact.
+algebras, direct-summand splitting) is computed over exact rationals.
+Splitting first cuts a module along the connected components of its
+basis support graph, exactly and with no randomness; only a connected
+piece reaches the endomorphism search, whose randomized steps take
+explicit seeds and are certified after the fact.
 """
 
 from __future__ import annotations
@@ -885,21 +888,77 @@ def is_isomorphic(
     return False
 
 
+def _support_components(m: AlgebraModule) -> list[AlgebraModule]:
+    """The submodules on the connected components of m's basis support
+    graph, ordered by their first basis vector; [m] when it is connected.
+
+    The nodes are the basis vectors (Y, i), in `subsets` order, and
+    (Y, i)-(Z, j) is an edge when entry [i][j] of the covering map Y -> Z
+    is nonzero.  Every covering map sends a component's span into itself
+    and the spans partition the basis, so m is exactly their direct sum,
+    and each piece's maps are sub-blocks of m's (no square to revalidate).
+    """
+    subsets = m.algebra.subsets
+    offsets: dict[Subset, int] = {}
+    size = 0
+    for y in subsets:
+        offsets[y] = size
+        size += m.dims[y]
+    # union-find whose roots are the least node of each component
+    root = list(range(size))
+
+    def find(u: int) -> int:
+        while root[u] != u:
+            root[u] = root[root[u]]
+            u = root[u]
+        return u
+
+    for (y, z), mat in m._maps.items():
+        oy, oz = offsets[y], offsets[z]
+        for i, row in enumerate(mat):
+            for j, x in enumerate(row):
+                if x:
+                    ru, rv = find(oy + i), find(oz + j)
+                    if ru != rv:
+                        root[max(ru, rv)] = min(ru, rv)
+    groups: dict[int, dict[Subset, list[int]]] = {}
+    for y in subsets:
+        for i in range(m.dims[y]):
+            groups.setdefault(find(offsets[y] + i), {}).setdefault(y, []).append(i)
+    if len(groups) < 2:
+        return [m] if groups else []
+    pieces = []
+    for _, support in sorted(groups.items()):
+        maps = {
+            (y, z): [[mat[i][j] for j in support[z]] for i in support[y]]
+            for (y, z), mat in m._maps.items()
+            if y in support and z in support
+        }
+        dims = {y: len(idx) for y, idx in support.items()}
+        pieces.append(AlgebraModule(m.algebra, dims, maps, validate=False))
+    return pieces
+
+
 def _split_recursive(
     m: AlgebraModule, rng: random.Random, out: list[tuple[AlgebraModule, bool]]
 ) -> None:
-    if m.total_dim == 0:
-        return
-    space = _HomSpace(m, m)
-    if _is_local_end(space):
-        out.append((m, True))
-        return
-    pair = _find_split(m, space, rng)
-    if pair is None:
-        out.append((m, False))
-        return
-    for part in pair:
-        _split_recursive(part, rng, out)
+    """Append m's summands to out, each with its local certificate.
+
+    Disconnected support splits first, exactly and with no randomness
+    (`_support_components`); only a connected piece builds its hom space
+    and, unless `_is_local_end` certifies it, goes to the seeded
+    endomorphism search, whose kernel pieces recurse here again."""
+    for piece in _support_components(m):
+        space = _HomSpace(piece, piece)
+        if _is_local_end(space):
+            out.append((piece, True))
+            continue
+        pair = _find_split(piece, space, rng)
+        if pair is None:
+            out.append((piece, False))
+            continue
+        for part in pair:
+            _split_recursive(part, rng, out)
 
 
 def krull_schmidt_decompose(
@@ -911,13 +970,15 @@ def krull_schmidt_decompose(
 ) -> list[tuple[AlgebraModule, int, bool]]:
     """Indecomposable summands with multiplicities and local certificates.
 
-    Splits recursively through endomorphism kernels until every piece
-    has a local endomorphism algebra (certified via the trace-form
-    radical, valid in characteristic zero) or no further split is found;
-    the latter is reported honestly through is_certified_local=False
-    rather than guessed.  Pieces are then grouped into isomorphism
-    classes by the randomized-but-verified hom test.  The whole run is
-    deterministic for a fixed seed.
+    Splits recursively (`_split_recursive`): first along the connected
+    components of the basis support graph, an exact direct sum that
+    needs no hom space, then each connected piece through endomorphism
+    kernels, until every piece has a local endomorphism algebra
+    (certified via the trace-form radical, valid in characteristic zero)
+    or no further split is found; the latter is reported honestly
+    through is_certified_local=False rather than guessed.  Pieces are
+    then grouped into isomorphism classes by the randomized-but-verified
+    hom test.  The whole run is deterministic for a fixed seed.
     """
     if m.algebra.n != a.n:
         raise InputError("module does not live over the given algebra")

@@ -1,9 +1,14 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from itertools import compress
+from pathlib import Path
 
 import pytest
 
+from catx import charcalc
 from catx.charcalc import (
     Decomposition,
     FormalCharacter,
@@ -225,6 +230,41 @@ def test_decompose_reports_missing_weights():
     )
     dec2 = decompose_character(rs, twisted)
     assert not dec2.ok and "no maximal weight" in dec2.diagnostic
+
+
+def test_decompose_stops_on_an_empty_simple_character():
+    # a round that subtracts an empty piece removes nothing, so the same
+    # candidate would stay maximal forever: run in a child process with a
+    # timeout, so that a regression fails here instead of hanging the suite
+    script = "\n".join(
+        [
+            "from catx import charcalc",
+            "from catx.charcalc import FormalCharacter",
+            "from catx.rootsystem import build_root_system",
+            "charcalc._simple_pieces = lambda classes, mask: [[] for _ in range(mask + 1)]",
+            "rs = build_root_system('A2')",
+            "th = FormalCharacter('theta', frozenset([1, 2]))",
+            "dec = charcalc.decompose_character(rs, charcalc.costandard_character(rs, th, [1]))",
+            "print(dec.ok)",
+            "print(dec.diagnostic)",
+        ]
+    )
+    src = Path(charcalc.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    ok, diagnostic = proc.stdout.splitlines()
+    assert ok == "False"
+    # the first pick, the identity weight, is the simple at J = {}
+    assert diagnostic == (
+        "the simple character at (theta|{1,2}, J=[]) is empty; "
+        "the class table is broken"
+    )
 
 
 def test_decompose_empty_character():

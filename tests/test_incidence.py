@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import subprocess
@@ -9,6 +10,8 @@ from pathlib import Path
 import pytest
 
 from catx import incidence, linalg
+from catx.chario import module_dumps
+from catx.cli import main
 from catx.errors import InputError, ResourceGuardError
 from catx.incidence import (
     AlgebraModule,
@@ -320,21 +323,80 @@ def test_krull_schmidt_determinism_and_guards():
         krull_schmidt_decompose(a1, fat)
 
 
-def test_allow_large_lifts_the_module_guard(monkeypatch):
-    # splitting a module past the guard takes seconds (a 65-dimensional
-    # sum of two intervals at n = 6 takes 2.5 s), so the splitter is
-    # stubbed: the test shows only that the guard lets the module through
-    reached = []
-
-    def keep_whole(m, rng, out):
-        reached.append(m)
-        out.append((m, True))
-
-    monkeypatch.setattr(incidence, "_split_recursive", keep_whole)
+def test_allow_large_lifts_the_module_guard():
+    # 70 simples at two vertices, past the guard: the real split
     a1 = build_incidence_algebra(1)
     fat = AlgebraModule(a1, {E: 40, S1: 30})
-    assert krull_schmidt_decompose(a1, fat, allow_large=True) == [(fat, 1, True)]
-    assert reached == [fat]
+    assert krull_schmidt_decompose(a1, fat, allow_large=True) == [
+        (interval_module(a1, S1, S1), 30, True),
+        (interval_module(a1, E, E), 40, True),
+    ]
+
+
+def _no_endomorphism_search(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the endomorphism search ran")
+
+    monkeypatch.setattr(incidence, "_find_split", refuse)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_regular_module_splits_by_support_alone(monkeypatch, n):
+    _no_endomorphism_search(monkeypatch)
+    a = build_incidence_algebra(n)
+    top = frozenset(range(1, n + 1))
+    projectives = {interval_module(a, y, top) for y in a.subsets}
+    out = krull_schmidt_decompose(a, regular_module(a), allow_large=True)
+    assert len(out) == len(projectives)
+    assert {m for m, _, _ in out} == projectives
+    assert all(mult == 1 and cert for _, mult, cert in out)
+
+
+def test_simples_at_distinct_vertices_split_by_support_alone(monkeypatch):
+    _no_endomorphism_search(monkeypatch)
+    a = build_incidence_algebra(7, allow_large=True)
+    verts = a.subsets[:65]
+    m = AlgebraModule(a, dict.fromkeys(verts, 1))
+    out = krull_schmidt_decompose(a, m, allow_large=True)
+    assert len(out) == 65
+    assert {piece for piece, _, _ in out} == {interval_module(a, y, y) for y in verts}
+    assert all(mult == 1 and cert for _, mult, cert in out)
+
+
+def test_support_components_are_sub_blocks_in_basis_order():
+    a = build_incidence_algebra(2)
+    i1 = interval_module(a, E, S1)
+    i2 = interval_module(a, S1, S12)
+    s2 = interval_module(a, S2, S2)
+    # the second basis vector at {1} belongs to i2, whose first vector
+    # comes after i1's first (at the empty set) but before s2's
+    assert incidence._support_components(direct_sum(a, [s2, i2, i1])) == [i1, i2, s2]
+    assert incidence._support_components(i2) == [i2]
+    assert incidence._support_components(AlgebraModule(a, {})) == []
+
+
+def test_permuted_summands_give_the_same_algebra_output(tmp_path, capsys):
+    a = build_incidence_algebra(3)
+    summands = [
+        interval_module(a, lo, hi)
+        for lo, hi in [
+            ([], [1]),
+            ([1], [1, 2, 3]),
+            ([2], [2, 3]),
+            ([], [1]),
+            ([3], [1, 3]),
+            ([1, 2], [1, 2]),
+        ]
+    ]
+    path = tmp_path / "module.json"
+    rng = random.Random(3)
+    outputs = set()
+    for _ in range(4):
+        path.write_text(module_dumps(direct_sum(a, summands)))
+        assert main(["algebra", "--n", "3", "--module", str(path), "--json"]) == 0
+        outputs.add(capsys.readouterr().out)
+        rng.shuffle(summands)
+    assert len(outputs) == 1
 
 
 def test_simple_module_is_local():
@@ -644,7 +706,22 @@ def test_square_free_parts_match_sympy_up_to_degree_48(fallbacks):
         assert (len(fallbacks) > before) == _needs_sympy(want_factors)
 
 
+def _overlapping_intervals():
+    """[{}, {1}] and [{1}, {1, 2}] summed at n = 2, with the basis at
+    their common vertex {1} changed by the unimodular [[1, 1], [0, 1]]:
+    the block maps [[1, 0]] and [[0], [1]] become [[1, 1]] and [[-1], [1]].
+    Both basis vectors at {1} meet both ends, so the support graph is
+    connected and only the endomorphism search splits the module."""
+    a = build_incidence_algebra(2)
+    return AlgebraModule(
+        a, {E: 1, S1: 2, S12: 1}, {(E, S1): [[1, 1]], (S1, S12): [[-1], [1]]}
+    )
+
+
 def test_splitting_modules_does_not_import_sympy(tmp_path):
+    module = _overlapping_intervals()
+    assert incidence._support_components(module) == [module]
+    (tmp_path / "module.json").write_text(module_dumps(module))
     script = "\n".join(
         [
             "import sys",
@@ -664,18 +741,25 @@ def test_splitting_modules_does_not_import_sympy(tmp_path):
             sys.executable, "-c", script,
             f"verify --types A1 --checks algebra --out {tmp_path / 'report.json'}",
             f"algebra --n 2 --json --out {tmp_path / 'algebra.json'}",
+            f"algebra --n 2 --module {tmp_path / 'module.json'} --json"
+            f" --out {tmp_path / 'module-split.json'}",
         ],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert proc.returncode == 0, proc.stderr
-    after_verify, after_algebra = proc.stdout.split("\n")[-3:-1]
-    # both commands factored minimal polynomials, and neither imported sympy
-    verify_calls, verify_sympy = after_verify.split()
-    algebra_calls, algebra_sympy = after_algebra.split()
-    assert 0 < int(verify_calls) < int(algebra_calls)
-    assert verify_sympy == algebra_sympy == "False"
+    lines = [line.split() for line in proc.stdout.split("\n")[-4:-1]]
+    # the regular modules split by their support alone; the connected
+    # module factored minimal polynomials; no command imported sympy
+    verify_calls, algebra_calls, module_calls = (int(calls) for calls, _ in lines)
+    assert verify_calls == algebra_calls == 0 < module_calls
+    assert [imported for _, imported in lines] == ["False"] * 3
+    split = json.loads((tmp_path / "module-split.json").read_text())
+    assert [(s["dims"], s["is_certified_local"]) for s in split["summands"]] == [
+        ({"[1]": 1, "[1,2]": 1}, True),
+        ({"[]": 1, "[1]": 1}, True),
+    ]
 
 
 def test_module_refuses_inexact_dimensions_and_entries():
