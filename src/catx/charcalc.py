@@ -27,7 +27,9 @@ right-descent classes of the group, read off one table per itheta mask
 translates of its slice at the identity coset, so the filtration sweep
 reads the classes of W_I alone (`_slice_ids`, |W_I| ids per table).  The
 root system's memo keeps these tables beside one word rank, the support
-of every element and the decomposition candidates of each itheta mask.
+of every element and the decomposition candidates of every subset.  The
+order check keeps none of them: it enumerates its universe from the
+parabolic factorisation (`_coset_parts`).
 `Weight` and `TwistedCharacter` objects are built only at the edges: the
 public accessors of `ModuleCharacter`, `weight_universe`, `weight_lt`,
 and the repr of a weight named in a counterexample or diagnostic.
@@ -37,8 +39,8 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache, reduce
-from itertools import chain
-from operator import and_
+from itertools import accumulate, chain
+from operator import and_, or_
 from typing import Callable, Iterable, Mapping, Optional
 
 from catx.errors import InputError, refuse_change
@@ -204,20 +206,26 @@ def _weight_of(rs: RootSystem, base: FormalCharacter, packed: int) -> Weight:
     return Weight(TwistedCharacter(base, elements[rep]), elements[v])
 
 
-def _id_sort_key(rs: RootSystem) -> Callable[[int], int]:
-    """Sort key on the packed ids of one base that orders their weights by
-    the canonical word of the coset representative, then by that of the
-    second component, each shorter first and then lexicographically: the
-    rank of each id when the ids are sorted by (len(word), word), kept on
-    the root system's memo, one list per system."""
+def _word_rank(rs: RootSystem) -> list[int]:
+    """Per element id, its rank when the ids are sorted by (len(word),
+    word) of their canonical words: shorter first, then lexicographic.
+    Kept on the root system's memo, one list per system."""
     memo = rs._weyl_memo
-    if _id_sort_key not in memo:
+    if _word_rank not in memo:
         words = rs._weyl_table.words
-        rank = memo[_id_sort_key] = [0] * len(words)
+        rank = memo[_word_rank] = [0] * len(words)
         ordered = sorted(range(len(words)), key=lambda a: (len(words[a]), words[a]))
         for k, a in enumerate(ordered):
             rank[a] = k
-    rank = memo[_id_sort_key]
+    return memo[_word_rank]
+
+
+def _id_sort_key(rs: RootSystem) -> Callable[[int], int]:
+    """Sort key on the packed ids of one base that orders their weights by
+    the canonical word of the coset representative, then by that of the
+    second component, each shorter first and then lexicographically
+    (`_word_rank`)."""
+    rank = _word_rank(rs)
     n = len(rank)
     return lambda p: rank[p // n] * n + rank[p % n]
 
@@ -396,20 +404,32 @@ def weight_lt(a: Weight, b: Weight) -> bool:
 # characters of the standard families
 
 
-def _coset_mins(rs: RootSystem, mask: int) -> list[int]:
-    """Per element id a, the id of the minimal element of a's left coset
-    modulo the subgroup on the simple indices of the mask.
+def _coset_parts(rs: RootSystem, mask: int) -> tuple[list[int], list[int]]:
+    """The parabolic factorisation x = r * u of every element id x, as two
+    lists of ids indexed by x: r is the minimal element of x's left coset
+    modulo the subgroup W_I on the simple indices of the mask, and u lies
+    in W_I (Björner–Brenti, Combinatorics of Coxeter Groups, section 2.4).
 
     Built in id order: ids increase with length, so for a right descent
-    s_i of a inside the mask, a * s_i is shorter, already filled in, and
-    in the same coset."""
+    s_i of x inside the mask, x * s_i = r * (u * s_i) is shorter and
+    already filled in."""
     table = group_table(rs)
     rmul = table.rmul
-    out = list(range(len(table.elements)))
-    for a, d in enumerate(table.descents):
+    mins = list(range(len(table.elements)))
+    parts = [0] * len(mins)
+    for x, d in enumerate(table.descents):
         if down := d & mask:
-            out[a] = out[rmul[(down & -down).bit_length()][a]]
-    return out
+            step = rmul[(down & -down).bit_length()]
+            y = step[x]
+            mins[x] = mins[y]
+            parts[x] = step[parts[y]]
+    return mins, parts
+
+
+def _coset_mins(rs: RootSystem, mask: int) -> list[int]:
+    """Per element id x, the id of the minimal element of x's left coset
+    modulo the subgroup on the simple indices of the mask (`_coset_parts`)."""
+    return _coset_parts(rs, mask)[0]
 
 
 def _class_ids(rs: RootSystem, mask: int) -> list[list[int]]:
@@ -634,9 +654,9 @@ def _descent_counts(rs: RootSystem) -> list[int]:
 
 def _candidates(
     rs: RootSystem, base: FormalCharacter, inner: Mapping[int, int]
-) -> list[tuple[frozenset[int], int, int]]:
+) -> list[tuple[frozenset[int], int, int, tuple]]:
     """The decomposition candidates among packed weights over one base: a
-    triple (K, p, mask of K) for each K inside itheta whose weight
+    tuple (K, p, mask of K, tie key) for each K inside itheta whose weight
     (theta, w_K), packed as p, lies in inner.
 
     A candidate's up-set has a closed form: (theta, w_K) lies below
@@ -651,37 +671,44 @@ def _candidates(
     below |W|) whose v has its support (`_supports`) inside K, less the
     candidate, and maximality needs one count per support mask.
 
-    The triples of every K are built once per root system and kept on
-    its memo, in `_subsets` order; a base keeps those with K inside its
-    itheta, which stay in that order.
+    The tie key orders K by |K| descending, then lexicographically (see
+    `decompose_character`).  The candidates of every K are built once per
+    root system and kept on its memo, in `_subsets` order; a base keeps
+    those with K inside its itheta, which stay in that order.
     """
     memo = rs._weyl_memo
     if _candidates not in memo:
         table = group_table(rs)
         memo[_candidates] = [
-            (k, _element_id(table, longest_element(rs, k)), _index_mask(k))
+            (
+                k,
+                _element_id(table, longest_element(rs, k)),
+                _index_mask(k),
+                (-len(k), tuple(sorted(k))),
+            )
             for k in _subsets(rs.simple_indices)
         ]
     outside = ~_index_mask(base.itheta)
     return [c for c in memo[_candidates] if not c[2] & outside and c[1] in inner]
 
 
-def _maximal(cands: list, work: dict, counts: dict) -> list:
-    """The (base, K) of the candidates (base, K, p, mask of K) maximal in
-    work, in candidate order: p is still in work, and the counts[base] of
-    the untwisted weights left per support mask sum to one inside K.  The
-    support of w_K is K, so that one is the candidate itself, and nothing
-    of its up-set (`_candidates`) is left."""
+def _maximal(cands: list) -> list:
+    """The candidates (base, K, p, mask of K, mask of itheta, weights left,
+    counts) maximal among the weights left, in candidate order: p is still
+    among the weights left over its base, and the counts of the untwisted
+    weights left per support mask sum to one inside K.  The support of w_K
+    is K, so that one is the candidate itself, and nothing of its up-set
+    (`_candidates`) is left."""
     out = []
-    for base, j, p, mask in cands:
-        if p in work[base]:
-            count = counts[base]
+    for cand in cands:
+        _, _, p, mask, _, inner, count = cand
+        if p in inner:
             total, s = count[0], mask
             while s:
                 total += count[s]
                 s = (s - 1) & mask
             if total == 1:
-                out.append((base, j))
+                out.append(cand)
     return out
 
 
@@ -735,17 +762,21 @@ def _eliminate(
     by (|J| descending, J, label) that the tie-break is defined on."""
     out = Decomposition()
     n, support = len(group_table(rs).elements), _supports(rs)
-    counts, cands, pieces = {}, [], {}
+    cands, keys, pieces = [], [], {}
+    # each candidate binds its base's weights left and counts, once per call
     for base, inner in work.items():
-        counts[base] = count = [0] * (1 << rs.cartan_type.rank)
+        count = [0] * (1 << rs.cartan_type.rank)
         for p in inner:
             if p < n:
                 count[support[p]] += 1
-        cands += [(base, *cand) for cand in _candidates(rs, base, inner)]
+        imask = _index_mask(base.itheta)
+        for j, p, jmask, tie in _candidates(rs, base, inner):
+            cands.append((base, j, p, jmask, imask, inner, count))
+            keys.append((tie, base.label))
     # in tie order, once: `_maximal` keeps candidate order
-    cands.sort(key=lambda c: (-len(c[1]), tuple(sorted(c[1])), c[0].label))
+    cands = [cands[k] for k in sorted(range(len(cands)), key=keys.__getitem__)]
     while any(work.values()):
-        maximal = _maximal(cands, work, counts)
+        maximal = _maximal(cands)
         if not maximal:
             left = sum(sum(inner.values()) for inner in work.values())
             out.diagnostic = (
@@ -754,11 +785,10 @@ def _eliminate(
             )
             break
         pick = {0: 0, 1: len(maximal) - 1, 2: len(maximal) // 2}[tie_break]
-        base, j = maximal[pick]
-        imask = _index_mask(base.itheta)
+        base, j, _, jmask, imask, inner, count = maximal[pick]
         if imask not in pieces:
             pieces[imask] = _simple_pieces(tables(rs, imask), imask)
-        piece = pieces[imask][_index_mask(j)]
+        piece = pieces[imask][jmask]
         if not piece:
             # a round that removes nothing would pick the same maximum again
             out.diagnostic = (
@@ -766,7 +796,6 @@ def _eliminate(
                 "the class table is broken"
             )
             break
-        inner = work[base]
         short = [p for p in piece if p not in inner]
         if short:
             short.sort(key=_id_sort_key(rs))
@@ -776,7 +805,6 @@ def _eliminate(
                 f"weight(s) {missing!r} not present with enough multiplicity"
             )
             break
-        count = counts[base]
         for p in piece:
             left = inner[p] - 1
             if left:
@@ -927,12 +955,27 @@ def verify_filtration(
     return records
 
 
+def _sweep_order(rs: RootSystem, mins: list[int]) -> list[int]:
+    """The element ids x in `items` order of their weights (mins[x],
+    x^{-1}) (`_id_sort_key`)."""
+    table = group_table(rs)
+    n, inverse, rank = len(table.elements), table.inverse, _word_rank(rs)
+    keys = [rank[r] * n + rank[inverse[x]] for x, r in enumerate(mins)]
+    return sorted(range(n), key=keys.__getitem__)
+
+
 def _universe_ids(rs: RootSystem, theta: FormalCharacter) -> list[int]:
     """The packed weights of the costandard sweep of theta, in `items`
     order.  Every costandard family of the sweep lies inside the one at
     J = itheta: there J' is empty, so its representatives are all of W,
-    and a representative's weight does not depend on J."""
-    return costandard_character(rs, theta, theta.itheta)._sorted_ids(theta)
+    and a representative's weight does not depend on J.  So the universe
+    is the weight (r, x^{-1}) of every element x, r the minimum of x's
+    coset (`_coset_parts`), enumerated directly: no class table is built
+    or kept for it."""
+    table = group_table(rs)
+    n, inverse = len(table.elements), table.inverse
+    mins = _coset_mins(rs, _index_mask(theta.itheta))
+    return [mins[x] * n + inverse[x] for x in _sweep_order(rs, mins)]
 
 
 def weight_universe(rs: RootSystem, theta: FormalCharacter) -> tuple[Weight, ...]:
@@ -947,66 +990,123 @@ def _order_rows(
     on it as one bitset row per weight: bit b of row a is set exactly
     when universe[a] lies below universe[b] (`weight_lt`).
 
-    Each weight gives one mask over the n positive roots: its kept roots
-    moved by the inverse of its twist.  As the lower weight these are its
-    pulled roots, as the upper one its target mask.  With K the kept-root
-    masks of `kept_masks`, a positive root lies in the mask of the weight
-    (w, v) exactly when w and then v keep it positive, so the mask is
-    K[w] & K[v * w].  No negative root lies in it: the universe weight of
-    an element x = w * u, with w minimal in x's coset and u in the
-    stabilizer, is (w, x^{-1}), so v * w = u^{-1}; a negative root would
-    need w and u^{-1} both to invert its positive, but w inverts no root
-    of the stabilizer's root system (Björner–Brenti §2.4) and u^{-1}
-    inverts no other root.
+    Each weight gives one mask over the positive roots: its kept roots
+    moved by the inverse of its twist, K[w] & K[v * w] for the weight
+    (w, v), with K the kept-root masks of `kept_masks`.  As the lower
+    weight these are its pulled roots, as the upper one its target mask.
+    The column of a root holds the weights whose target mask contains it,
+    so the weights that a stabilizer element v carries the pulled roots
+    of a into are the meet (AND) of the columns of their images under v.
+    Row a joins these meets over v in W_I (I = itheta), among the weights
+    whose second component is shorter.
 
-    The column of a root holds the weights whose target mask contains
-    it, so the weights that u carries the pulled roots of a into are the
-    intersection of the columns of their images.  Row a joins that over
-    the stabilizer elements u, among the shorter weights, and stops once
-    it holds all of them.  An element that inverts a pulled root carries
-    it outside every target mask, and is skipped with one mask test.
+    The universe weight of x = r * u (`_coset_parts`) is (r, x^{-1}), so
+    its mask is K[r] & K[u^{-1}], and it splits in two: A(r), the part
+    outside the roots Phi_I of W_I, is that of K[r], as u^{-1} permutes
+    the positive roots outside Phi_I; B(u), the part inside, is that of
+    K[u^{-1}], as r inverts no root of Phi_I (Björner–Brenti §2.4).  No
+    v in W_I inverts a root outside Phi_I, so v meets the mask only when
+    it inverts no root of B(u): the v of U(u).  The meet over the whole
+    mask is meetA(r, v) & meetB(u, v), the meets over A(r) and B(u), so
+
+        row(x) = shorter(len x) & OR over v in U(u) of
+                 meetA(r, v) & meetB(u, v).
+
+    The meets are memoised within the call: meetA once per (r, v), and
+    meetB once per (u, v in U(u)), each from a longer element's by one
+    AND.  When r = s * r' is a longer minimum, A(r') is A(r) and one root;
+    when u' = u * s is longer, with s in I, B(u) is B(u') and one root,
+    and U(u) is U(u') less the v that invert it.  So meetA runs down from
+    the longest minimum, and meetB down a spanning tree of W_I from w_I,
+    depth first, holding the meets of the u on the current path only.
+    No row is read from another row.
     """
-    universe = _universe_ids(rs, theta)
     table = group_table(rs)
-    n = len(table.elements)
-    words, product = table.words, table.product
+    n, inverse, words = len(table.elements), table.inverse, table.words
+    rmul, descents = table.rmul, table.descents
+    imask = _index_mask(theta.itheta)
+    mins, parts = _coset_parts(rs, imask)
+    order = _sweep_order(rs, mins)
+    universe = [mins[x] * n + inverse[x] for x in order]
     kept = kept_masks(rs)
     n_roots = len(rs.positive_roots)
     full = (1 << n_roots) - 1
-    columns = [0] * n_roots
-    by_length: dict[int, int] = {}
-    masks = []
-    for b, p in enumerate(universe):
-        rep, v = divmod(p, n)
-        # the kept roots of p moved by its twist's inverse
-        rest = kept[rep] & kept[product(v, rep) if rep else v]
-        masks.append(rest)
+    subgroup = _subgroup_ids(rs, imask)
+    size = len(subgroup)
+    inside = full ^ kept[subgroup[-1]]  # Phi_I: the roots w_I inverts
+    slot = dict(zip(subgroup, range(size)))
+
+    # the weights of each u in W_I, as positions and as one bitset, and
+    # of each length of x
+    places: list[list[int]] = [[] for _ in range(size)]
+    u_bits = [0] * size
+    by_length = [0] * (len(words[-1]) + 1)
+    for b, x in enumerate(order):
+        k = slot[parts[x]]
+        places[k].append(b)
         bit = 1 << b
-        while rest:
-            root = rest & -rest
-            rest ^= root
-            columns[root.bit_length() - 1] |= bit
-        length = len(words[v])
-        by_length[length] = by_length.get(length, 0) | bit
-    stabilizer = [
-        (table.elements[u].perm, full ^ kept[u])
-        for u in _subgroup_ids(rs, _index_mask(theta.itheta))
-    ]
-    column = columns.__getitem__
-    rows = []
-    for a, pulled_mask in zip(universe, masks):
-        length = len(words[a % n])
-        shorter = sum(m for k, m in by_length.items() if k < length)
-        row = 0
-        pulled = [r for r in range(n_roots) if pulled_mask >> r & 1]
-        for perm, inverted in stabilizer if shorter else ():
-            if pulled_mask & inverted:
-                continue
-            fits = map(column, map(perm.__getitem__, pulled))
-            row |= reduce(and_, fits, shorter & ~row)
-            if row == shorter:
+        u_bits[k] |= bit
+        by_length[len(words[x])] |= bit
+    # shorter[l]: the weights of x shorter than l
+    shorter = list(accumulate(by_length, or_, initial=0))
+    # the universe runs over the minima r in blocks of |W_I| weights
+    reps = [mins[x] for x in order[::size]]
+    block = (1 << size) - 1
+    columns = [0] * n_roots
+    for root in range(n_roots):
+        bit = 1 << root
+        if bit & inside:
+            pick = [u_bits[k] for k, u in enumerate(subgroup) if kept[inverse[u]] & bit]
+        else:
+            pick = [block << j * size for j, r in enumerate(reps) if kept[r] & bit]
+        columns[root] = reduce(or_, pick, 0)
+    del u_bits, pick  # |W_I| ints of |W| bits: not kept through the meets
+    # per root, the column of its image under each v in W_I (none when
+    # v inverts the root, which no meet reads)
+    by_root = list(
+        zip(*([columns[j] if j >= 0 else 0 for j in table.elements[v].perm] for v in subgroup))
+    )
+    inverted = [full ^ kept[v] for v in subgroup]
+    ones = (1 << len(universe)) - 1
+
+    # meetA(r, v) for each v in W_I, longest minimum first: when s * r is a
+    # longer minimum, A(r) is A(s * r) and the one root r keeps and s * r not
+    meet_a = {}
+    for r in sorted(reps, reverse=True):
+        left = inverse[r]
+        for i in rs.simple_indices:
+            up = inverse[rmul[i][left]]
+            if up > r and mins[up] == up:
+                step = by_root[(kept[r] & ~kept[up]).bit_length() - 1]
+                meet_a[r] = list(map(and_, meet_a[up], step))
                 break
-        rows.append(row)
+        else:
+            meet_a[r] = [ones] * size  # the longest minimum: A(r) is empty
+
+    # a spanning tree of W_I: the parent of u is u * s for its least right
+    # ascent s in I, and B(u) is B(u * s) and the root of the bit
+    children: list[list[tuple[int, int]]] = [[] for _ in range(size)]
+    for k, u in enumerate(subgroup):
+        if up := imask & ~descents[u]:
+            parent = rmul[(up & -up).bit_length()][u]
+            bit = kept[inverse[u]] & ~kept[inverse[parent]]
+            children[slot[parent]].append((k, bit))
+    rows = [0] * len(universe)
+    # depth first from w_I, whose B is empty and whose U is all of W_I; a
+    # child's meets are made when it is popped, so only those of the u on
+    # the current path are held
+    stack = [(size - 1, 0, list(range(size)), [ones] * size)]
+    while stack:
+        k, bit, ks, meet_b = stack.pop()
+        if bit:
+            step = by_root[bit.bit_length() - 1]
+            meet_b = [m & step[h] for h, m in zip(ks, meet_b) if not inverted[h] & bit]
+            ks = [h for h in ks if not inverted[h] & bit]
+        for b in places[k]:
+            if below := shorter[len(words[order[b]])]:
+                meets = map(and_, map(meet_a[universe[b] // n].__getitem__, ks), meet_b)
+                rows[b] = below & reduce(or_, meets)
+        stack += [(c, bit, ks, meet_b) for c, bit in children[k]]
     return universe, rows
 
 

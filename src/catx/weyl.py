@@ -444,11 +444,11 @@ def group_table(rs: RootSystem) -> _GroupTable:
 # guard then refuses oversize groups).  The memo holds at most three
 # entries per subset of the simple indices, plus the per-element kept-root
 # masks below.  `catx.charcalc` keeps its own entries here too: one word
-# rank, the support of every element, and per mask of itheta the
-# decomposition candidates and up to two tables of right-descent classes,
-# each element's weight held as a packed integer id: one over the whole
-# group, for the character builders and the order check, and one over
-# the subgroup on itheta alone, for the filtration sweep; `catx.chario`
+# rank, the support of every element, the decomposition candidates of
+# every subset, and per mask of itheta up to two tables of right-descent
+# classes, each element's weight held as a packed integer id: one over the
+# whole group, for the character builders and their decomposition, and one
+# over the subgroup on itheta alone, for the filtration sweep; `catx.chario`
 # keeps the text of every canonical word and the id of every canonical
 # word.  Each per-element table, and each whole-group class table, holds
 # one entry per group element; a subgroup's table, one per element of

@@ -11,6 +11,8 @@ the command line's argparse parser as it was written out by hand, before
 
 import argparse
 from fractions import Fraction as Q
+from functools import reduce
+from operator import and_
 from typing import Iterable
 
 from catx.charcalc import (
@@ -21,6 +23,8 @@ from catx.charcalc import (
     _check_j,
     _class_ids,
     _family_ids,
+    _subgroup_ids,
+    _universe_ids,
 )
 from catx.cli import (
     KINDS,
@@ -43,7 +47,7 @@ from catx.incidence import (
 from catx.errors import InputError
 from catx.rootsystem import Root, RootSystem
 from catx.verify import CHECKS, ITHETA_MODES
-from catx.weyl import WeylElement, _index_mask, group_table
+from catx.weyl import WeylElement, _index_mask, group_table, kept_masks
 
 
 def root_string(rs: RootSystem, alpha: Root, beta: Root) -> frozenset[tuple[int, int]]:
@@ -128,6 +132,75 @@ def simple_coset_reps(
     simple = _family_ids(_class_ids(rs, imask), imask, jmask)
     reps = [table.minimize(inverse[p % n], jmask) for p in simple]
     return tuple(table.elements[w] for w in sorted(reps))
+
+
+def order_rows(
+    rs: RootSystem, theta: FormalCharacter
+) -> tuple[list[int], list[int]]:
+    """`_order_rows` by one column AND per pulled root for every stabilizer
+    element that passes the mask test, for every weight.
+
+    Each weight gives one mask over the n positive roots: its kept roots
+    moved by the inverse of its twist.  As the lower weight these are its
+    pulled roots, as the upper one its target mask.  With K the kept-root
+    masks of `kept_masks`, a positive root lies in the mask of the weight
+    (w, v) exactly when w and then v keep it positive, so the mask is
+    K[w] & K[v * w].  No negative root lies in it: the universe weight of
+    an element x = w * u, with w minimal in x's coset and u in the
+    stabilizer, is (w, x^{-1}), so v * w = u^{-1}; a negative root would
+    need w and u^{-1} both to invert its positive, but w inverts no root
+    of the stabilizer's root system (Björner–Brenti §2.4) and u^{-1}
+    inverts no other root.
+
+    The column of a root holds the weights whose target mask contains
+    it, so the weights that u carries the pulled roots of a into are the
+    intersection of the columns of their images.  Row a joins that over
+    the stabilizer elements u, among the shorter weights, and stops once
+    it holds all of them.  An element that inverts a pulled root carries
+    it outside every target mask, and is skipped with one mask test.
+    """
+    universe = _universe_ids(rs, theta)
+    table = group_table(rs)
+    n = len(table.elements)
+    words, product = table.words, table.product
+    kept = kept_masks(rs)
+    n_roots = len(rs.positive_roots)
+    full = (1 << n_roots) - 1
+    columns = [0] * n_roots
+    by_length: dict[int, int] = {}
+    masks = []
+    for b, p in enumerate(universe):
+        rep, v = divmod(p, n)
+        # the kept roots of p moved by its twist's inverse
+        rest = kept[rep] & kept[product(v, rep) if rep else v]
+        masks.append(rest)
+        bit = 1 << b
+        while rest:
+            root = rest & -rest
+            rest ^= root
+            columns[root.bit_length() - 1] |= bit
+        length = len(words[v])
+        by_length[length] = by_length.get(length, 0) | bit
+    stabilizer = [
+        (table.elements[u].perm, full ^ kept[u])
+        for u in _subgroup_ids(rs, _index_mask(theta.itheta))
+    ]
+    column = columns.__getitem__
+    rows = []
+    for a, pulled_mask in zip(universe, masks):
+        length = len(words[a % n])
+        shorter = sum(m for k, m in by_length.items() if k < length)
+        row = 0
+        pulled = [r for r in range(n_roots) if pulled_mask >> r & 1]
+        for perm, inverted in stabilizer if shorter else ():
+            if pulled_mask & inverted:
+                continue
+            fits = map(column, map(perm.__getitem__, pulled))
+            row |= reduce(and_, fits, shorter & ~row)
+            if row == shorter:
+                break
+        rows.append(row)
+    return universe, rows
 
 
 # ----------------------------------------------------------------------

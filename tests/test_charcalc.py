@@ -54,7 +54,7 @@ from catx.weyl import (
     min_coset_reps,
     weyl_subgroup,
 )
-from reference import canonical_twist, simple_coset_reps, weight_sort_key
+from reference import canonical_twist, order_rows, simple_coset_reps, weight_sort_key
 
 
 def theta_for(rs, itheta):
@@ -376,6 +376,62 @@ def test_order_rows_match_the_pairwise_order(name):
         assert params["triples_checked"] == chains, (name, sorted(itheta))
 
 
+@pytest.mark.parametrize(
+    "name", ["A1", "A2", "B2", "C2", "G2", "A3", "B3", "C3", "A4", "B4", "C4", "D4", "F4"]
+)
+def test_order_rows_match_the_column_reference(name):
+    # the rows from the parabolic factorisation against the column ANDs
+    # over every stabilizer element that passes the mask test, on every
+    # itheta of every type up to rank 4
+    rs = build_root_system(name)
+    for itheta in subsets_of(rs.simple_indices):
+        theta = theta_for(rs, itheta)
+        assert _order_rows(rs, theta) == order_rows(rs, theta), (name, sorted(itheta))
+
+
+def left_weak_ideals(rs) -> list[int]:
+    """Per element id x, the lower left-weak ideal of x: {x} and the ideals
+    of s_i * x over the left descents s_i of x, as a set of element ids
+    held in one int (bit y for id y).  Read off the group table's right
+    multiplication alone: s_i * x = (x^{-1} * s_i)^{-1}, and ids increase
+    with length, so s_i * x is done before x."""
+    table = group_table(rs)
+    rmul, inverse, descents = table.rmul, table.inverse, table.descents
+    ideals = []
+    for x in range(len(inverse)):
+        ideal = 1 << x
+        left = inverse[x]
+        for i in rs.simple_indices:
+            if descents[left] >> (i - 1) & 1:
+                ideal |= ideals[inverse[rmul[i][left]]]
+        ideals.append(ideal)
+    return ideals
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["A1", "A2", "B2", "C2", "G2", "A3", "B3", "C3", "A4", "B4", "C4", "D4", "F4"]
+    + ["A5", "B5", "C5", "D5"],
+)
+def test_order_rows_at_empty_itheta_are_the_left_weak_order(name):
+    """At itheta empty the weight of x is (x, x^{-1}), and its row holds
+    the weight of y exactly when y lies strictly below x in the left weak
+    order, N(y) a proper subset of N(x)."""
+    rs = build_root_system(name)
+    enumerate_weyl(rs, allow_large=True)
+    n = len(group_table(rs).elements)
+    universe, rows = _order_rows(rs, theta_for(rs, []))
+    at = {p // n: a for a, p in enumerate(universe)}
+    assert sorted(at) == list(range(n))
+    for x, ideal in enumerate(left_weak_ideals(rs)):
+        want, rest = 0, ideal ^ 1 << x
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            want |= 1 << at[low.bit_length() - 1]
+        assert rows[at[x]] == want, (name, x)
+
+
 # every weight of every rank-2 type, not only the sweep universes: twists
 # whose inverse sends a kept root negative reach the negative roots of
 # weight_lt's masks, which no sweep weight has
@@ -619,7 +675,7 @@ def candidate_rows(rs, base, weights):
     n, support = len(group_table(rs).elements), _supports(rs)
     at = {p: k for k, p in enumerate(weights)}
     out = []
-    for j, p, mask in _candidates(rs, base, at):
+    for j, p, mask, _ in _candidates(rs, base, at):
         row = sum(
             1 << b
             for b, q in enumerate(weights)
@@ -662,27 +718,30 @@ def maximal_holds(rs, char, seed, label):
     were compared."""
     n, support = len(group_table(rs).elements), _supports(rs)
     work = {base: dict(inner) for base, inner in char._entries.items()}
+    counts = {base: [0] * (1 << rs.cartan_type.rank) for base in work}
     cands, rows = [], []
     for base, inner in work.items():
         weights = list(inner)
+        imask = _index_mask(base.itheta)
         for j, k, row in candidate_rows(rs, base, weights):
-            cands.append((base, j, weights[k], _index_mask(j)))
+            cands.append((base, j, weights[k], _index_mask(j), imask, inner, counts[base]))
             rows.append({q for b, q in enumerate(weights) if row >> b & 1})
     order = [(base, p) for base, inner in work.items() for p in inner]
     random.Random(seed).shuffle(order)
     picked = 0
     for step in range(len(order) + 1):
-        counts = {base: [0] * (1 << rs.cartan_type.rank) for base in work}
         for base, inner in work.items():
+            count = counts[base]
+            count[:] = [0] * len(count)
             for p in inner:
                 if p < n:
-                    counts[base][support[p]] += 1
+                    count[support[p]] += 1
         want = [
             (base, j)
-            for (base, j, p, _), row in zip(cands, rows)
+            for (base, j, p, *_), row in zip(cands, rows)
             if p in work[base] and row.isdisjoint(work[base])
         ]
-        assert _maximal(cands, work, counts) == want, (label, step)
+        assert [c[:2] for c in _maximal(cands)] == want, (label, step)
         picked += len(want)
         if step < len(order):
             base, p = order[step]

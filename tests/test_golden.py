@@ -77,6 +77,7 @@ def test_verify_d4_rank4_records_digest(tmp_path):
     [
         ("A5", "6028618d40c473086d9ba488438d08712f3847dd6561ca316119165b6be0ad40"),
         ("D5", "7135f405778281d9ca72d40c99dd3ea89f82c1157546d1b81ea8c58a25e0cb95"),
+        ("B5", "57d1b92dd6c15495fea48a73ddad5a335d922051023ef9a6f4e996730adc301f"),
     ],
 )
 def test_verify_rank5_records_digest(tmp_path, cartan, digest):

@@ -192,7 +192,7 @@ def memo_kinds(rs) -> dict[str, set]:
 
 def test_filtration_sweep_keeps_one_class_table_per_itheta(monkeypatch):
     from catx.cli import main
-    from catx.rootsystem import CartanType, RootSystem, build_root_system
+    from catx.rootsystem import CartanType, RootSystem
 
     # the filtration alone reads only the slices: one per itheta mask
     fresh = RootSystem(CartanType.parse("D4"))
@@ -202,10 +202,16 @@ def test_filtration_sweep_keeps_one_class_table_per_itheta(monkeypatch):
     kinds = memo_kinds(fresh)
     assert kinds.get("_slice_ids") == set(range(16))
     assert "_class_ids" not in kinds
+    # the order check enumerates its universe from the coset factorisation
+    # and keeps no class table either
+    fresh = RootSystem(CartanType.parse("D4"))
+    report = run_suite(
+        SuiteConfig(types=("D4",), checks=("filtration", "order-axioms"), max_rank=4)
+    )
+    assert report["overall_status"] == "pass"
+    kinds = memo_kinds(fresh)
+    assert kinds.get("_slice_ids") == set(range(16))
+    assert not {"_class_ids", "_coset_mins", "_coset_tops", "_simple_ids"} & kinds.keys()
     monkeypatch.undo()
-    # the order check's universe reads the full table
     args = ["verify", "--types", "D4", "--checks", "filtration,order-axioms", "--max-rank", "4"]
     assert main(args) == 0
-    kinds = memo_kinds(build_root_system("D4"))
-    assert kinds.get("_class_ids") == set(range(16))
-    assert not {"_coset_mins", "_coset_tops", "_simple_ids"} & kinds.keys()
