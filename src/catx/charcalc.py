@@ -19,17 +19,21 @@ Inside this module and `catx.chario` a weight is one int.  With the ids
 of the group table (`catx.weyl`), the weight with coset representative
 id r and second component id v packs as r * |W| + v, and a
 `ModuleCharacter` stores {torus character: {packed weight: mult}}.  The
-character builders, the decomposition (with one count of the weights
-left per support mask), the order rows and verdict, and the character
-files all run on these ints.  Every standard family is a union of
-right-descent classes of the group, read off one table per itheta mask
-(`_class_ids`).  Under the adopted convention a family is the |W:W_I|
-translates of its slice at the identity coset, so the filtration sweep
-reads the classes of W_I alone (`_slice_ids`, |W_I| ids per table).  The
-root system's memo keeps these tables beside one word rank, the support
-of every element and the decomposition candidates of every subset.  The
-order check keeps none of them: it enumerates its universe from the
-parabolic factorisation (`_coset_parts`).
+character builders, the decomposition, the order rows and verdict, and
+the character files all run on these ints.  Every standard family is a
+union of right-descent classes of the group, and a family over theta is
+one bitset over the group: bit x stands for the weight (minimum of
+x W_I, x^{-1}), I = itheta, one list of packed weights per itheta mask
+(`_weight_ids`).  The classes (`_descent_classes`) and the standard
+subgroups (`_subgroup_bits`) are bitsets kept once per root system;
+under the adopted convention the filtration sweep reads each family at
+the identity coset, the family ANDed with W_I, where the weight of x is
+(theta, x^{-1}).  The decomposition and the filtration share one
+elimination on these bitsets.  The root system's memo keeps these
+tables beside one word rank, the support of every element and the
+decomposition candidates of every subset.  The order check keeps none
+of them: it enumerates its universe from the parabolic factorisation
+(`_coset_parts`).
 `Weight` and `TwistedCharacter` objects are built only at the edges: the
 public accessors of `ModuleCharacter`, `weight_universe`, `weight_lt`,
 and the repr of a weight named in a counterexample or diagnostic.
@@ -39,8 +43,8 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache, reduce
-from itertools import accumulate, chain
-from operator import and_, or_
+from itertools import accumulate, chain, compress
+from operator import and_, eq, or_
 from typing import Callable, Iterable, Mapping, Optional
 
 from catx.errors import InputError, refuse_change
@@ -63,17 +67,18 @@ JPRIME_CONVENTIONS = ("itheta-minus-j", "i-minus-j")
 class FormalCharacter:
     """A torus character: a label plus its trivial simple indices.
 
-    An immutable value, equal and hashed as its (label, itheta) tuple.
-    Equal labels are required to carry equal itheta sets; equality
-    compares both fields, so respecting that contract makes the label
-    alone decisive.
+    An immutable value, equal and hashed as its (label, itheta) tuple;
+    the hash is computed once, on construction.  Equal labels are
+    required to carry equal itheta sets; equality compares both fields,
+    so respecting that contract makes the label alone decisive.
     """
 
-    __slots__ = ("label", "itheta")
+    __slots__ = ("label", "itheta", "_hash")
 
     def __init__(self, label: str, itheta: frozenset[int]) -> None:
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "itheta", itheta)
+        object.__setattr__(self, "_hash", hash((label, itheta)))
 
     __setattr__ = __delattr__ = refuse_change
 
@@ -83,7 +88,7 @@ class FormalCharacter:
         return self.label == other.label and self.itheta == other.itheta
 
     def __hash__(self) -> int:
-        return hash((self.label, self.itheta))
+        return self._hash
 
     def __reduce__(self):
         return self.__class__, (self.label, self.itheta)
@@ -432,39 +437,76 @@ def _coset_mins(rs: RootSystem, mask: int) -> list[int]:
     return _coset_parts(rs, mask)[0]
 
 
-def _class_ids(rs: RootSystem, mask: int) -> list[list[int]]:
-    """The group split into right-descent classes, as packed weights over
-    an itheta with this mask: list d holds, in id order, the weight
-    (minimum of x's coset, x^{-1}) of each x whose right-descent mask is
-    d.  One table per mask, kept on the root system's memo; the coset
-    minima it is built from are dropped."""
-    memo = rs._weyl_memo
-    key = (_class_ids, mask)
-    if key not in memo:
-        table = group_table(rs)
-        n, inverse = len(table.elements), table.inverse
-        classes = [[] for _ in range(1 << rs.cartan_type.rank)]
-        for x, (r, d) in enumerate(zip(_coset_mins(rs, mask), table.descents)):
-            classes[d].append(r * n + inverse[x])
-        memo[key] = classes
-    return memo[key]
+def _bitset(ids: Iterable[int], size: int) -> int:
+    """The bitset of the ids, each below size, built in one pass as a
+    binary numeral with one digit per id (an OR per id would copy the
+    whole int every time)."""
+    digits = bytearray(b"0") * size
+    for x in ids:
+        digits[x] = 49  # "1"
+    digits.reverse()
+    return int(digits, 2)
 
 
-def _slice_ids(rs: RootSystem, mask: int) -> list[list[int]]:
-    """The classes of `_class_ids` cut down to the subgroup W_I on the
-    itheta of this mask: list d holds, in id order, the weight
-    (theta, x^{-1}) of each x in W_I whose right-descent mask is d,
-    packed as the id of x^{-1}.  These are the untwisted weights of the
-    full table, |W_I| of them.  One table per mask, kept on the root
-    system's memo."""
+def _members(bits: int) -> list[int]:
+    """The set bits of a bitset, ascending, found in its binary numeral
+    read from the low end (peeling the lowest bit would copy the whole
+    int once per bit)."""
+    digits = bin(bits)[:1:-1]
+    out, k = [], digits.find("1")
+    while k >= 0:
+        out.append(k)
+        k = digits.find("1", k + 1)
+    return out
+
+
+def _descent_classes(rs: RootSystem) -> tuple[list[list[int]], list[int]]:
+    """The group split into right-descent classes: per mask d of simple
+    indices, the ids x whose right-descent mask is d, in id order, and the
+    same class as one bitset over the ids.  Built once per enumerated
+    group and kept on the root system's memo."""
     memo = rs._weyl_memo
-    key = (_slice_ids, mask)
+    if _descent_classes not in memo:
+        descents = group_table(rs).descents
+        lists = [[] for _ in range(1 << rs.rank)]
+        for x, d in enumerate(descents):
+            lists[d].append(x)
+        memo[_descent_classes] = lists, [_bitset(xs, len(descents)) for xs in lists]
+    return memo[_descent_classes]
+
+
+def _subgroup_bits(rs: RootSystem) -> list[int]:
+    """Per mask K of simple indices, the bitset of the standard subgroup
+    W_K: the ids whose support (`_supports`) lies inside K.  Built once
+    per enumerated group, from the ids of each exact support summed over
+    the submasks one index at a time, and kept on the root system's memo."""
+    memo = rs._weyl_memo
+    if _subgroup_bits not in memo:
+        support = _supports(rs)
+        exact = [[] for _ in range(1 << rs.rank)]
+        for x, s in enumerate(support):
+            exact[s].append(x)
+        sub = [_bitset(xs, len(support)) for xs in exact]
+        for i in range(rs.rank):
+            bit = 1 << i
+            for k in range(len(sub)):
+                if k & bit:
+                    sub[k] |= sub[k ^ bit]
+        memo[_subgroup_bits] = sub
+    return memo[_subgroup_bits]
+
+
+def _weight_ids(rs: RootSystem, mask: int) -> list[int]:
+    """Per element id x, the packed weight (minimum of x's coset, x^{-1})
+    over an itheta with this mask: the weight that bit x of a family's
+    bitset stands for.  For x in the subgroup on itheta it is the id of
+    x^{-1}.  One list per mask, kept on the root system's memo."""
+    memo = rs._weyl_memo
+    key = (_weight_ids, mask)
     if key not in memo:
         table = group_table(rs)
-        classes = [[] for _ in range(1 << rs.cartan_type.rank)]
-        for x in _subgroup_ids(rs, mask):
-            classes[table.descents[x]].append(table.inverse[x])
-        memo[key] = classes
+        n = len(table.elements)
+        memo[key] = [r * n + v for r, v in zip(_coset_mins(rs, mask), table.inverse)]
     return memo[key]
 
 
@@ -473,36 +515,36 @@ def _slice_ids(rs: RootSystem, mask: int) -> list[list[int]]:
 # over exactly the elements with J inside their right descent set D_R(x)
 # (Bjorner-Brenti, Combinatorics of Coxeter Groups, section 2.4), and
 # w_J * w^{-1} = x^{-1}.  With J inside I = itheta, w and x share a coset
-# of W_I, so each x gives the weight (theta^x, x^{-1}), and:
+# of W_I, so each x gives the weight (theta^x, x^{-1}) (`_weight_ids`):
 #   induced at J:    J inside D_R(x);
 #   simple at J:     D_R(x) & I = J;
 #   costandard at J: D_R(x) & J' empty (x = w itself), either convention.
-# Distinct x give distinct second components: every multiplicity is one.
+# Distinct x give distinct second components: every multiplicity is one,
+# and a family is one bitset over the ids x (`_family_bits`).
 #
 # Write x = r * y, r minimal in x W_I and y in W_I (the same section).
 # The right descents of x inside I are those of y, so when the mask of a
 # family lies inside I, as every mask does under the adopted convention,
 # x is in the family exactly when y is.  Its weight (r, y^{-1} r^{-1})
 # goes to (1, y^{-1}) under (r, v) -> (1, v * r): the family is the
-# |W:W_I| translates of its slice at r = 1, the same test applied to the
-# classes of `_slice_ids`.  The rejected convention's J' leaves I, and
-# its families are not translation-invariant.
+# |W:W_I| translates of its slice at r = 1, the family's bitset ANDed
+# with that of W_I (`_subgroup_bits`).  The rejected convention's J'
+# leaves I, and its families are not translation-invariant.
 
 
-def _family_ids(classes: list[list[int]], mask: int, want: int) -> list[int]:
-    """The packed weights of a class table (`_class_ids` or `_slice_ids`)
-    whose right-descent mask d has d & mask == want, class by class in
-    order of d."""
-    return [p for d, ids in enumerate(classes) if d & mask == want for p in ids]
+def _family_bits(rs: RootSystem, mask: int, want: int) -> int:
+    """The bitset of the x whose right-descent mask d has d & mask == want."""
+    classes = _descent_classes(rs)[1]
+    return reduce(or_, (bits for d, bits in enumerate(classes) if d & mask == want), 0)
 
 
-def _simple_pieces(classes: list[list[int]], mask: int) -> list[list[int]]:
-    """`_family_ids(classes, mask, want)` for every want inside the mask
-    at once, in one pass over the class table: entry want holds the
-    packed weights of the simple family at the J of that mask."""
-    pieces = [[] for _ in range(mask + 1)]
-    for d, ids in enumerate(classes):
-        pieces[d & mask] += ids
+def _simple_bits(rs: RootSystem, imask: int) -> list[int]:
+    """`_family_bits(rs, imask, want)` for every want inside imask at once,
+    in one pass over the classes: entry want is the bitset of the simple
+    family at the J of that mask."""
+    pieces = [0] * (imask + 1)
+    for d, bits in enumerate(_descent_classes(rs)[1]):
+        pieces[d & imask] |= bits
     return pieces
 
 
@@ -510,9 +552,11 @@ def _family(
     rs: RootSystem, theta: FormalCharacter, mask: int, want: int
 ) -> ModuleCharacter:
     """The full family of the x whose right-descent mask d has
-    d & mask == want."""
-    ids = _family_ids(_class_ids(rs, _index_mask(theta.itheta)), mask, want)
-    return ModuleCharacter._of(rs, {theta: dict.fromkeys(ids, 1)})
+    d & mask == want, class by class in order of d."""
+    weight = _weight_ids(rs, _index_mask(theta.itheta)).__getitem__
+    classes = _descent_classes(rs)[0]
+    ids = [map(weight, xs) for d, xs in enumerate(classes) if d & mask == want]
+    return ModuleCharacter._of(rs, {theta: dict.fromkeys(chain(*ids), 1)})
 
 
 def induced_character(
@@ -653,11 +697,12 @@ def _descent_counts(rs: RootSystem) -> list[int]:
 
 
 def _candidates(
-    rs: RootSystem, base: FormalCharacter, inner: Mapping[int, int]
+    rs: RootSystem, imask: int
 ) -> list[tuple[frozenset[int], int, int, tuple]]:
-    """The decomposition candidates among packed weights over one base: a
-    tuple (K, p, mask of K, tie key) for each K inside itheta whose weight
-    (theta, w_K), packed as p, lies in inner.
+    """The decomposition candidates over an itheta with this mask: a tuple
+    (K, p, mask of K, tie key) for each K inside itheta, p the packed
+    weight (theta, w_K).  That is the id of w_K, and as w_K is an
+    involution, also the bit that stands for it (`_weight_ids`).
 
     A candidate's up-set has a closed form: (theta, w_K) lies below
     (theta^r, v) exactly when r = 1 and v lies in W_K but is not w_K.
@@ -667,14 +712,15 @@ def _candidates(
     second puts v in W_K.  Conversely u = 1 works, as W_K permutes those
     roots, and the length test leaves out only v = w_K.  (The parabolic
     factorisation w = w^K w_K; Bjorner-Brenti, Combinatorics of Coxeter
-    Groups, section 2.4.)  So the up-set is the untwisted weights (ids
-    below |W|) whose v has its support (`_supports`) inside K, less the
-    candidate, and maximality needs one count per support mask.
+    Groups, section 2.4.)  So the up-set is the untwisted weights whose v
+    lies in W_K, less the candidate: the bits x = v^{-1} of W_K
+    (`_subgroup_bits`) other than p, and a candidate is maximal exactly
+    when the bits present meet W_K in p alone.
 
     The tie key orders K by |K| descending, then lexicographically (see
     `decompose_character`).  The candidates of every K are built once per
-    root system and kept on its memo, in `_subsets` order; a base keeps
-    those with K inside its itheta, which stay in that order.
+    root system and kept on its memo, in `_subsets` order; an itheta
+    keeps those with K inside it, which stay in that order.
     """
     memo = rs._weyl_memo
     if _candidates not in memo:
@@ -688,28 +734,8 @@ def _candidates(
             )
             for k in _subsets(rs.simple_indices)
         ]
-    outside = ~_index_mask(base.itheta)
-    return [c for c in memo[_candidates] if not c[2] & outside and c[1] in inner]
-
-
-def _maximal(cands: list) -> list:
-    """The candidates (base, K, p, mask of K, mask of itheta, weights left,
-    counts) maximal among the weights left, in candidate order: p is still
-    among the weights left over its base, and the counts of the untwisted
-    weights left per support mask sum to one inside K.  The support of w_K
-    is K, so that one is the candidate itself, and nothing of its up-set
-    (`_candidates`) is left."""
-    out = []
-    for cand in cands:
-        _, _, p, mask, _, inner, count = cand
-        if p in inner:
-            total, s = count[0], mask
-            while s:
-                total += count[s]
-                s = (s - 1) & mask
-            if total == 1:
-                out.append(cand)
-    return out
+    outside = ~imask
+    return [c for c in memo[_candidates] if not c[2] & outside]
 
 
 def decompose_character(
@@ -721,12 +747,13 @@ def decompose_character(
     (untwisted character, v = w_J with J inside itheta) and subtracts
     the simple character at (theta, J).  Maximality is taken against
     every weight still present, by the closed form of a candidate's
-    up-set (`_candidates`): per base, `_maximal` reads one count per
-    support mask of the untwisted weights present, dropped by one as a
-    weight leaves.  Incomparable maxima are ordered by (|J| descending,
-    J lexicographic, label), ties kept in the character's insertion
-    order; tie_break in {0, 1, 2} picks the first, last, or middle entry
-    of that order, and results must not depend on the choice.
+    up-set (`_candidates`): per base, the weights present are one bitset
+    over the ids x of `_weight_ids`, and a candidate at K is maximal when
+    that bitset meets W_K (`_subgroup_bits`) in the candidate alone.
+    Incomparable maxima are ordered by (|J| descending, J lexicographic,
+    label), ties kept in the character's insertion order; tie_break in
+    {0, 1, 2} picks the first, last, or middle entry of that order, and
+    results must not depend on the choice.
 
     A subtraction that would drive a multiplicity negative stops the
     loop, leaving the offending weights in the remainder and naming
@@ -742,81 +769,104 @@ def decompose_character(
         raise InputError(
             f"character is over {char._rs.cartan_type}, not {rs.cartan_type}"
         )
-    work = {base: dict(inner) for base, inner in char._entries.items()}
-    return _eliminate(rs, work, _class_ids, tie_break)
+    table = group_table(rs)
+    n, inverse = len(table.elements), table.inverse
+    work = []
+    for base, inner in char._entries.items():
+        imask = _index_mask(base.itheta)
+        weights = _weight_ids(rs, imask)
+        # weight p = r * |W| + v is bit x = v^{-1} when it is the weight of x
+        xs = list(map(inverse.__getitem__, map(n.__rmod__, inner)))
+        hits = list(map(eq, map(weights.__getitem__, xs), inner))
+        mults = list(inner.values())
+        extra, aside = {}, {}
+        if sum(mults) > len(mults):
+            extra = {x: m - 1 for x, m, hit in zip(xs, mults, hits) if hit and m > 1}
+        if not all(hits):
+            aside = {p: m for p, m, hit in zip(inner, mults, hits) if not hit}
+        present = _bitset(compress(xs, hits), n)
+        work.append([base, weights, _simple_bits(rs, imask), present, extra, aside])
+    return _eliminate(rs, work, tie_break)
 
 
-def _eliminate(
-    rs: RootSystem, work: dict, tables: Callable, tie_break: int
-) -> Decomposition:
-    """The elimination loop of `decompose_character` on work, {base:
-    {packed weight: multiplicity}}, which it consumes.  The simple
-    character at (theta, J) is read from the class table
-    tables(rs, mask of itheta): `_class_ids` for full characters,
-    `_slice_ids` for their slices at the identity coset.  The simple
-    characters of a table are cut from it once per call
-    (`_simple_pieces`), not per round.
+def _left(state: list) -> dict[int, int]:
+    """The packed weights of an elimination entry still present, with
+    their multiplicities."""
+    _, weights, _, present, extra, aside = state
+    inner = {weights[x]: 1 + extra.get(x, 0) for x in _members(present)}
+    inner.update(aside)
+    return inner
+
+
+def _eliminate(rs: RootSystem, work: list[list], tie_break: int) -> Decomposition:
+    """The elimination loop of `decompose_character` on work, one entry
+    [base, weights, pieces, present, extra, aside] per base, which it
+    consumes.  Bit x of the bitset present stands for the packed weight
+    weights[x] (`_weight_ids`, or a list equal to it on every bit of the
+    pieces), with multiplicity one more than extra[x] (no entry: one);
+    aside holds the packed weights that stand for no x, with their
+    multiplicities.  No simple character and no candidate's up-set holds
+    those: they stay in the remainder.  pieces[mask of J] is the bitset
+    of the simple character at (theta, J): the simple family
+    (`_simple_bits`) for full characters, cut to W_I for their slices at
+    the identity coset.
 
     Sorted once into tie order, the candidates give the maxima of every
     round already in that order: the stable sort of each round's maxima
     by (|J| descending, J, label) that the tie-break is defined on."""
-    out = Decomposition()
-    n, support = len(group_table(rs).elements), _supports(rs)
-    cands, keys, pieces = [], [], {}
-    # each candidate binds its base's weights left and counts, once per call
-    for base, inner in work.items():
-        count = [0] * (1 << rs.cartan_type.rank)
-        for p in inner:
-            if p < n:
-                count[support[p]] += 1
-        imask = _index_mask(base.itheta)
-        for j, p, jmask, tie in _candidates(rs, base, inner):
-            cands.append((base, j, p, jmask, imask, inner, count))
-            keys.append((tie, base.label))
-    # in tie order, once: `_maximal` keeps candidate order
+    sub = _subgroup_bits(rs)
+    factors, diagnostic, cands, keys = {}, None, [], []
+    for state in work:
+        base, present = state[0], state[3]
+        for j, p, jmask, tie in _candidates(rs, _index_mask(base.itheta)):
+            if present >> p & 1:
+                cands.append((state, base, j, 1 << p, sub[jmask], jmask))
+                keys.append((tie, base.label))
     cands = [cands[k] for k in sorted(range(len(cands)), key=keys.__getitem__)]
-    while any(work.values()):
-        maximal = _maximal(cands)
+    while any(state[3] or state[5] for state in work):
+        # maximal: the bits present inside W_K are the candidate's alone
+        maximal = [c for c in cands if c[0][3] & c[4] == c[3]]
         if not maximal:
-            left = sum(sum(inner.values()) for inner in work.values())
-            out.diagnostic = (
+            left = sum(
+                s[3].bit_count() + sum(s[4].values()) + sum(s[5].values()) for s in work
+            )
+            diagnostic = (
                 "no maximal weight of longest-element shape remains; "
                 f"{left} weight(s) left"
             )
             break
-        pick = {0: 0, 1: len(maximal) - 1, 2: len(maximal) // 2}[tie_break]
-        base, j, _, jmask, imask, inner, count = maximal[pick]
-        if imask not in pieces:
-            pieces[imask] = _simple_pieces(tables(rs, imask), imask)
-        piece = pieces[imask][jmask]
+        pick = (0, len(maximal) - 1, len(maximal) // 2)[tie_break]
+        state, base, j, _, _, jmask = maximal[pick]
+        piece = state[2][jmask]
         if not piece:
             # a round that removes nothing would pick the same maximum again
-            out.diagnostic = (
+            diagnostic = (
                 f"the simple character at ({base!r}, J={sorted(j)}) is empty; "
                 "the class table is broken"
             )
             break
-        short = [p for p in piece if p not in inner]
-        if short:
-            short.sort(key=_id_sort_key(rs))
-            missing = [_weight_of(rs, base, p) for p in short]
-            out.diagnostic = (
+        present, extra = state[3], state[4]
+        if short := piece & ~present:
+            weights = state[1]
+            ids = sorted((weights[x] for x in _members(short)), key=_id_sort_key(rs))
+            missing = [_weight_of(rs, base, p) for p in ids]
+            diagnostic = (
                 f"subtracting the simple character at J={sorted(j)} needs "
                 f"weight(s) {missing!r} not present with enough multiplicity"
             )
             break
-        for p in piece:
-            left = inner[p] - 1
-            if left:
-                inner[p] = left
+        # a weight of multiplicity above one stays present
+        for x in [x for x in extra if piece >> x & 1]:
+            if extra[x] > 1:
+                extra[x] -= 1
             else:
-                del inner[p]
-                if p < n:
-                    count[support[p]] -= 1
+                del extra[x]
+            piece ^= 1 << x
+        state[3] = present ^ piece
         key = (base, j)
-        out.factors[key] = out.factors.get(key, 0) + 1
-    out.remainder = ModuleCharacter._of(rs, work)
-    return out
+        factors[key] = factors.get(key, 0) + 1
+    left = {s[0]: _left(s) for s in work if s[3] or s[5]}
+    return Decomposition(factors, ModuleCharacter._of(rs, left), diagnostic)
 
 
 # ----------------------------------------------------------------------
@@ -880,31 +930,47 @@ def verify_filtration(
     is their count); decomposing the costandard character returns exactly
     the subsets of J with multiplicity one; decomposing the induced
     character returns exactly the supersets of J inside itheta with
-    multiplicity one.  The simple characters are read as packed ids, and
-    summed as one count per id.
+    multiplicity one.  Every family is one bitset over the group
+    (`_family_bits`): the simple characters sum to the costandard one
+    exactly when they are pairwise disjoint (their sizes add up to the
+    size of their union) and their union is the costandard family.
+    Weights are built only to name a failure.
 
     Every family here is a union of right-descent classes (see the note
-    above `_family_ids`).  Under the adopted convention the costandard
+    above `_family_bits`).  Under the adopted convention the costandard
     family at J, the x with D_R(x) & (itheta - J) empty, is the disjoint
     union of the simple ones at the subsets K of J, the x with
-    D_R(x) & itheta = K.  So the multiset and counting records pass by
-    that lemma, and fail only under the rejected convention; the tests
-    pin the definition through w * w_J by multiplying in the group.
+    D_R(x) & itheta = K.  The filtration-multiset record reads both sides
+    from the same classes, grouped by d & itheta, so it passes by
+    construction under the adopted convention, whatever the classes: it
+    shows only that the two descent tests agree, and fails only under
+    the rejected convention.  The counting record compares with the
+    descent histogram (`_descent_counts`) and the decompositions with
+    the subgroup bitsets (`_subgroup_bits`), so a wrong class table
+    fails those; the tests pin the definition through w * w_J by
+    multiplying in the group.
 
     Under the adopted convention the checks run on the slices of the
-    families at the identity coset (`_slice_ids`, and the note above
-    `_family_ids`), the counting identity's right side being |W:W_I|
-    times the slice counts; under the rejected one, on the full families.
+    families at the identity coset, each family ANDed with W_I (the note
+    above `_family_bits`), the counting identity's right side being
+    |W:W_I| times the slice counts; under the rejected one, on the full
+    families.
 
     Returns one JSON-ready record per (J, check).
     """
     _check_itheta(rs, theta)
     _check_convention(jprime_convention)
-    tables = _slice_ids if jprime_convention == "itheta-minus-j" else _class_ids
+    table = group_table(rs)
+    n = len(table.elements)
     imask = _index_mask(theta.itheta)
-    classes = tables(rs, imask)
-    copies = len(group_table(rs).elements) // sum(map(len, classes))
-    pieces = _simple_pieces(classes, imask)
+    if jprime_convention == "itheta-minus-j":
+        # bit x of W_I stands for the untwisted weight (theta, x^{-1})
+        within, weights = _subgroup_bits(rs)[imask], table.inverse
+    else:
+        within, weights = (1 << n) - 1, _weight_ids(rs, imask)
+    copies = n // within.bit_count()
+    pieces = [bits & within for bits in _simple_bits(rs, imask)]
+    counts = _descent_counts(rs)
     every_k = _subsets(theta.itheta)
     records = []
     tname = str(rs.cartan_type)
@@ -915,13 +981,20 @@ def verify_filtration(
             "j": sorted(j),
             "jprime_convention": jprime_convention,
         }
+        jmask = _index_mask(j)
         jpmask = _index_mask(_jprime(rs, theta, j, jprime_convention))
-        nabla = _family_ids(classes, jpmask, 0)
-        simples = [pieces[_index_mask(k)] for k in _subsets(j)]
-        diff = _weight_diff(
-            ModuleCharacter._of(rs, {theta: dict.fromkeys(nabla, 1)}),
-            ModuleCharacter._of(rs, {theta: Counter(chain(*simples))}),
-        )
+        nabla = _family_bits(rs, jpmask, 0) & within
+        # the simple families at the subsets K of J
+        simples = [bits for k, bits in enumerate(pieces) if not k & ~jmask]
+        size = sum(bits.bit_count() for bits in simples)
+        diff = None
+        if size != nabla.bit_count() or reduce(or_, simples) != nabla:
+            nabla_ids = [weights[x] for x in _members(nabla)]
+            simple_ids = [weights[x] for bits in simples for x in _members(bits)]
+            diff = _weight_diff(
+                ModuleCharacter._of(rs, {theta: dict.fromkeys(nabla_ids, 1)}),
+                ModuleCharacter._of(rs, {theta: Counter(simple_ids)}),
+            )
         records.append(
             {
                 "check": "filtration-multiset",
@@ -932,8 +1005,8 @@ def verify_filtration(
         )
 
         # the minimal representatives of W/W_J', by their right descents
-        lhs = sum(c for d, c in enumerate(_descent_counts(rs)) if not d & jpmask)
-        rhs = copies * sum(map(len, simples))
+        lhs = sum(c for d, c in enumerate(counts) if not d & jpmask)
+        rhs = copies * size
         records.append(
             {
                 "check": "filtration-counting",
@@ -943,13 +1016,12 @@ def verify_filtration(
             }
         )
 
-        jmask = _index_mask(j)
-        induced = _family_ids(classes, jmask, jmask)
-        for check, ids, factors in (
+        induced = _family_bits(rs, jmask, jmask) & within
+        for check, bits, factors in (
             ("costandard-decomposition", nabla, [k for k in every_k if k <= j]),
             ("projective-pattern", induced, [k for k in every_k if j <= k]),
         ):
-            dec = _eliminate(rs, {theta: dict.fromkeys(ids, 1)}, tables, 0)
+            dec = _eliminate(rs, [[theta, weights, pieces, bits, {}, {}]], 0)
             want = {(theta, k): 1 for k in factors}
             records.append(_decomposition_record(check, params, dec, want))
     return records
@@ -970,8 +1042,8 @@ def _universe_ids(rs: RootSystem, theta: FormalCharacter) -> list[int]:
     J = itheta: there J' is empty, so its representatives are all of W,
     and a representative's weight does not depend on J.  So the universe
     is the weight (r, x^{-1}) of every element x, r the minimum of x's
-    coset (`_coset_parts`), enumerated directly: no class table is built
-    or kept for it."""
+    coset (`_coset_parts`), enumerated directly: no per-itheta table is
+    built or kept for it."""
     table = group_table(rs)
     n, inverse = len(table.elements), table.inverse
     mins = _coset_mins(rs, _index_mask(theta.itheta))

@@ -445,14 +445,15 @@ def group_table(rs: RootSystem) -> _GroupTable:
 # entries per subset of the simple indices, plus the per-element kept-root
 # masks below.  `catx.charcalc` keeps its own entries here too: one word
 # rank, the support of every element, the decomposition candidates of
-# every subset, and per mask of itheta up to two tables of right-descent
-# classes, each element's weight held as a packed integer id: one over the
-# whole group, for the character builders and their decomposition, and one
-# over the subgroup on itheta alone, for the filtration sweep; `catx.chario`
-# keeps the text of every canonical word and the id of every canonical
-# word.  Each per-element table, and each whole-group class table, holds
-# one entry per group element; a subgroup's table, one per element of
-# the subgroup.
+# every subset, the right-descent classes (as id lists and as bitsets),
+# the bitset of every standard subgroup, the histogram of right-descent
+# masks, and per mask of itheta one list of every element's weight as a
+# packed integer id, for the character builders and their decomposition
+# (the filtration sweep under the adopted convention reads none);
+# `catx.chario` keeps the text of every canonical word and the id of
+# every canonical word.  Each per-element table and each per-itheta list
+# holds one entry per group element; the classes hold every element once,
+# and each subgroup bitset one bit per group element.
 
 
 def _memoized(build, rs: RootSystem, subset: Iterable[int]):

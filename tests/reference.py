@@ -6,25 +6,42 @@ construction that `catx.charcalc` computes on packed integer ids.  The
 incidence-algebra ones restate, on sets of (Y, Z) frozenset pairs, the
 checks that `catx.incidence` runs on bitset rows.  `build_parser` is
 the command line's argparse parser as it was written out by hand, before
-`catx.cli` declared its options in one table.
+`catx.cli` declared its options in one table.  `reference_decompose` and
+`reference_filtration` are the decomposition and the filtration sweep as
+they ran on per-itheta tables of packed ids, before `catx.charcalc` ran
+them on bitsets over the group.
 """
 
 import argparse
+from collections import Counter
 from fractions import Fraction as Q
+from itertools import chain
 from functools import reduce
 from operator import and_
-from typing import Iterable
+from typing import Callable, Iterable, Mapping
 
 from catx.charcalc import (
     JPRIME_CONVENTIONS,
+    Decomposition,
     FormalCharacter,
+    ModuleCharacter,
     TwistedCharacter,
     Weight,
+    _check_convention,
+    _check_itheta,
     _check_j,
-    _class_ids,
-    _family_ids,
+    _coset_mins,
+    _decomposition_record,
+    _descent_counts,
+    _element_id,
+    _id_sort_key,
+    _jprime,
     _subgroup_ids,
+    _subsets,
+    _supports,
     _universe_ids,
+    _weight_diff,
+    _weight_of,
 )
 from catx.cli import (
     KINDS,
@@ -47,7 +64,7 @@ from catx.incidence import (
 from catx.errors import InputError
 from catx.rootsystem import Root, RootSystem
 from catx.verify import CHECKS, ITHETA_MODES
-from catx.weyl import WeylElement, _index_mask, group_table, kept_masks
+from catx.weyl import WeylElement, _index_mask, group_table, kept_masks, longest_element
 
 
 def root_string(rs: RootSystem, alpha: Root, beta: Root) -> frozenset[tuple[int, int]]:
@@ -201,6 +218,278 @@ def order_rows(
                 break
         rows.append(row)
     return universe, rows
+
+
+# ----------------------------------------------------------------------
+# the decomposition and the filtration sweep on per-itheta class tables
+
+
+def _class_ids(rs: RootSystem, mask: int) -> list[list[int]]:
+    """The group split into right-descent classes, as packed weights over
+    an itheta with this mask: list d holds, in id order, the weight
+    (minimum of x's coset, x^{-1}) of each x whose right-descent mask is
+    d.  One table per mask, kept on the root system's memo; the coset
+    minima it is built from are dropped."""
+    memo = rs._weyl_memo
+    key = (_class_ids, mask)
+    if key not in memo:
+        table = group_table(rs)
+        n, inverse = len(table.elements), table.inverse
+        classes = [[] for _ in range(1 << rs.cartan_type.rank)]
+        for x, (r, d) in enumerate(zip(_coset_mins(rs, mask), table.descents)):
+            classes[d].append(r * n + inverse[x])
+        memo[key] = classes
+    return memo[key]
+
+
+def _slice_ids(rs: RootSystem, mask: int) -> list[list[int]]:
+    """The classes of `_class_ids` cut down to the subgroup W_I on the
+    itheta of this mask: list d holds, in id order, the weight
+    (theta, x^{-1}) of each x in W_I whose right-descent mask is d,
+    packed as the id of x^{-1}.  These are the untwisted weights of the
+    full table, |W_I| of them.  One table per mask, kept on the root
+    system's memo."""
+    memo = rs._weyl_memo
+    key = (_slice_ids, mask)
+    if key not in memo:
+        table = group_table(rs)
+        classes = [[] for _ in range(1 << rs.cartan_type.rank)]
+        for x in _subgroup_ids(rs, mask):
+            classes[table.descents[x]].append(table.inverse[x])
+        memo[key] = classes
+    return memo[key]
+
+
+def _family_ids(classes: list[list[int]], mask: int, want: int) -> list[int]:
+    """The packed weights of a class table (`_class_ids` or `_slice_ids`)
+    whose right-descent mask d has d & mask == want, class by class in
+    order of d."""
+    return [p for d, ids in enumerate(classes) if d & mask == want for p in ids]
+
+
+def _simple_pieces(classes: list[list[int]], mask: int) -> list[list[int]]:
+    """`_family_ids(classes, mask, want)` for every want inside the mask
+    at once, in one pass over the class table: entry want holds the
+    packed weights of the simple family at the J of that mask."""
+    pieces = [[] for _ in range(mask + 1)]
+    for d, ids in enumerate(classes):
+        pieces[d & mask] += ids
+    return pieces
+
+
+def _candidates(
+    rs: RootSystem, base: FormalCharacter, inner: Mapping[int, int]
+) -> list[tuple[frozenset[int], int, int, tuple]]:
+    """The decomposition candidates among packed weights over one base: a
+    tuple (K, p, mask of K, tie key) for each K inside itheta whose weight
+    (theta, w_K), packed as p, lies in inner.
+
+    A candidate's up-set has a closed form: (theta, w_K) lies below
+    (theta^r, v) exactly when r = 1 and v lies in W_K but is not w_K.
+    With g = r u, u in W_itheta, the order asks g and v g to keep every
+    positive root outside Phi_K positive.  The first makes g an element
+    of W_K, so r = 1, as r is a minimal coset representative; then the
+    second puts v in W_K.  Conversely u = 1 works, as W_K permutes those
+    roots, and the length test leaves out only v = w_K.  (The parabolic
+    factorisation w = w^K w_K; Bjorner-Brenti, Combinatorics of Coxeter
+    Groups, section 2.4.)  So the up-set is the untwisted weights (ids
+    below |W|) whose v has its support (`_supports`) inside K, less the
+    candidate, and maximality needs one count per support mask.
+
+    The tie key orders K by |K| descending, then lexicographically (see
+    `decompose_character`).  The candidates of every K are built once per
+    root system and kept on its memo, in `_subsets` order; a base keeps
+    those with K inside its itheta, which stay in that order.
+    """
+    memo = rs._weyl_memo
+    if _candidates not in memo:
+        table = group_table(rs)
+        memo[_candidates] = [
+            (
+                k,
+                _element_id(table, longest_element(rs, k)),
+                _index_mask(k),
+                (-len(k), tuple(sorted(k))),
+            )
+            for k in _subsets(rs.simple_indices)
+        ]
+    outside = ~_index_mask(base.itheta)
+    return [c for c in memo[_candidates] if not c[2] & outside and c[1] in inner]
+
+
+def _maximal(cands: list) -> list:
+    """The candidates (base, K, p, mask of K, mask of itheta, weights left,
+    counts) maximal among the weights left, in candidate order: p is still
+    among the weights left over its base, and the counts of the untwisted
+    weights left per support mask sum to one inside K.  The support of w_K
+    is K, so that one is the candidate itself, and nothing of its up-set
+    (`_candidates`) is left."""
+    out = []
+    for cand in cands:
+        _, _, p, mask, _, inner, count = cand
+        if p in inner:
+            total, s = count[0], mask
+            while s:
+                total += count[s]
+                s = (s - 1) & mask
+            if total == 1:
+                out.append(cand)
+    return out
+
+
+def reference_decompose(
+    rs: RootSystem, char: ModuleCharacter, *, tie_break: int = 0
+) -> Decomposition:
+    """`decompose_character` on the per-itheta class tables: one count of
+    the untwisted weights left per support mask, and dict subtraction."""
+    if tie_break not in (0, 1, 2):
+        raise InputError("tie_break must be 0, 1, or 2")
+    if not char:
+        return Decomposition()
+    if char._rs != rs:
+        raise InputError(
+            f"character is over {char._rs.cartan_type}, not {rs.cartan_type}"
+        )
+    work = {base: dict(inner) for base, inner in char._entries.items()}
+    return _eliminate(rs, work, _class_ids, tie_break)
+
+
+def _eliminate(
+    rs: RootSystem, work: dict, tables: Callable, tie_break: int
+) -> Decomposition:
+    """The elimination loop of `decompose_character` on work, {base:
+    {packed weight: multiplicity}}, which it consumes.  The simple
+    character at (theta, J) is read from the class table
+    tables(rs, mask of itheta): `_class_ids` for full characters,
+    `_slice_ids` for their slices at the identity coset.  The simple
+    characters of a table are cut from it once per call
+    (`_simple_pieces`), not per round.
+
+    Sorted once into tie order, the candidates give the maxima of every
+    round already in that order: the stable sort of each round's maxima
+    by (|J| descending, J, label) that the tie-break is defined on."""
+    out = Decomposition()
+    n, support = len(group_table(rs).elements), _supports(rs)
+    cands, keys, pieces = [], [], {}
+    # each candidate binds its base's weights left and counts, once per call
+    for base, inner in work.items():
+        count = [0] * (1 << rs.cartan_type.rank)
+        for p in inner:
+            if p < n:
+                count[support[p]] += 1
+        imask = _index_mask(base.itheta)
+        for j, p, jmask, tie in _candidates(rs, base, inner):
+            cands.append((base, j, p, jmask, imask, inner, count))
+            keys.append((tie, base.label))
+    # in tie order, once: `_maximal` keeps candidate order
+    cands = [cands[k] for k in sorted(range(len(cands)), key=keys.__getitem__)]
+    while any(work.values()):
+        maximal = _maximal(cands)
+        if not maximal:
+            left = sum(sum(inner.values()) for inner in work.values())
+            out.diagnostic = (
+                "no maximal weight of longest-element shape remains; "
+                f"{left} weight(s) left"
+            )
+            break
+        pick = {0: 0, 1: len(maximal) - 1, 2: len(maximal) // 2}[tie_break]
+        base, j, _, jmask, imask, inner, count = maximal[pick]
+        if imask not in pieces:
+            pieces[imask] = _simple_pieces(tables(rs, imask), imask)
+        piece = pieces[imask][jmask]
+        if not piece:
+            # a round that removes nothing would pick the same maximum again
+            out.diagnostic = (
+                f"the simple character at ({base!r}, J={sorted(j)}) is empty; "
+                "the class table is broken"
+            )
+            break
+        short = [p for p in piece if p not in inner]
+        if short:
+            short.sort(key=_id_sort_key(rs))
+            missing = [_weight_of(rs, base, p) for p in short]
+            out.diagnostic = (
+                f"subtracting the simple character at J={sorted(j)} needs "
+                f"weight(s) {missing!r} not present with enough multiplicity"
+            )
+            break
+        for p in piece:
+            left = inner[p] - 1
+            if left:
+                inner[p] = left
+            else:
+                del inner[p]
+                if p < n:
+                    count[support[p]] -= 1
+        key = (base, j)
+        out.factors[key] = out.factors.get(key, 0) + 1
+    out.remainder = ModuleCharacter._of(rs, work)
+    return out
+
+
+def reference_filtration(
+    rs: RootSystem,
+    theta: FormalCharacter,
+    *,
+    jprime_convention: str = "itheta-minus-j",
+) -> list[dict]:
+    """`verify_filtration` on the per-itheta class tables (`_class_ids`) and
+    their slices (`_slice_ids`), with a `Counter` for the multiset record."""
+    _check_itheta(rs, theta)
+    _check_convention(jprime_convention)
+    tables = _slice_ids if jprime_convention == "itheta-minus-j" else _class_ids
+    imask = _index_mask(theta.itheta)
+    classes = tables(rs, imask)
+    copies = len(group_table(rs).elements) // sum(map(len, classes))
+    pieces = _simple_pieces(classes, imask)
+    every_k = _subsets(theta.itheta)
+    records = []
+    tname = str(rs.cartan_type)
+    for j in every_k:
+        params = {
+            "type": tname,
+            "itheta": sorted(theta.itheta),
+            "j": sorted(j),
+            "jprime_convention": jprime_convention,
+        }
+        jpmask = _index_mask(_jprime(rs, theta, j, jprime_convention))
+        nabla = _family_ids(classes, jpmask, 0)
+        simples = [pieces[_index_mask(k)] for k in _subsets(j)]
+        diff = _weight_diff(
+            ModuleCharacter._of(rs, {theta: dict.fromkeys(nabla, 1)}),
+            ModuleCharacter._of(rs, {theta: Counter(chain(*simples))}),
+        )
+        records.append(
+            {
+                "check": "filtration-multiset",
+                "params": dict(params),
+                "passed": not diff,
+                "counterexample": {"weight_diff": diff} if diff else None,
+            }
+        )
+
+        # the minimal representatives of W/W_J', by their right descents
+        lhs = sum(c for d, c in enumerate(_descent_counts(rs)) if not d & jpmask)
+        rhs = copies * sum(map(len, simples))
+        records.append(
+            {
+                "check": "filtration-counting",
+                "params": dict(params),
+                "passed": lhs == rhs,
+                "counterexample": None if lhs == rhs else {"lhs": lhs, "rhs": rhs},
+            }
+        )
+
+        jmask = _index_mask(j)
+        induced = _family_ids(classes, jmask, jmask)
+        for check, ids, factors in (
+            ("costandard-decomposition", nabla, [k for k in every_k if k <= j]),
+            ("projective-pattern", induced, [k for k in every_k if j <= k]),
+        ):
+            dec = _eliminate(rs, {theta: dict.fromkeys(ids, 1)}, tables, 0)
+            want = {(theta, k): 1 for k in factors}
+            records.append(_decomposition_record(check, params, dec, want))
+    return records
 
 
 # ----------------------------------------------------------------------

@@ -190,28 +190,76 @@ def memo_kinds(rs) -> dict[str, set]:
     return kinds
 
 
-def test_filtration_sweep_keeps_one_class_table_per_itheta(monkeypatch):
+def test_filtration_sweep_keeps_no_table_per_itheta(monkeypatch):
+    from catx.charcalc import _descent_classes, _subgroup_bits
     from catx.cli import main
     from catx.rootsystem import CartanType, RootSystem
 
-    # the filtration alone reads only the slices: one per itheta mask
+    # the filtration reads the slices off the per-system bitsets: the
+    # descent classes and the standard subgroups, and no per-itheta table
     fresh = RootSystem(CartanType.parse("D4"))
     monkeypatch.setattr(catx.verify, "build_root_system", lambda t, **kw: fresh)
     report = run_suite(SuiteConfig(types=("D4",), checks=("filtration",), max_rank=4))
     assert report["overall_status"] == "pass"
-    kinds = memo_kinds(fresh)
-    assert kinds.get("_slice_ids") == set(range(16))
-    assert "_class_ids" not in kinds
+    assert {_descent_classes, _subgroup_bits} <= fresh._weyl_memo.keys()
+    assert "_weight_ids" not in memo_kinds(fresh)
     # the order check enumerates its universe from the coset factorisation
-    # and keeps no class table either
+    # and keeps no per-itheta table either
     fresh = RootSystem(CartanType.parse("D4"))
     report = run_suite(
         SuiteConfig(types=("D4",), checks=("filtration", "order-axioms"), max_rank=4)
     )
     assert report["overall_status"] == "pass"
     kinds = memo_kinds(fresh)
-    assert kinds.get("_slice_ids") == set(range(16))
-    assert not {"_class_ids", "_coset_mins", "_coset_tops", "_simple_ids"} & kinds.keys()
+    assert {_descent_classes, _subgroup_bits} <= fresh._weyl_memo.keys()
+    assert not {"_weight_ids", "_coset_mins", "_coset_parts"} & kinds.keys()
+    # the rejected convention runs on the full families: one weight list
+    # per itheta mask
+    fresh = RootSystem(CartanType.parse("D4"))
+    run_suite(
+        SuiteConfig(types=("D4",), checks=("filtration",), max_rank=4,
+                    jprime_convention="i-minus-j")
+    )
+    assert memo_kinds(fresh).get("_weight_ids") == set(range(16))
     monkeypatch.undo()
     args = ["verify", "--types", "D4", "--checks", "filtration,order-axioms", "--max-rank", "4"]
     assert main(args) == 0
+
+
+def planted_classes(fault):
+    """`charcalc._descent_classes` with one fault planted, in the class
+    lists and the bitsets alike: the first (shortest) element of the
+    largest class is dropped, or moved into class 0."""
+    from catx import charcalc
+
+    build = charcalc._descent_classes
+
+    def faulty(rs):
+        lists = [list(xs) for xs in build(rs)[0]]
+        largest = max(range(len(lists)), key=lambda d: len(lists[d]))
+        x = lists[largest].pop(0)
+        if fault == "move":
+            lists[0] = sorted(lists[0] + [x])
+        n = len(charcalc.group_table(rs).elements)
+        return lists, [charcalc._bitset(xs, n) for xs in lists]
+
+    return faulty
+
+
+@pytest.mark.parametrize("fault", ["drop", "move"])
+def test_a_broken_descent_class_table_fails_the_filtration_records(fault, monkeypatch):
+    from catx import charcalc
+
+    monkeypatch.setattr(charcalc, "_descent_classes", planted_classes(fault))
+    report = run_suite(SuiteConfig(checks=("filtration",), max_rank=3))
+    failing: dict[str, int] = {}
+    for r in report["records"]:
+        if not r["passed"]:
+            failing[r["check"]] = failing.get(r["check"], 0) + 1
+    for check in ("filtration-counting", "costandard-decomposition", "projective-pattern"):
+        assert failing.get(check), (fault, failing)
+    # the multiset record reads both of its sides from the same classes,
+    # so it passes by construction under the adopted convention
+    assert "filtration-multiset" not in failing, (fault, failing)
+    monkeypatch.undo()
+    assert run_suite(SuiteConfig(checks=("filtration",), max_rank=3))["overall_status"] == "pass"
