@@ -899,11 +899,12 @@ def _weight_diff(a: ModuleCharacter, b: ModuleCharacter) -> dict[str, int]:
 def _decomposition_record(
     check: str, params: dict, dec: Decomposition, want: dict
 ) -> dict:
-    """The record of one decomposition expected to return exactly want."""
+    """The record of one decomposition expected to return exactly want;
+    it carries params itself, not a copy."""
     ok = dec.ok and dec.factors == want
     return {
         "check": check,
-        "params": dict(params),
+        "params": params,
         "passed": ok,
         "counterexample": None
         if ok
@@ -973,11 +974,12 @@ def verify_filtration(
     counts = _descent_counts(rs)
     every_k = _subsets(theta.itheta)
     records = []
-    tname = str(rs.cartan_type)
+    tname, itheta = str(rs.cartan_type), sorted(theta.itheta)
     for j in every_k:
+        # the four records of this J share one params object
         params = {
             "type": tname,
-            "itheta": sorted(theta.itheta),
+            "itheta": itheta,
             "j": sorted(j),
             "jprime_convention": jprime_convention,
         }
@@ -998,7 +1000,7 @@ def verify_filtration(
         records.append(
             {
                 "check": "filtration-multiset",
-                "params": dict(params),
+                "params": params,
                 "passed": not diff,
                 "counterexample": {"weight_diff": diff} if diff else None,
             }
@@ -1010,7 +1012,7 @@ def verify_filtration(
         records.append(
             {
                 "check": "filtration-counting",
-                "params": dict(params),
+                "params": params,
                 "passed": lhs == rhs,
                 "counterexample": None if lhs == rhs else {"lhs": lhs, "rhs": rhs},
             }
@@ -1257,7 +1259,9 @@ def _order_verdict(
     a failed test falls back to the walk over every edge, whose first
     failing chain a < b < c in universe order is the witness, a == c
     included.  Every chain a < b < c is counted (`_chain_count`).  name(k)
-    is the text that names universe element k in a counterexample.
+    is the text that names universe element k in a counterexample.  The
+    irreflexive record carries params itself, and the transitive one a
+    new dict over its values.
     """
     refl = [a for a, row in enumerate(rows) if row >> a & 1]
     violation = None
@@ -1266,7 +1270,7 @@ def _order_verdict(
     return [
         {
             "check": "order-irreflexive",
-            "params": dict(params),
+            "params": params,
             "passed": not refl,
             "counterexample": {"weight": name(refl[0])} if refl else None,
         },

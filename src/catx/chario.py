@@ -113,7 +113,7 @@ def _float_text(x: float) -> str:
     return float.__repr__(x)
 
 
-def _indented(value, pad: str) -> str:
+def _indented(value, pad: str, seen: Optional[dict] = None) -> str:
     """value laid out as json.dumps(indent=2) lays it out when it starts
     on a line indented by pad.
 
@@ -121,27 +121,42 @@ def _indented(value, pad: str) -> str:
     str, int, float, bool and None are written; anything else, a
     subclass included, raises TypeError, so that any text it returns is
     json's.  A value that holds itself is not detected.
+
+    With a dict seen, a non-empty dict, list or tuple already laid out
+    at this pad is not laid out again: its text is kept in seen under
+    (id, pad).  That is sound while no part of value is freed or changed
+    between the calls that share seen, so that no id is reused and a
+    shared object has one text per pad, as json.dumps writes it each
+    time.  A report's records share their params objects, and `json_text`
+    passes a fresh seen per call.
     """
     kind = type(value)
     if kind is str:
         return _encode_str(value)
     if kind is int:
         return int.__repr__(value)
-    if kind is dict:
+    if kind is dict or kind is list or kind is tuple:
         if not value:
-            return "{}"
+            return "{}" if kind is dict else "[]"
+        if seen is not None:
+            key = (id(value), pad)
+            text = seen.get(key)
+            if text is not None:
+                return text
         inner = pad + "  "
-        # a key that is not a str is a TypeError of _encode_str
-        items = [
-            f"{_encode_str(k)}: {_indented(v, inner)}" for k, v in value.items()
-        ]
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
-    if kind is list or kind is tuple:
-        if not value:
-            return "[]"
-        inner = pad + "  "
-        items = [_indented(v, inner) for v in value]
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+        if kind is dict:
+            # a key that is not a str is a TypeError of _encode_str
+            items = [
+                f"{_encode_str(k)}: {_indented(v, inner, seen)}"
+                for k, v in value.items()
+            ]
+            text = "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+        else:
+            items = [_indented(v, inner, seen) for v in value]
+            text = "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+        if seen is not None:
+            seen[key] = text
+        return text
     if kind is bool or value is None:
         return _CONSTANTS[value]
     if kind is float:
@@ -149,19 +164,31 @@ def _indented(value, pad: str) -> str:
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
+def _ints_text(ints, pad: str) -> str:
+    """A sequence of ints, each of exactly the type int, as `_indented`
+    lays it out at pad: in closed form, with no call per item."""
+    if not ints:
+        return "[]"
+    inner = "\n" + pad + "  "
+    return "[" + inner + ("," + inner).join(map(int.__repr__, ints)) + "\n" + pad + "]"
+
+
 if sys.version_info >= (3, 13):
     # json's C encoder lays out indent itself from 3.13 on, and is
     # faster there than _indented
     def json_text(value) -> str:
-        """The text of json.dumps(value, indent=2) and a newline."""
+        """The text of json.dumps(value, indent=2) and a newline;
+        tests/test_json_text.py holds both branches to it."""
         return json.dumps(value, indent=2) + "\n"
 
 else:
     # before 3.13, indent sends json.dumps to its pure-Python encoder,
-    # which takes about twice as long as _indented
+    # which takes more than twice as long as _indented
     def json_text(value) -> str:
-        """The text of json.dumps(value, indent=2) and a newline."""
-        return _indented(value, "") + "\n"
+        """The text of json.dumps(value, indent=2) and a newline;
+        tests/test_json_text.py holds both branches to it.  A dict or
+        list that value holds more than once is laid out once."""
+        return _indented(value, "", {}) + "\n"
 
 
 # A weight of a file that character_dumps writes has no quotes but those
@@ -186,7 +213,7 @@ def _word_pieces(rs: RootSystem) -> list[str]:
     if _word_pieces not in memo:
         words = group_table(rs).words
         memo[_word_pieces] = [
-            f": {_indented(word, '      ')}{_WORD_END}" for word in words
+            f": {_ints_text(word, '      ')}{_WORD_END}" for word in words
         ]
     return memo[_word_pieces]
 

@@ -9,6 +9,11 @@ run-dependent fields are the timestamp and the wall times, each the
 time of the batch of records that one call produced (`_timed`).
 `report_dumps` writes a report as json.dumps(indent=2) does, through
 `chario.json_text`.
+
+Records are read-only.  The four filtration records of one (type,
+itheta, J) share one params object, and the records of one itheta its
+itheta list, so the canonical sort encodes, and `json_text` lays out,
+each shared object once.
 """
 
 from __future__ import annotations
@@ -291,6 +296,23 @@ def _algebra_records(cfg: SuiteConfig) -> list[dict]:
     return records
 
 
+def _sort_key():
+    """A canonical sort key for one sort: a record's check, then the
+    text of its params with sorted keys, encoded once per params object
+    (records share them).  The texts are kept by id, which is sound
+    while every record is alive, as it is during the sort."""
+    texts: dict[int, str] = {}
+
+    def key(record: dict) -> tuple[str, str]:
+        params = record["params"]
+        text = texts.get(id(params))
+        if text is None:
+            text = texts[id(params)] = _CANONICAL.encode(params)
+        return record["check"], text
+
+    return key
+
+
 def run_suite(cfg: SuiteConfig) -> dict:
     records: list[dict] = []
     if "biclosed" in cfg.checks:
@@ -300,7 +322,7 @@ def run_suite(cfg: SuiteConfig) -> dict:
         records += _theta_records(cfg)
     if "algebra" in cfg.checks:
         records += _algebra_records(cfg)
-    records.sort(key=lambda r: (r["check"], _CANONICAL.encode(r["params"])))
+    records.sort(key=_sort_key())
     return {
         "report_schema": REPORT_SCHEMA_ID,
         "tool_version": __version__,

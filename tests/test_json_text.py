@@ -1,7 +1,8 @@
 """The indent-2 writer of catx.chario against json.dumps(indent=2).
 
-`_indented` is checked directly on every Python version, and
-`json_text` too, whichever way it was chosen at import.
+`_indented` is checked directly on every Python version, with and
+without its memo of shared subtrees, and `json_text` too, whichever way
+it was chosen at import.
 """
 
 import enum
@@ -11,9 +12,11 @@ import random
 import pytest
 
 from catx import chario, cli
-from catx.chario import _indented, json_text, module_dumps
+from catx.chario import _indented, _ints_text, json_text, module_dumps
 from catx.incidence import build_incidence_algebra, interval_module
+from catx.rootsystem import build_root_system
 from catx.verify import SuiteConfig, default_types, report_dumps, run_suite
+from catx.weyl import group_table
 
 
 def reference(value) -> str:
@@ -23,6 +26,7 @@ def reference(value) -> str:
 def assert_written_as_json(value):
     want = reference(value)
     assert _indented(value, "") + "\n" == want
+    assert _indented(value, "", {}) + "\n" == want
     assert json_text(value) == want
 
 
@@ -163,6 +167,52 @@ def test_odd_scalars_and_empty_containers():
         assert_written_as_json([value, {"k": value}])
 
 
+def _shared_values():
+    """Values that hold one object more than once, each with the number
+    of (object, pad) pairs of its non-empty containers."""
+    d = {"a": [1, 2]}
+    yield {"x": d, "y": [d]}, 6  # one dict at two pads, its list at two
+    xs = [1, {"k": 2}]
+    yield [xs, xs], 3  # one list twice at one pad
+    inner = [3, 4]
+    shared = {"p": inner, "q": inner}
+    # a shared list inside a shared dict, the dict at two pads
+    yield [shared, {"r": shared}, shared], 6
+    t = (1, ("a",))
+    yield {"a": t, "b": [t, t]}, 6  # a shared tuple at two pads
+    e, f = {}, []
+    yield [e, f, {"e": e, "f": f}, [e, f]], 3  # shared empty containers
+
+
+@pytest.mark.parametrize(
+    "value, laid_out",
+    list(_shared_values()),
+    ids=["dict-at-two-pads", "list-twice", "list-in-dict", "tuple", "empty"],
+)
+def test_shared_subobjects_are_written_as_json_writes_them(value, laid_out):
+    assert_written_as_json(value)
+    seen = {}
+    assert _indented(value, "", seen) + "\n" == reference(value)
+    # each shared container is laid out once per pad it is written at
+    assert len(seen) == laid_out
+    # and a second value at the same pad in one seen is written alike
+    assert _indented([value, value], "", seen) + "\n" == reference([value, value])
+
+
+@pytest.mark.parametrize("name", default_types(4))
+def test_ints_text_lays_out_every_canonical_word_as_indented_does(name):
+    words = group_table(build_root_system(name)).words
+    for pad in ("", "  ", "      "):
+        assert [_ints_text(w, pad) for w in words] == [_indented(w, pad) for w in words]
+
+
+def test_ints_text_of_empty_and_multi_digit_sequences():
+    for ints in ((), [], (7,), [10, 123, -4, 2**70], (0, -(10**30))):
+        for pad in ("", "  ", "      "):
+            assert _ints_text(ints, pad) == _indented(ints, pad)
+        assert _ints_text(ints, "") + "\n" == reference(ints)
+
+
 class _Colour(enum.IntEnum):
     RED = 1
 
@@ -194,7 +244,11 @@ def test_other_types_match_json_or_raise_type_error(value):
         want = reference(value)
     except TypeError:
         want = None
-    for write in (lambda v: _indented(v, "") + "\n", json_text):
+    for write in (
+        lambda v: _indented(v, "") + "\n",
+        lambda v: _indented(v, "", {}) + "\n",
+        json_text,
+    ):
         try:
             got = write(value)
         except TypeError:

@@ -263,3 +263,61 @@ def test_a_broken_descent_class_table_fails_the_filtration_records(fault, monkey
     assert "filtration-multiset" not in failing, (fault, failing)
     monkeypatch.undo()
     assert run_suite(SuiteConfig(checks=("filtration",), max_rank=3))["overall_status"] == "pass"
+
+
+@pytest.mark.parametrize("convention", ["itheta-minus-j", "i-minus-j"])
+def test_records_are_in_the_reference_order_at_rank_4(convention):
+    # the sort key encodes each shared params object once; the reference
+    # encodes every record's params afresh
+    cfg = SuiteConfig(max_rank=4, jprime_convention=convention, seed=1)
+    records = run_suite(cfg)["records"]
+    assert {r["check"] for r in records} >= {
+        "biclosed", "filtration-multiset", "order-transitive", "algebra-dimension"
+    }
+    reference = sorted(
+        records, key=lambda r: (r["check"], json.dumps(r["params"], sort_keys=True))
+    )
+    assert records == reference
+    assert [id(r) for r in records] == [id(r) for r in reference]
+
+
+@pytest.mark.parametrize("convention", ["itheta-minus-j", "i-minus-j"])
+def test_the_four_filtration_records_of_a_j_share_one_params_object(convention):
+    cfg = SuiteConfig(
+        types=("A3", "B3", "G2"), checks=("filtration",), jprime_convention=convention
+    )
+    by_params: dict[int, list[dict]] = {}
+    for r in run_suite(cfg)["records"]:
+        by_params.setdefault(id(r["params"]), []).append(r)
+    keys, itheta_lists = set(), {}
+    for group in by_params.values():
+        assert sorted(r["check"] for r in group) == [
+            "costandard-decomposition", "filtration-counting",
+            "filtration-multiset", "projective-pattern",
+        ]
+        params = group[0]["params"]
+        keys.add((params["type"], tuple(params["itheta"]), tuple(params["j"])))
+        itheta_lists.setdefault(
+            (params["type"], tuple(params["itheta"])), set()
+        ).add(id(params["itheta"]))
+    # one object per (type, itheta, J), and no two J share one
+    assert len(keys) == len(by_params)
+    assert len(by_params) == sum(3**r for r in (3, 3, 2))
+    # and the J of one itheta share one itheta list
+    assert all(len(ids) == 1 for ids in itheta_lists.values())
+    assert len(itheta_lists) == sum(2**r for r in (3, 3, 2))
+
+
+def test_the_order_records_of_an_itheta_share_its_params():
+    report = run_suite(SuiteConfig(types=("B3",), checks=("order-axioms",)))
+    records = report["records"]
+    refl = [r for r in records if r["check"] == "order-irreflexive"]
+    trans = [r for r in records if r["check"] == "order-transitive"]
+    assert len(refl) == len(trans) == 8
+    by_itheta = {tuple(r["params"]["itheta"]): r["params"] for r in refl}
+    for r in trans:
+        params = by_itheta[tuple(r["params"]["itheta"])]
+        # the transitive record adds its fields to a new dict over the
+        # same itheta list
+        assert r["params"] is not params
+        assert r["params"]["itheta"] is params["itheta"]
