@@ -308,16 +308,15 @@ def test_the_four_filtration_records_of_a_j_share_one_params_object(convention):
     assert len(itheta_lists) == sum(2**r for r in (3, 3, 2))
 
 
-def test_the_order_records_of_an_itheta_share_its_params():
-    report = run_suite(SuiteConfig(types=("B3",), checks=("order-axioms",)))
-    records = report["records"]
-    refl = [r for r in records if r["check"] == "order-irreflexive"]
-    trans = [r for r in records if r["check"] == "order-transitive"]
-    assert len(refl) == len(trans) == 8
-    by_itheta = {tuple(r["params"]["itheta"]): r["params"] for r in refl}
-    for r in trans:
-        params = by_itheta[tuple(r["params"]["itheta"])]
-        # the transitive record adds its fields to a new dict over the
-        # same itheta list
-        assert r["params"] is not params
-        assert r["params"]["itheta"] is params["itheta"]
+def test_the_order_records_share_the_params_they_are_given():
+    from catx.charcalc import _order_verdict
+
+    params = {"type": "A2", "itheta": [1]}
+    refl, trans = _order_verdict([0b10, 0], params, str)
+    assert refl["passed"] and trans["passed"]
+    assert refl["params"] is params
+    # the transitive record adds its fields to a new dict over the same
+    # itheta list
+    assert trans["params"] is not params
+    assert trans["params"]["itheta"] is params["itheta"]
+    assert trans["params"]["triples_checked"] == 0
