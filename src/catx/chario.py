@@ -113,7 +113,13 @@ def _float_text(x: float) -> str:
     return float.__repr__(x)
 
 
-def _indented(value, pad: str, seen: Optional[dict] = None) -> str:
+# a dict that starts on a line indented by at least this many spaces
+# (three levels: a report, its records, a record) is laid out once per
+# call: a report's records share their params there
+_SHARED_PAD = 6
+
+
+def _indented(value, pad: str, seen: dict) -> str:
     """value laid out as json.dumps(indent=2) lays it out when it starts
     on a line indented by pad.
 
@@ -122,41 +128,46 @@ def _indented(value, pad: str, seen: Optional[dict] = None) -> str:
     subclass included, raises TypeError, so that any text it returns is
     json's.  A value that holds itself is not detected.
 
-    With a dict seen, a non-empty dict, list or tuple already laid out
-    at this pad is not laid out again: its text is kept in seen under
-    (id, pad).  That is sound while no part of value is freed or changed
-    between the calls that share seen, so that no id is reused and a
-    shared object has one text per pad, as json.dumps writes it each
-    time.  A report's records share their params objects, and `json_text`
-    passes a fresh seen per call.
+    A non-empty dict at a pad of `_SHARED_PAD` or more spaces is laid
+    out once: its text is kept in seen under (id, pad) and reused.  That
+    is sound while no part of value is freed or changed between the
+    calls that share seen, so that no id is reused and a shared dict has
+    one text per pad, as json.dumps writes it each time.  The records of
+    a report share their params dicts, and `json_text` passes a fresh
+    seen per call.  The containers above that depth are not kept: they
+    are the large ones (a report's records, a module's maps), and
+    holding their texts until the call returns would double its peak
+    memory.
     """
     kind = type(value)
     if kind is str:
         return _encode_str(value)
     if kind is int:
         return int.__repr__(value)
-    if kind is dict or kind is list or kind is tuple:
+    if kind is dict:
         if not value:
-            return "{}" if kind is dict else "[]"
-        if seen is not None:
+            return "{}"
+        shared = len(pad) >= _SHARED_PAD
+        if shared:
             key = (id(value), pad)
             text = seen.get(key)
             if text is not None:
                 return text
         inner = pad + "  "
-        if kind is dict:
-            # a key that is not a str is a TypeError of _encode_str
-            items = [
-                f"{_encode_str(k)}: {_indented(v, inner, seen)}"
-                for k, v in value.items()
-            ]
-            text = "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
-        else:
-            items = [_indented(v, inner, seen) for v in value]
-            text = "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
-        if seen is not None:
+        # a key that is not a str is a TypeError of _encode_str
+        items = [
+            f"{_encode_str(k)}: {_indented(v, inner, seen)}" for k, v in value.items()
+        ]
+        text = "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+        if shared:
             seen[key] = text
         return text
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        items = [_indented(v, inner, seen) for v in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
     if kind is bool or value is None:
         return _CONSTANTS[value]
     if kind is float:
@@ -186,8 +197,9 @@ else:
     # which takes more than twice as long as _indented
     def json_text(value) -> str:
         """The text of json.dumps(value, indent=2) and a newline;
-        tests/test_json_text.py holds both branches to it.  A dict or
-        list that value holds more than once is laid out once."""
+        tests/test_json_text.py holds both branches to it.  A dict three
+        or more levels deep that value holds more than once is laid out
+        once."""
         return _indented(value, "", {}) + "\n"
 
 
@@ -244,7 +256,7 @@ def _header_text(rs: RootSystem, base: FormalCharacter) -> str:
         "{\n"
         f'  "type": {_encode_str(str(rs.cartan_type))},\n'
         f'  "label": {_encode_str(base.label)},\n'
-        f'  "itheta": {_indented(sorted(base.itheta), "  ")},'
+        f'  "itheta": {_indented(sorted(base.itheta), "  ", {})},'
     )
 
 

@@ -13,7 +13,7 @@ time of the batch of records that one call produced (`_timed`).
 Records are read-only.  The four filtration records of one (type,
 itheta, J) share one params object, and the records of one itheta its
 itheta list, so the canonical sort encodes, and `json_text` lays out,
-each shared object once.
+each shared params object once.
 """
 
 from __future__ import annotations

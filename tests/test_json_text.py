@@ -1,8 +1,8 @@
 """The indent-2 writer of catx.chario against json.dumps(indent=2).
 
-`_indented` is checked directly on every Python version, with and
-without its memo of shared subtrees, and `json_text` too, whichever way
-it was chosen at import.
+`_indented` is checked directly on every Python version, its memo of
+shared dicts included, and `json_text` too, whichever way it was chosen
+at import.
 """
 
 import enum
@@ -12,7 +12,7 @@ import random
 import pytest
 
 from catx import chario, cli
-from catx.chario import _indented, _ints_text, json_text, module_dumps
+from catx.chario import _SHARED_PAD, _indented, _ints_text, json_text, module_dumps
 from catx.incidence import build_incidence_algebra, interval_module
 from catx.rootsystem import build_root_system
 from catx.verify import SuiteConfig, default_types, report_dumps, run_suite
@@ -25,7 +25,6 @@ def reference(value) -> str:
 
 def assert_written_as_json(value):
     want = reference(value)
-    assert _indented(value, "") + "\n" == want
     assert _indented(value, "", {}) + "\n" == want
     assert json_text(value) == want
 
@@ -167,21 +166,29 @@ def test_odd_scalars_and_empty_containers():
         assert_written_as_json([value, {"k": value}])
 
 
+def _at(value, pad: str) -> str:
+    """json.dumps(value, indent=2) starting on a line indented by pad."""
+    return json.dumps(value, indent=2).replace("\n", "\n" + pad)
+
+
+_DEEP = " " * _SHARED_PAD  # where a report's records hold their params
+
+
 def _shared_values():
     """Values that hold one object more than once, each with the number
-    of (object, pad) pairs of its non-empty containers."""
+    of (dict, pad) pairs laid out when the value is written at _DEEP."""
     d = {"a": [1, 2]}
-    yield {"x": d, "y": [d]}, 6  # one dict at two pads, its list at two
+    yield {"x": d, "y": [d]}, 3  # the value, and one dict at two pads
     xs = [1, {"k": 2}]
-    yield [xs, xs], 3  # one list twice at one pad
+    yield [xs, xs], 1  # one list twice at one pad, its dict once
     inner = [3, 4]
     shared = {"p": inner, "q": inner}
-    # a shared list inside a shared dict, the dict at two pads
-    yield [shared, {"r": shared}, shared], 6
+    # a shared list inside a shared dict, the dict at two pads, and {"r": ...}
+    yield [shared, {"r": shared}, shared], 3
     t = (1, ("a",))
-    yield {"a": t, "b": [t, t]}, 6  # a shared tuple at two pads
+    yield {"a": t, "b": [t, t]}, 1  # a shared tuple: only the value is a dict
     e, f = {}, []
-    yield [e, f, {"e": e, "f": f}, [e, f]], 3  # shared empty containers
+    yield [e, f, {"e": e, "f": f}, [e, f]], 1  # empty containers are not kept
 
 
 @pytest.mark.parametrize(
@@ -191,25 +198,54 @@ def _shared_values():
 )
 def test_shared_subobjects_are_written_as_json_writes_them(value, laid_out):
     assert_written_as_json(value)
+    assert json_text([[[value, value]]]) == reference([[[value, value]]])
+    # above _SHARED_PAD nothing is kept
     seen = {}
     assert _indented(value, "", seen) + "\n" == reference(value)
-    # each shared container is laid out once per pad it is written at
+    assert seen == {}
+    assert _indented(value, _DEEP, seen) == _at(value, _DEEP)
+    # each shared dict is laid out once per pad it is written at
     assert len(seen) == laid_out
+    assert all(len(pad) >= _SHARED_PAD for _, pad in seen)
     # and a second value at the same pad in one seen is written alike
-    assert _indented([value, value], "", seen) + "\n" == reference([value, value])
+    assert _indented([value, value], _DEEP, seen) == _at([value, value], _DEEP)
+
+
+@pytest.mark.parametrize("convention", ["itheta-minus-j", "i-minus-j"])
+def test_a_report_keeps_only_its_params_and_counterexamples(convention):
+    # the records and the records list are not held until the call returns
+    cfg = SuiteConfig(
+        types=("B3",), checks=("filtration",), jprime_convention=convention, seed=1
+    )
+    report = run_suite(cfg)
+    records = report["records"]
+    seen = {}
+    assert _indented(report, "", seen) + "\n" == reference(report)
+    params = {id(r["params"]) for r in records}
+    kept = set(params)
+    for r in records:
+        cx = r["counterexample"]
+        if cx:
+            kept.add(id(cx))
+            kept.update(id(v) for v in cx.values() if type(v) is dict and v)
+    assert {i for i, _ in seen} == kept
+    # four records share each params dict, which is laid out once
+    assert len(params) * 4 == len(records)
 
 
 @pytest.mark.parametrize("name", default_types(4))
 def test_ints_text_lays_out_every_canonical_word_as_indented_does(name):
     words = group_table(build_root_system(name)).words
     for pad in ("", "  ", "      "):
-        assert [_ints_text(w, pad) for w in words] == [_indented(w, pad) for w in words]
+        assert [_ints_text(w, pad) for w in words] == [
+            _indented(w, pad, {}) for w in words
+        ]
 
 
 def test_ints_text_of_empty_and_multi_digit_sequences():
     for ints in ((), [], (7,), [10, 123, -4, 2**70], (0, -(10**30))):
         for pad in ("", "  ", "      "):
-            assert _ints_text(ints, pad) == _indented(ints, pad)
+            assert _ints_text(ints, pad) == _indented(ints, pad, {})
         assert _ints_text(ints, "") + "\n" == reference(ints)
 
 
@@ -244,11 +280,7 @@ def test_other_types_match_json_or_raise_type_error(value):
         want = reference(value)
     except TypeError:
         want = None
-    for write in (
-        lambda v: _indented(v, "") + "\n",
-        lambda v: _indented(v, "", {}) + "\n",
-        json_text,
-    ):
+    for write in (lambda v: _indented(v, "", {}) + "\n", json_text):
         try:
             got = write(value)
         except TypeError:
