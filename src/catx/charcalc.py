@@ -55,7 +55,6 @@ from catx.weyl import (
     coset_minimize,
     group_table,
     kept_masks,
-    longest_element,
     weyl_subgroup,
 )
 
@@ -668,10 +667,19 @@ class Decomposition:
 def _supports(rs: RootSystem) -> list[int]:
     """Per element id, the mask of the simple indices its word uses: the
     least J whose standard subgroup holds the element.  Built once per
-    enumerated group and kept on the root system's memo."""
+    enumerated group and kept on the root system's memo, in id order: the
+    canonical word of x is that of x * s_i plus the letter i, i its
+    smallest right descent, and x * s_i is shorter, so already filled in."""
     memo = rs._weyl_memo
     if _supports not in memo:
-        memo[_supports] = [_index_mask(set(word)) for word in group_table(rs).words]
+        table = group_table(rs)
+        rmul, descents = table.rmul, table.descents
+        support = [0] * len(descents)
+        for x, d in enumerate(descents):
+            if d:
+                low = d & -d
+                support[x] = support[rmul[low.bit_length()][x]] | low
+        memo[_supports] = support
     return memo[_supports]
 
 
@@ -725,15 +733,17 @@ def _candidates(
     memo = rs._weyl_memo
     if _candidates not in memo:
         table = group_table(rs)
-        memo[_candidates] = [
-            (
-                k,
-                _element_id(table, longest_element(rs, k)),
-                _index_mask(k),
-                (-len(k), tuple(sorted(k))),
-            )
-            for k in _subsets(rs.simple_indices)
-        ]
+        rmul, descents = table.rmul, table.descents
+        cands = []
+        for k in _subsets(rs.simple_indices):
+            kmask = _index_mask(k)
+            # w_K is the element of W_K with every index of K a right
+            # descent; climbing by any ascent inside K reaches it
+            w = 0
+            while ascents := kmask & ~descents[w]:
+                w = rmul[(ascents & -ascents).bit_length()][w]
+            cands.append((k, w, kmask, (-len(k), tuple(sorted(k)))))
+        memo[_candidates] = cands
     outside = ~imask
     return [c for c in memo[_candidates] if not c[2] & outside]
 
@@ -765,7 +775,7 @@ def decompose_character(
         raise InputError("tie_break must be 0, 1, or 2")
     if not char:
         return Decomposition()
-    if char._rs != rs:
+    if char._rs is not rs and char._rs != rs:
         raise InputError(
             f"character is over {char._rs.cartan_type}, not {rs.cartan_type}"
         )
@@ -776,15 +786,17 @@ def decompose_character(
         imask = _index_mask(base.itheta)
         weights = _weight_ids(rs, imask)
         # weight p = r * |W| + v is bit x = v^{-1} when it is the weight of x
-        xs = list(map(inverse.__getitem__, map(n.__rmod__, inner)))
-        hits = list(map(eq, map(weights.__getitem__, xs), inner))
+        xs = [inverse[p % n] for p in inner]
         mults = list(inner.values())
-        extra, aside = {}, {}
-        if sum(mults) > len(mults):
-            extra = {x: m - 1 for x, m, hit in zip(xs, mults, hits) if hit and m > 1}
-        if not all(hits):
+        aside = {}
+        if [weights[x] for x in xs] != list(inner):
+            hits = list(map(eq, map(weights.__getitem__, xs), inner))
             aside = {p: m for p, m, hit in zip(inner, mults, hits) if not hit}
-        present = _bitset(compress(xs, hits), n)
+            xs, mults = list(compress(xs, hits)), list(compress(mults, hits))
+        extra = {}
+        if sum(mults) > len(mults):
+            extra = {x: m - 1 for x, m in zip(xs, mults) if m > 1}
+        present = _bitset(xs, n)
         work.append([base, weights, _simple_bits(rs, imask), present, extra, aside])
     return _eliminate(rs, work, tie_break)
 

@@ -5,15 +5,18 @@ This module owns the indent-2 layout of every file catx writes
 command line's JSON payloads.
 
 Characters ship as words in the simple generators so files stay
-readable and system independent.  A file laid out byte for byte as
-`character_dumps` writes it is read by the text of its words: only its
-header goes through the JSON decoder, and each weight is two lookups of
-a word's text.  Any other text is decoded whole, and every word in it is
-canonicalized, with a warning or (strict mode) a failure on
-non-canonical coset data.  Module files carry vertex dimensions and the
-nonzero covering matrices with exact rational entries.  Writing is
-canonical: for any payload, write then read then write is byte
-identical.
+readable and system independent.  Both directions work on whole lists
+of weights, with one table of word texts per root system
+(`_word_pieces`, by word rank): the writer sorts the weights as ints and
+joins the texts of their words in one pass, and a file laid out byte
+for byte as `character_dumps` writes it is read by the text of its
+words, each column of pieces (keys, words, multiplicities) checked in
+one pass per chunk; only its header goes through the JSON decoder.  Any
+other text is decoded whole, and every word in it is canonicalized,
+with a warning or (strict mode) a failure on non-canonical coset data.
+Module files carry vertex dimensions and the nonzero covering matrices
+with exact rational entries.  Writing is canonical: for any payload,
+write then read then write is byte identical.
 """
 
 from __future__ import annotations
@@ -21,11 +24,12 @@ from __future__ import annotations
 import json
 import sys
 from fractions import Fraction as Q
+from functools import reduce
 from itertools import repeat
-from operator import add
+from operator import or_
 from typing import Optional
 
-from catx.charcalc import FormalCharacter, ModuleCharacter
+from catx.charcalc import FormalCharacter, ModuleCharacter, _word_rank
 from catx.errors import InputError, ResourceGuardError
 from catx.incidence import AlgebraModule, build_incidence_algebra
 from catx.rootsystem import RootSystem, build_root_system
@@ -212,6 +216,9 @@ _FIRST_WEIGHT = "\n    {\n      "
 _WORD_END = ",\n      "
 _MULT_END = "\n    },\n    {\n      "
 _MULT_ONE = ": 1" + _MULT_END
+# how the writer closes a weight and opens the next
+_NEXT_WEIGHT = _MULT_END + '"coset_rep"'
+_NEXT_ONE = '"mult": 1' + _NEXT_WEIGHT
 _WEIGHTS_END = "\n    }\n  ]\n}\n"
 # the weights are cut a chunk of about this many characters at a time,
 # so that a large file's pieces are not all held at once
@@ -219,14 +226,28 @@ _CHUNK = 16384
 
 
 def _word_pieces(rs: RootSystem) -> list[str]:
-    """Per element id, the piece of its canonical word; one entry per
-    element of the enumerated group, kept on the root system's memo."""
+    """Per word rank (`_word_rank`), the piece of the canonical word of
+    that rank; one entry per element of the enumerated group, kept on the
+    root system's memo.
+
+    Built in id order: the canonical word of x is that of x * s_i plus
+    the letter i, i its smallest right descent, and x * s_i is shorter,
+    so its letters' lines are already there; x's are those plus one."""
     memo = rs._weyl_memo
     if _word_pieces not in memo:
-        words = group_table(rs).words
-        memo[_word_pieces] = [
-            f": {_ints_text(word, '      ')}{_WORD_END}" for word in words
-        ]
+        table = group_table(rs)
+        rmul, descents = table.rmul, table.descents
+        # per id, its letters as json lays them out, each after ",\n" and
+        # the indent; the identity has none
+        lines = [""] * len(descents)
+        for x in range(1, len(descents)):
+            i = (descents[x] & -descents[x]).bit_length()
+            lines[x] = f"{lines[rmul[i][x]]},\n        {i}"
+        pieces = [f": []{_WORD_END}"] * len(lines)
+        for k, line in zip(_word_rank(rs), lines):
+            if line:
+                pieces[k] = f": [{line[1:]}\n      ]{_WORD_END}"
+        memo[_word_pieces] = pieces
     return memo[_word_pieces]
 
 
@@ -235,7 +256,8 @@ def _piece_ids(rs: RootSystem) -> dict[str, int]:
     system's memo."""
     memo = rs._weyl_memo
     if _piece_ids not in memo:
-        memo[_piece_ids] = {piece: a for a, piece in enumerate(_word_pieces(rs))}
+        pieces = _word_pieces(rs)
+        memo[_piece_ids] = {pieces[k]: a for a, k in enumerate(_word_rank(rs))}
     return memo[_piece_ids]
 
 
@@ -265,26 +287,39 @@ def character_dumps(
 ) -> str:
     """`character_to_json` as text, byte for byte what
     json.dumps(..., indent=2) writes plus a newline, formatted directly
-    for the fixed layout of a character payload from the text of each
-    element's word."""
+    for the fixed layout of a character payload.
+
+    The weights go in `items` order, by the word ranks of the coset
+    representative and then of v (`_id_sort_key`), sorted as the ints
+    rank * |W| + rank; those ranks index the word pieces (`_word_pieces`)
+    directly.  The text is one join of four parts per weight: the piece
+    of the representative, the "v" key, the piece of v, and the
+    multiplicity with the start of the next weight."""
     base = _single_base(rs, char, base)
-    weights = "[]"
-    if char:
-        pieces = _word_pieces(char._rs)
-        n = len(pieces)
-        mults = char._entries[base]
-        blocks = []
-        for p in char._sorted_ids(base):
-            rep, v = divmod(p, n)
-            # a piece runs from the quote after one key to the next
-            blocks.append(
-                '    {\n      "coset_rep"'
-                f'{pieces[rep]}"v"{pieces[v]}"mult": {mults[p]}\n'
-                "    }"
-            )
-        weights = "[\n" + ",\n".join(blocks) + "\n  ]"
-    # one f-string, so that the text is built once
-    return f'{_header_text(rs, base)}\n  "weights": {weights}\n}}\n'
+    head = _header_text(rs, base) + _WEIGHTS_OPEN
+    if not char:
+        return head + "]\n}\n"
+    # the character's own system has a group table; an equal rs may not
+    pieces = _word_pieces(char._rs)
+    rank = _word_rank(char._rs)
+    n = len(rank)
+    mults = char._entries[base]
+    keys = [rank[p // n] * n + rank[p % n] for p in mults]
+    if sum(mults.values()) == len(keys):
+        # every family that catx char writes has multiplicity one
+        keys.sort()
+        ends = [_NEXT_ONE] * len(keys)
+    else:
+        mult_of = dict(zip(keys, mults.values()))
+        keys.sort()
+        ends = [f'"mult": {mult_of[k]}{_NEXT_WEIGHT}' for k in keys]
+    ends[-1] = ends[-1][: -len(_NEXT_WEIGHT)] + _WEIGHTS_END
+    parts = ['"v"'] * (4 * len(keys) + 1)
+    parts[0] = head + _FIRST_WEIGHT + '"coset_rep"'
+    parts[1::4] = [pieces[k // n] for k in keys]
+    parts[3::4] = [pieces[k % n] for k in keys]
+    parts[4::4] = ends
+    return "".join(parts)
 
 
 def character_from_json(
@@ -409,12 +444,16 @@ def _written_character(
     weights, and must be written back to the same bytes.  A written
     weight holds no quote but those around its three keys, so cutting
     the weights at quotes, a chunk of whole weights at a time, gives six
-    pieces per weight: a key, then the text up to the next key.  Each
-    word's piece must be a canonical word's, each multiplicity a
-    positive int written back to the same bytes, each representative
-    canonical and each weight new.  Such a text decodes to the same
-    payload, which `character_from_json` reads with no warnings, so the
-    result is the same and strict mode cannot change it.
+    pieces per weight: a key, then the text up to the next key.  Every
+    sixth piece is one column, checked in one pass: each key column
+    must hold its key alone (counted); the multiplicity column the text
+    of multiplicity one alone, or else positive ints written back to the
+    same bytes; and each word column only pieces of canonical words,
+    looked up in one table (`_piece_ids`).  Each distinct representative
+    must be canonical, and the packed weights distinct.  Such a text
+    decodes to the same payload, which `character_from_json` reads with
+    no warnings, so the result is the same and strict mode cannot
+    change it.
     """
     cut = text.find(_WEIGHTS_OPEN)
     if cut < 0:
@@ -444,7 +483,7 @@ def _written_character(
     ):
         return None
     table = group_table(rs)
-    word_id = _piece_ids(rs).get
+    word_id = _piece_ids(rs).__getitem__
     reps, vs, mults = [], [], []
     while start < end:
         # whole weights, up to the first weight boundary past _CHUNK
@@ -466,25 +505,27 @@ def _written_character(
         mult_pieces = pieces[6::6]
         if mult_pieces.count(_MULT_ONE) == count:
             # every family that catx char writes has multiplicity one
-            ints = [1] * count
+            mults += repeat(1, count)
         else:
             try:
                 ints = [int(piece[2 : -len(_MULT_END)]) for piece in mult_pieces]
             except ValueError:  # not an int, or past the digit limit
                 return None
-            if mult_pieces != [f": {m}{_MULT_END}" for m in ints]:
+            if min(ints) < 1 or mult_pieces != [f": {m}{_MULT_END}" for m in ints]:
                 return None
-        reps += map(word_id, pieces[2::6])
-        vs += map(word_id, pieces[4::6])
-        mults += ints
+            mults += ints
+        try:
+            reps += map(word_id, pieces[2::6])
+            vs += map(word_id, pieces[4::6])
+        except KeyError:  # not a canonical word's piece
+            return None
         start = stop + len(_MULT_END)
-    if None in reps or None in vs or min(mults) < 1:
-        return None
     mask = _index_mask(base.itheta)
-    if mask and any(map(mask.__and__, map(table.descents.__getitem__, reps))):
+    # the representatives are few: each distinct one is checked once
+    if mask and reduce(or_, map(table.descents.__getitem__, set(reps))) & mask:
         return None
     n = len(table.elements)
-    entries = dict(zip(map(add, map(n.__mul__, reps), vs), mults))
+    entries = {rep * n + v: m for rep, v, m in zip(reps, vs, mults)}
     if len(entries) != len(reps):
         return None
     return ModuleCharacter._of(rs, {base: entries}), base, []

@@ -35,11 +35,11 @@ from catx.chario import (
 )
 from catx.errors import InputError, ResourceGuardError
 from catx.incidence import (
-    algebra_radical,
     build_incidence_algebra,
     cartan_and_ext,
     heredity_chain_check,
     krull_schmidt_decompose,
+    radical_series,
     regular_module,
 )
 from catx.rootsystem import build_root_system
@@ -299,7 +299,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_algebra(args) -> int:
     a = build_incidence_algebra(args.n, allow_large=args.allow_large)
-    _, series = algebra_radical(a)
+    series = radical_series(a)
     cartan, ext1 = cartan_and_ext(a)
     cartan_det = linalg.det(cartan)
     heredity = heredity_chain_check(a)

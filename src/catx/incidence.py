@@ -149,12 +149,11 @@ def _size(rows: Iterable[int]) -> int:
     return sum(row.bit_count() for row in rows)
 
 
-def algebra_radical(a: IncidenceAlgebra) -> tuple[tuple[Pair, ...], list[int]]:
-    """Radical basis (strict pairs) and the dimensions of its powers.
+def radical_series(a: IncidenceAlgebra) -> list[int]:
+    """The dimensions of the powers of the radical (the strict pairs).
 
-    The power dimensions are computed by honest span products, not by a
-    closed form, and the returned list ends with the 0 of the first
-    vanishing power.
+    They are computed by honest span products, not by a closed form, and
+    the list ends with the 0 of the first vanishing power.
     """
     rad = _radical_rows(a.rows)
     series = []
@@ -163,7 +162,13 @@ def algebra_radical(a: IncidenceAlgebra) -> tuple[tuple[Pair, ...], list[int]]:
         series.append(_size(cur))
         cur = _row_product(cur, rad)
     series.append(0)
-    return _row_pairs(a, rad), series
+    return series
+
+
+def algebra_radical(a: IncidenceAlgebra) -> tuple[tuple[Pair, ...], list[int]]:
+    """Radical basis (strict pairs) and the dimensions of its powers
+    (`radical_series`)."""
+    return _row_pairs(a, _radical_rows(a.rows)), radical_series(a)
 
 
 def cartan_and_ext(

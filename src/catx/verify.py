@@ -34,12 +34,12 @@ from catx.chario import json_text
 from catx.errors import InputError, ResourceGuardError
 from catx.incidence import (
     IncidenceAlgebra,
-    algebra_radical,
     all_subsets,
     build_incidence_algebra,
     cartan_and_ext,
     heredity_chain_check,
     krull_schmidt_decompose,
+    radical_series,
     regular_module,
 )
 from catx.rootsystem import CartanType, build_root_system
@@ -220,7 +220,7 @@ def _theta_records(cfg: SuiteConfig) -> list[dict]:
 
 
 def _dimension_record(a: IncidenceAlgebra) -> dict:
-    _, series = algebra_radical(a)
+    series = radical_series(a)
     dim_ok = a.dim == 3**a.n
     series_ok = series[-1] == 0 and all(x > y for x, y in zip(series, series[1:]))
     return _record(

@@ -1382,6 +1382,19 @@ def test_subgroup_bits_are_the_standard_subgroups(name):
         assert _members(sub[_index_mask(k)]) == sorted(ids), (name, sorted(k))
 
 
+@pytest.mark.parametrize("name", RANK_4_AND_BELOW)
+def test_set_up_tables_match_their_definitions(name):
+    # built from the group table's columns, not from words and products
+    rs = build_root_system(name)
+    table = group_table(rs)
+    assert _supports(rs) == [_index_mask(set(word)) for word in table.words]
+    cands = _candidates(rs, (1 << rs.rank) - 1)
+    assert sorted(map(_index_mask, (c[0] for c in cands))) == list(range(2**rs.rank))
+    for k, p, kmask, tie in cands:
+        assert p == table.index[longest_element(rs, k).perm], (name, sorted(k))
+        assert kmask == _index_mask(k) and tie == (-len(k), tuple(sorted(k)))
+
+
 def decomposition_corpus(rs, seed):
     """The characters the elimination is held to the reference on: every
     induced, simple and costandard family (both conventions) of every

@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction as Q
 
 import pytest
@@ -10,6 +11,7 @@ from catx.charcalc import (
     costandard_character,
     induced_character,
     simple_character,
+    _word_rank,
 )
 from catx.chario import (
     _written_character,
@@ -24,6 +26,7 @@ from catx.errors import InputError, ResourceGuardError
 from catx.incidence import build_incidence_algebra, regular_module
 from catx.rootsystem import RootSystem, build_root_system
 from catx.verify import default_types
+from catx.weyl import group_table
 
 
 def test_character_roundtrip_byte_identical():
@@ -332,6 +335,57 @@ def test_written_rank_4_files_read_by_their_words_as_decoded(name):
         for build in (induced_character, simple_character, costandard_character):
             char = build(rs, theta, j)
             assert_read_by_its_words(character_dumps(rs, char, base=theta), char, theta)
+
+
+@pytest.mark.parametrize("name", default_types(4))
+def test_word_pieces_are_the_json_layout_of_each_word_by_rank(name):
+    # built from each word's parent, not laid out word by word
+    rs = build_root_system(name)
+    words = group_table(rs).words
+    rank = _word_rank(rs)
+    pieces = chario._word_pieces(rs)
+    assert len(pieces) == len(words)
+    for a, word in enumerate(words):
+        want = f": {chario._ints_text(word, '      ')}{chario._WORD_END}"
+        assert pieces[rank[a]] == want, (name, word)
+    assert chario._piece_ids(rs) == {pieces[rank[a]]: a for a in range(len(words))}
+
+
+def multiplicity_cases():
+    """Characters with multiplicities above one, each with its base: a
+    family plus itself, a family plus another family, and a weight whose
+    multiplicity has just fewer digits than the decoder reads."""
+    rs = build_root_system("B3")
+    theta = FormalCharacter("theta", frozenset({1, 2}))
+    induced = induced_character(rs, theta, [])
+    yield "family twice", induced + induced
+    others = simple_character(rs, theta, [1]) + costandard_character(rs, theta, [2])
+    yield "two families", induced + others
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)() or 4300
+    entries = dict(induced._entries[theta])
+    entries[next(reversed(entries))] = int("7" * (limit - 1))
+    yield "many digits", ModuleCharacter._of(rs, {theta: entries})
+
+
+@pytest.mark.parametrize("chunk", ["default", 1])
+def test_multiplicities_above_one_are_written_and_read_as_decoded(chunk, monkeypatch):
+    if chunk != "default":  # every weight a chunk of its own
+        monkeypatch.setattr(chario, "_CHUNK", chunk)
+    for what, char in multiplicity_cases():
+        rs, base = char._rs, next(iter(char._entries))
+        assert max(char._entries[base].values()) > 1, what
+        text = character_dumps(rs, char)
+        assert text == encoder_dumps(rs, char), what
+        assert_read_by_its_words(text, char, base)
+
+
+def test_a_character_writes_over_an_equal_system_with_no_group_table_yet():
+    rs = build_root_system("B3")
+    theta = FormalCharacter("theta", frozenset({2}))
+    char = induced_character(rs, theta, []) + simple_character(rs, theta, [])
+    fresh = RootSystem(rs.cartan_type)
+    assert fresh._weyl_table is None
+    assert character_dumps(fresh, char) == encoder_dumps(rs, char)
 
 
 def test_a_written_file_reads_over_a_system_with_no_group_table_yet():

@@ -24,6 +24,7 @@ from catx.incidence import (
     interval_module,
     is_isomorphic,
     krull_schmidt_decompose,
+    radical_series,
     regular_module,
 )
 from reference import (
@@ -134,6 +135,7 @@ def test_row_checks_match_the_pair_reference():
     for n in range(7):
         a = build_incidence_algebra(n)
         assert algebra_radical(a) == pair_radical(a), n
+        assert radical_series(a) == pair_radical(a)[1], n
         assert cartan_and_ext(a) == pair_cartan_and_ext(a), n
         assert list(cartan_and_ext(a)[1]) == list(pair_cartan_and_ext(a)[1]), n
         assert heredity_chain_check(a) == pair_heredity_chain_check(a), n
