@@ -29,9 +29,9 @@ subgroups (`_subgroup_bits`) are bitsets kept once per root system;
 under the adopted convention the filtration sweep reads each family at
 the identity coset, the family ANDed with W_I, where the weight of x is
 (theta, x^{-1}).  The decomposition and the filtration share one
-elimination on these bitsets.  The root system's memo keeps these
-tables beside one word rank, the support of every element and the
-decomposition candidates of every subset.  The order check keeps none
+elimination on these bitsets.  These tables, one word rank, the support
+of every element and the decomposition candidates of every subset are
+kept per root system (`catx.weyl.per_system`).  The order check keeps none
 of them: it enumerates its universe from the parabolic factorisation
 (`_coset_parts`).
 `Weight` and `TwistedCharacter` objects are built only at the edges: the
@@ -55,6 +55,7 @@ from catx.weyl import (
     coset_minimize,
     group_table,
     kept_masks,
+    per_system,
     weyl_subgroup,
 )
 
@@ -210,18 +211,16 @@ def _weight_of(rs: RootSystem, base: FormalCharacter, packed: int) -> Weight:
     return Weight(TwistedCharacter(base, elements[rep]), elements[v])
 
 
+@per_system
 def _word_rank(rs: RootSystem) -> list[int]:
     """Per element id, its rank when the ids are sorted by (len(word),
-    word) of their canonical words: shorter first, then lexicographic.
-    Kept on the root system's memo, one list per system."""
-    memo = rs._weyl_memo
-    if _word_rank not in memo:
-        words = rs._weyl_table.words
-        rank = memo[_word_rank] = [0] * len(words)
-        ordered = sorted(range(len(words)), key=lambda a: (len(words[a]), words[a]))
-        for k, a in enumerate(ordered):
-            rank[a] = k
-    return memo[_word_rank]
+    word) of their canonical words: shorter first, then lexicographic."""
+    words = rs._weyl_table.words
+    rank = [0] * len(words)
+    ordered = sorted(range(len(words)), key=lambda a: (len(words[a]), words[a]))
+    for k, a in enumerate(ordered):
+        rank[a] = k
+    return rank
 
 
 def _id_sort_key(rs: RootSystem) -> Callable[[int], int]:
@@ -459,54 +458,46 @@ def _members(bits: int) -> list[int]:
     return out
 
 
+@per_system
 def _descent_classes(rs: RootSystem) -> tuple[list[list[int]], list[int]]:
     """The group split into right-descent classes: per mask d of simple
     indices, the ids x whose right-descent mask is d, in id order, and the
-    same class as one bitset over the ids.  Built once per enumerated
-    group and kept on the root system's memo."""
-    memo = rs._weyl_memo
-    if _descent_classes not in memo:
-        descents = group_table(rs).descents
-        lists = [[] for _ in range(1 << rs.rank)]
-        for x, d in enumerate(descents):
-            lists[d].append(x)
-        memo[_descent_classes] = lists, [_bitset(xs, len(descents)) for xs in lists]
-    return memo[_descent_classes]
+    same class as one bitset over the ids."""
+    descents = group_table(rs).descents
+    lists = [[] for _ in range(1 << rs.rank)]
+    for x, d in enumerate(descents):
+        lists[d].append(x)
+    return lists, [_bitset(xs, len(descents)) for xs in lists]
 
 
+@per_system
 def _subgroup_bits(rs: RootSystem) -> list[int]:
     """Per mask K of simple indices, the bitset of the standard subgroup
-    W_K: the ids whose support (`_supports`) lies inside K.  Built once
-    per enumerated group, from the ids of each exact support summed over
-    the submasks one index at a time, and kept on the root system's memo."""
-    memo = rs._weyl_memo
-    if _subgroup_bits not in memo:
-        support = _supports(rs)
-        exact = [[] for _ in range(1 << rs.rank)]
-        for x, s in enumerate(support):
-            exact[s].append(x)
-        sub = [_bitset(xs, len(support)) for xs in exact]
-        for i in range(rs.rank):
-            bit = 1 << i
-            for k in range(len(sub)):
-                if k & bit:
-                    sub[k] |= sub[k ^ bit]
-        memo[_subgroup_bits] = sub
-    return memo[_subgroup_bits]
+    W_K: the ids whose support (`_supports`) lies inside K.  Built from
+    the ids of each exact support, summed over the submasks one index at
+    a time."""
+    support = _supports(rs)
+    exact = [[] for _ in range(1 << rs.rank)]
+    for x, s in enumerate(support):
+        exact[s].append(x)
+    sub = [_bitset(xs, len(support)) for xs in exact]
+    for i in range(rs.rank):
+        bit = 1 << i
+        for k in range(len(sub)):
+            if k & bit:
+                sub[k] |= sub[k ^ bit]
+    return sub
 
 
+@per_system
 def _weight_ids(rs: RootSystem, mask: int) -> list[int]:
     """Per element id x, the packed weight (minimum of x's coset, x^{-1})
     over an itheta with this mask: the weight that bit x of a family's
     bitset stands for.  For x in the subgroup on itheta it is the id of
-    x^{-1}.  One list per mask, kept on the root system's memo."""
-    memo = rs._weyl_memo
-    key = (_weight_ids, mask)
-    if key not in memo:
-        table = group_table(rs)
-        n = len(table.elements)
-        memo[key] = [r * n + v for r, v in zip(_coset_mins(rs, mask), table.inverse)]
-    return memo[key]
+    x^{-1}.  One list per mask."""
+    table = group_table(rs)
+    n = len(table.elements)
+    return [r * n + v for r, v in zip(_coset_mins(rs, mask), table.inverse)]
 
 
 # Every family is a union of right-descent classes.  As w runs over the
@@ -664,23 +655,21 @@ class Decomposition:
         return not self.remainder and self.diagnostic is None
 
 
+@per_system
 def _supports(rs: RootSystem) -> list[int]:
     """Per element id, the mask of the simple indices its word uses: the
-    least J whose standard subgroup holds the element.  Built once per
-    enumerated group and kept on the root system's memo, in id order: the
-    canonical word of x is that of x * s_i plus the letter i, i its
-    smallest right descent, and x * s_i is shorter, so already filled in."""
-    memo = rs._weyl_memo
-    if _supports not in memo:
-        table = group_table(rs)
-        rmul, descents = table.rmul, table.descents
-        support = [0] * len(descents)
-        for x, d in enumerate(descents):
-            if d:
-                low = d & -d
-                support[x] = support[rmul[low.bit_length()][x]] | low
-        memo[_supports] = support
-    return memo[_supports]
+    least J whose standard subgroup holds the element.  Built in id
+    order: the canonical word of x is that of x * s_i plus the letter i,
+    i its smallest right descent, and x * s_i is shorter, so already
+    filled in."""
+    table = group_table(rs)
+    rmul, descents = table.rmul, table.descents
+    support = [0] * len(descents)
+    for x, d in enumerate(descents):
+        if d:
+            low = d & -d
+            support[x] = support[rmul[low.bit_length()][x]] | low
+    return support
 
 
 def _subgroup_ids(rs: RootSystem, mask: int) -> list[int]:
@@ -691,17 +680,15 @@ def _subgroup_ids(rs: RootSystem, mask: int) -> list[int]:
     return [x for x, support in enumerate(_supports(rs)) if not support & outside]
 
 
+@per_system
 def _descent_counts(rs: RootSystem) -> list[int]:
     """Per mask of simple indices, how many elements have exactly that
-    mask of right descents.  Built once per enumerated group and kept on
-    the root system's memo."""
-    memo = rs._weyl_memo
-    if _descent_counts not in memo:
-        counts = [0] * (1 << rs.rank)
-        for d in group_table(rs).descents:
-            counts[d] += 1
-        memo[_descent_counts] = counts
-    return memo[_descent_counts]
+    mask of right descents, counted from the group table's descents
+    rather than `_descent_classes`, so that the two stay independent."""
+    counts = [0] * (1 << rs.rank)
+    for d in group_table(rs).descents:
+        counts[d] += 1
+    return counts
 
 
 def _candidates(
@@ -727,25 +714,29 @@ def _candidates(
 
     The tie key orders K by |K| descending, then lexicographically (see
     `decompose_character`).  The candidates of every K are built once per
-    root system and kept on its memo, in `_subsets` order; an itheta
+    root system (`_every_candidate`), in `_subsets` order; an itheta
     keeps those with K inside it, which stay in that order.
     """
-    memo = rs._weyl_memo
-    if _candidates not in memo:
-        table = group_table(rs)
-        rmul, descents = table.rmul, table.descents
-        cands = []
-        for k in _subsets(rs.simple_indices):
-            kmask = _index_mask(k)
-            # w_K is the element of W_K with every index of K a right
-            # descent; climbing by any ascent inside K reaches it
-            w = 0
-            while ascents := kmask & ~descents[w]:
-                w = rmul[(ascents & -ascents).bit_length()][w]
-            cands.append((k, w, kmask, (-len(k), tuple(sorted(k)))))
-        memo[_candidates] = cands
     outside = ~imask
-    return [c for c in memo[_candidates] if not c[2] & outside]
+    return [c for c in _every_candidate(rs) if not c[2] & outside]
+
+
+@per_system
+def _every_candidate(rs: RootSystem) -> list[tuple[frozenset[int], int, int, tuple]]:
+    """The candidate tuple of `_candidates` for every K, in `_subsets`
+    order."""
+    table = group_table(rs)
+    rmul, descents = table.rmul, table.descents
+    cands = []
+    for k in _subsets(rs.simple_indices):
+        kmask = _index_mask(k)
+        # w_K is the element of W_K with every index of K a right
+        # descent; climbing by any ascent inside K reaches it
+        w = 0
+        while ascents := kmask & ~descents[w]:
+            w = rmul[(ascents & -ascents).bit_length()][w]
+        cands.append((k, w, kmask, (-len(k), tuple(sorted(k)))))
+    return cands
 
 
 def decompose_character(

@@ -33,7 +33,7 @@ from catx.charcalc import FormalCharacter, ModuleCharacter, _word_rank
 from catx.errors import InputError, ResourceGuardError
 from catx.incidence import AlgebraModule, build_incidence_algebra
 from catx.rootsystem import RootSystem, build_root_system
-from catx.weyl import _index_mask, element_from_word, group_table
+from catx.weyl import _index_mask, element_from_word, group_table, per_system
 
 
 _WEIGHT_KEYS = frozenset({"coset_rep", "v", "mult"})
@@ -52,11 +52,18 @@ def check_label(label) -> None:
         raise InputError(f"label {label!r} is not encodable text") from None
 
 
+def _are_indices(values) -> bool:
+    """Whether every value is an int and none a bool: a bool is an int,
+    but would come back out of a set as a bool and be written as one."""
+    return all(isinstance(i, int) and not isinstance(i, bool) for i in values)
+
+
 def _single_base(
     rs: RootSystem, char: ModuleCharacter, base: Optional[FormalCharacter]
 ) -> FormalCharacter:
     """The one torus character of a character to be written over rs, with
-    a label that the reader accepts; an empty character needs it given."""
+    a label and an itheta that the reader accepts; an empty character
+    needs it given."""
     if char and char._rs != rs:
         raise InputError(
             f"character is over {char._rs.cartan_type}, not {rs.cartan_type}"
@@ -72,6 +79,8 @@ def _single_base(
     if base is None:
         raise InputError("an empty character needs an explicit base to record")
     check_label(base.label)
+    if not _are_indices(base.itheta):
+        raise InputError("itheta must be a set of simple indices")
     return base
 
 
@@ -179,15 +188,6 @@ def _indented(value, pad: str, seen: dict) -> str:
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
-def _ints_text(ints, pad: str) -> str:
-    """A sequence of ints, each of exactly the type int, as `_indented`
-    lays it out at pad: in closed form, with no call per item."""
-    if not ints:
-        return "[]"
-    inner = "\n" + pad + "  "
-    return "[" + inner + ("," + inner).join(map(int.__repr__, ints)) + "\n" + pad + "]"
-
-
 if sys.version_info >= (3, 13):
     # json's C encoder lays out indent itself from 3.13 on, and is
     # faster there than _indented
@@ -225,50 +225,34 @@ _WEIGHTS_END = "\n    }\n  ]\n}\n"
 _CHUNK = 16384
 
 
+@per_system
 def _word_pieces(rs: RootSystem) -> list[str]:
     """Per word rank (`_word_rank`), the piece of the canonical word of
-    that rank; one entry per element of the enumerated group, kept on the
-    root system's memo.
+    that rank; one entry per element of the enumerated group.
 
     Built in id order: the canonical word of x is that of x * s_i plus
     the letter i, i its smallest right descent, and x * s_i is shorter,
     so its letters' lines are already there; x's are those plus one."""
-    memo = rs._weyl_memo
-    if _word_pieces not in memo:
-        table = group_table(rs)
-        rmul, descents = table.rmul, table.descents
-        # per id, its letters as json lays them out, each after ",\n" and
-        # the indent; the identity has none
-        lines = [""] * len(descents)
-        for x in range(1, len(descents)):
-            i = (descents[x] & -descents[x]).bit_length()
-            lines[x] = f"{lines[rmul[i][x]]},\n        {i}"
-        pieces = [f": []{_WORD_END}"] * len(lines)
-        for k, line in zip(_word_rank(rs), lines):
-            if line:
-                pieces[k] = f": [{line[1:]}\n      ]{_WORD_END}"
-        memo[_word_pieces] = pieces
-    return memo[_word_pieces]
+    table = group_table(rs)
+    rmul, descents = table.rmul, table.descents
+    # per id, its letters as json lays them out, each after ",\n" and
+    # the indent; the identity has none
+    lines = [""] * len(descents)
+    for x in range(1, len(descents)):
+        i = (descents[x] & -descents[x]).bit_length()
+        lines[x] = f"{lines[rmul[i][x]]},\n        {i}"
+    pieces = [f": []{_WORD_END}"] * len(lines)
+    for k, line in zip(_word_rank(rs), lines):
+        if line:
+            pieces[k] = f": [{line[1:]}\n      ]{_WORD_END}"
+    return pieces
 
 
+@per_system
 def _piece_ids(rs: RootSystem) -> dict[str, int]:
-    """The id of every canonical word by its piece, kept on the root
-    system's memo."""
-    memo = rs._weyl_memo
-    if _piece_ids not in memo:
-        pieces = _word_pieces(rs)
-        memo[_piece_ids] = {pieces[k]: a for a, k in enumerate(_word_rank(rs))}
-    return memo[_piece_ids]
-
-
-def _word_ids(rs: RootSystem) -> dict[tuple[int, ...], int]:
-    """The id of every canonical word of the enumerated group, kept on
-    the root system's memo."""
-    memo = rs._weyl_memo
-    if _word_ids not in memo:
-        words = rs._weyl_table.words
-        memo[_word_ids] = {word: a for a, word in enumerate(words)}
-    return memo[_word_ids]
+    """The id of every canonical word by its piece."""
+    pieces = _word_pieces(rs)
+    return {pieces[k]: a for a, k in enumerate(_word_rank(rs))}
 
 
 def _header_text(rs: RootSystem, base: FormalCharacter) -> str:
@@ -338,9 +322,8 @@ def character_from_json(
     expect_type must equal that "type" first.  The character keeps its
     root system even when it is empty.
 
-    A canonical word is looked up by its id; any other word (not reduced,
-    not canonical, or with an index out of range) is walked through the
-    group table.  The representative is made canonical by stripping its
+    Every word is walked through the group table, which refuses an index
+    out of range.  The representative is made canonical by stripping its
     right descents inside itheta.
     """
     if rs is None:
@@ -362,10 +345,7 @@ def character_from_json(
         )
     check_label(data["label"])
     itheta = data["itheta"]
-    # a bool is an int, but would come back out of the set as a bool
-    if not isinstance(itheta, list) or not all(
-        isinstance(i, int) and not isinstance(i, bool) for i in itheta
-    ):
+    if not isinstance(itheta, list) or not _are_indices(itheta):
         raise InputError("itheta must be a list of simple indices")
     base = FormalCharacter(data["label"], frozenset(itheta))
     bad = base.itheta - set(rs.simple_indices)
@@ -380,7 +360,6 @@ def character_from_json(
         table = group_table(rs)
         descents, minimize = table.descents, table.minimize
         n = len(table.elements)
-        word_id = _word_ids(rs).get
     mask = _index_mask(base.itheta)
     ints = repeat(int)  # endless, so one iterator serves every word check
     for k, entry in enumerate(weights):
@@ -392,8 +371,8 @@ def character_from_json(
         mult = entry["mult"]
         if isinstance(mult, bool) or not isinstance(mult, int) or mult < 1:
             raise InputError(f"weight #{k}: mult must be a positive int")
-        # the type checks run before the lookups, since (1.0,) equals and
-        # hashes like (1,); a bool is an int and reads as one either way
+        # the type checks run before the walks, since a float would reach
+        # the group table as an index; a bool is an int and reads as one
         rep_word, v_word = entry["coset_rep"], entry["v"]
         if not isinstance(rep_word, list) or not all(map(isinstance, rep_word, ints)):
             raise InputError(
@@ -401,9 +380,7 @@ def character_from_json(
             )
         if not isinstance(v_word, list) or not all(map(isinstance, v_word, ints)):
             raise InputError(f"weight #{k}: v must be a list of simple indices")
-        rep = word_id(tuple(rep_word))
-        if rep is None:
-            rep = element_from_word(rs, rep_word)._id
+        rep = element_from_word(rs, rep_word)._id
         if descents[rep] & mask:
             canon = minimize(rep, mask)
             message = (
@@ -414,9 +391,7 @@ def character_from_json(
                 raise InputError(message)
             warnings.append(message)
             rep = canon
-        v = word_id(tuple(v_word))
-        if v is None:
-            v = element_from_word(rs, v_word)._id
+        v = element_from_word(rs, v_word)._id
         weight = rep * n + v
         if weight in entries:
             message = f"weight #{k} duplicates an earlier entry; multiplicities merged"

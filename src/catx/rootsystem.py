@@ -170,8 +170,8 @@ class RootSystem:
 
     Instances compare and hash by Cartan type.  They are immutable once
     built, except that the Weyl-group layer attaches the group table on
-    first enumeration and keeps its memo of per-subset answers on the
-    instance, so two equal systems built apart share neither.
+    first enumeration and the memo of per-system tables to the instance,
+    so two equal systems built apart share neither.
     """
 
     def __init__(self, cartan_type: CartanType, *, allow_large: bool = False):
@@ -195,8 +195,7 @@ class RootSystem:
             self._reflection_perm(i) for i in self.simple_indices
         )
         # the group table, set by catx.weyl.enumerate_weyl on first use,
-        # and the Weyl layer's memo of subgroups, longest elements and
-        # coset representatives, keyed by (builder, index set)
+        # and the memo of every per-system table (catx.weyl.per_system)
         self._weyl_table = None
         self._weyl_memo: dict = {}
 

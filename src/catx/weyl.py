@@ -45,6 +45,7 @@ visits about |W| leaves instead of all 2**|positive roots| subsets.
 
 from __future__ import annotations
 
+from functools import wraps
 from itertools import compress
 from operator import invert, itemgetter
 from typing import Iterable, Optional, Sequence
@@ -432,66 +433,62 @@ def group_table(rs: RootSystem) -> _GroupTable:
     return rs._weyl_table
 
 
-# The memo below lives on the root system, so its entries live and die
-# with that system and two equal systems built apart share none.  It
-# keeps what it computed first and is never cleared.  An entry made
-# before its group was enumerated holds elements without ids; those are
-# equal to and hash like the interned ones, and their products are
-# interned, so a stale entry can cost speed but never change an answer.
-# Only answers that cover the whole group enumerate it first: the minimal
-# coset representatives, read off the table's descent masks, and the
-# subgroup on every simple index, which is the group itself (the order
-# guard then refuses oversize groups).  The memo holds at most three
-# entries per subset of the simple indices, plus the per-element kept-root
-# masks below.  `catx.charcalc` keeps its own entries here too: one word
-# rank, the support of every element, the decomposition candidates of
-# every subset, the right-descent classes (as id lists and as bitsets),
-# the bitset of every standard subgroup, the histogram of right-descent
-# masks, and per mask of itheta one list of every element's weight as a
-# packed integer id, for the character builders and their decomposition
-# (the filtration sweep under the adopted convention reads none);
-# `catx.chario` keeps the text of every canonical word and the id of
-# every canonical word.  Each per-element table and each per-itheta list
-# holds one entry per group element; the classes hold every element once,
-# and each subgroup bitset one bit per group element.
+def per_system(build):
+    """Memoise a table of a root system on the system itself.
+
+    `build(rs)` is kept under the key `build` and `build(rs, key)` under
+    `(build, key)`, `build` being the function returned here, which the
+    decorated module-level name binds.  Entries live and die with their
+    system, two equal systems built apart share none, and nothing is
+    ever cleared: each key keeps the value it was first built with.
+    """
+
+    @wraps(build)
+    def table(rs: RootSystem, *key):
+        entry = (table, *key) if key else table
+        memo = rs._weyl_memo
+        if entry not in memo:
+            memo[entry] = build(rs, *key)
+        return memo[entry]
+
+    return table
 
 
-def _memoized(build, rs: RootSystem, subset: Iterable[int]):
-    key = (build, _normalize_subset(rs, subset))
-    memo = rs._weyl_memo
-    if key not in memo:
-        memo[key] = build(rs, key[1])
-    return memo[key]
-
-
+@per_system
 def kept_masks(rs: RootSystem) -> list[int]:
     """Per element id x, the mask of the positive roots that x keeps
     positive: bit k when x keeps positive root k positive, the element's
     `plus_mask`.  Built once per enumerated group, enumerating it under
-    its order guard first, and kept on the root system's memo.
+    its order guard first.
 
     The inversion sets come from the table in id order: an element a
     other than the identity is s_i * b for b shorter, with s_i its
     smallest left descent, and then a inverts what b inverts plus the
     root b^{-1}(alpha_i), the one root that b sends to alpha_i.
     """
-    memo = rs._weyl_memo
-    if kept_masks not in memo:
-        table = group_table(rs)
-        rmul, inverse, descents = table.rmul, table.inverse, table.descents
-        simple_pos = (None,) + rs._simple_pos
-        perms = [w.perm for w in table.elements]
-        inverted = [0] * len(perms)
-        for a in range(1, len(perms)):
-            d = descents[inverse[a]]  # the left descents of a
-            i = (d & -d).bit_length()
-            b = inverse[rmul[i][inverse[a]]]
-            inverted[a] = inverted[b] | 1 << perms[b].index(simple_pos[i])
-        full = (1 << len(rs.positive_roots)) - 1
-        memo[kept_masks] = [full ^ m for m in inverted]
-    return memo[kept_masks]
+    table = group_table(rs)
+    rmul, inverse, descents = table.rmul, table.inverse, table.descents
+    simple_pos = (None,) + rs._simple_pos
+    perms = [w.perm for w in table.elements]
+    inverted = [0] * len(perms)
+    for a in range(1, len(perms)):
+        d = descents[inverse[a]]  # the left descents of a
+        i = (d & -d).bit_length()
+        b = inverse[rmul[i][inverse[a]]]
+        inverted[a] = inverted[b] | 1 << perms[b].index(simple_pos[i])
+    full = (1 << len(rs.positive_roots)) - 1
+    return [full ^ m for m in inverted]
 
 
+# The next three are keyed by the normalized index set.  An entry made
+# before its group was enumerated holds elements without ids; those are
+# equal to and hash like the interned ones, and their products are
+# interned, so a stale entry can cost speed but never change an answer.
+# Only answers that cover the whole group enumerate it first: the
+# subgroup on every simple index, and the minimal coset representatives.
+
+
+@per_system
 def _subgroup(rs: RootSystem, j: frozenset[int]) -> tuple[WeylElement, ...]:
     if len(j) == rs.rank:
         # the whole group: its closure would redo the enumeration
@@ -502,9 +499,10 @@ def _subgroup(rs: RootSystem, j: frozenset[int]) -> tuple[WeylElement, ...]:
 
 def weyl_subgroup(rs: RootSystem, subset: Iterable[int]) -> tuple[WeylElement, ...]:
     """The standard subgroup generated by the listed simple reflections."""
-    return _memoized(_subgroup, rs, subset)
+    return _subgroup(rs, _normalize_subset(rs, subset))
 
 
+@per_system
 def _longest(rs: RootSystem, j: frozenset[int]) -> WeylElement:
     w = WeylElement.identity(rs)
     while True:
@@ -521,9 +519,10 @@ def longest_element(rs: RootSystem, subset: Iterable[int]) -> WeylElement:
     subset that still increases length.  The result inverts exactly the
     positive roots supported on the subset.
     """
-    return _memoized(_longest, rs, subset)
+    return _longest(rs, _normalize_subset(rs, subset))
 
 
+@per_system
 def _min_reps(rs: RootSystem, j: frozenset[int]) -> tuple[WeylElement, ...]:
     elements = enumerate_weyl(rs)
     mask = _index_mask(j)
@@ -539,7 +538,7 @@ def min_coset_reps(rs: RootSystem, subset: Iterable[int]) -> tuple[WeylElement, 
     subset (it maps every listed simple root to a positive root); the
     result follows the global enumeration order.
     """
-    return _memoized(_min_reps, rs, subset)
+    return _min_reps(rs, _normalize_subset(rs, subset))
 
 
 def coset_minimize(w: WeylElement, subset: Iterable[int]) -> WeylElement:

@@ -104,6 +104,21 @@ def test_character_writers_refuse_a_label_the_reader_refuses():
     assert character_loads(rs, text)[1] == theta
 
 
+def test_character_writers_refuse_an_itheta_the_reader_refuses():
+    # True == 1, so the character builds, but its file would say
+    # "itheta": [true], which the reader refuses
+    rs = build_root_system("A2")
+    theta = FormalCharacter("t", frozenset({True}))
+    for char, base in ((induced_character(rs, theta, []), None), (ModuleCharacter(), theta)):
+        for write in (character_dumps, character_to_json):
+            with pytest.raises(InputError, match="itheta must be a set of simple indices"):
+                write(rs, char, base=base)
+    # the same itheta of ints is written and read back
+    theta = FormalCharacter("t", frozenset({1}))
+    text = character_dumps(rs, induced_character(rs, theta, []))
+    assert character_loads(rs, text)[1] == theta
+
+
 def test_character_writers_refuse_a_character_over_another_system():
     # the words come from the character's own group, so the file would
     # name one type and hold the words of another
@@ -168,8 +183,8 @@ def test_character_letters_are_checked_before_any_word_lookup():
         for weight in (([], bad), (bad, [])):
             with pytest.raises(InputError):
                 character_from_json(rs, weights_payload([], weight))
-    # 1.0 equals 1 and hashes like it, so it must be refused before a
-    # lookup of canonical words could accept it
+    # 1.0 equals 1, so it is a simple index by equality; it must be
+    # refused before the group table is walked with it
     with pytest.raises(InputError, match="list of simple indices"):
         character_from_json(rs, weights_payload([], ([], [1.0])))
     with pytest.raises(InputError, match="out of range"):
@@ -346,7 +361,7 @@ def test_word_pieces_are_the_json_layout_of_each_word_by_rank(name):
     pieces = chario._word_pieces(rs)
     assert len(pieces) == len(words)
     for a, word in enumerate(words):
-        want = f": {chario._ints_text(word, '      ')}{chario._WORD_END}"
+        want = f": {chario._indented(list(word), '      ', {})}{chario._WORD_END}"
         assert pieces[rank[a]] == want, (name, word)
     assert chario._piece_ids(rs) == {pieces[rank[a]]: a for a in range(len(words))}
 

@@ -12,11 +12,9 @@ import random
 import pytest
 
 from catx import chario, cli
-from catx.chario import _SHARED_PAD, _indented, _ints_text, json_text, module_dumps
+from catx.chario import _SHARED_PAD, _indented, json_text, module_dumps
 from catx.incidence import build_incidence_algebra, interval_module
-from catx.rootsystem import build_root_system
 from catx.verify import SuiteConfig, default_types, report_dumps, run_suite
-from catx.weyl import group_table
 
 
 def reference(value) -> str:
@@ -231,22 +229,6 @@ def test_a_report_keeps_only_its_params_and_counterexamples(convention):
     assert {i for i, _ in seen} == kept
     # four records share each params dict, which is laid out once
     assert len(params) * 4 == len(records)
-
-
-@pytest.mark.parametrize("name", default_types(4))
-def test_ints_text_lays_out_every_canonical_word_as_indented_does(name):
-    words = group_table(build_root_system(name)).words
-    for pad in ("", "  ", "      "):
-        assert [_ints_text(w, pad) for w in words] == [
-            _indented(w, pad, {}) for w in words
-        ]
-
-
-def test_ints_text_of_empty_and_multi_digit_sequences():
-    for ints in ((), [], (7,), [10, 123, -4, 2**70], (0, -(10**30))):
-        for pad in ("", "  ", "      "):
-            assert _ints_text(ints, pad) == _indented(ints, pad, {})
-        assert _ints_text(ints, "") + "\n" == reference(ints)
 
 
 class _Colour(enum.IntEnum):

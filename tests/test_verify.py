@@ -226,6 +226,57 @@ def test_filtration_sweep_keeps_no_table_per_itheta(monkeypatch):
     assert main(args) == 0
 
 
+@pytest.mark.parametrize("name", ["B3", "D4"])
+def test_every_per_system_table_is_memoised_on_its_own_system(name, monkeypatch, tmp_path):
+    from catx import rootsystem
+    from catx.cli import main
+    from catx.rootsystem import CartanType, RootSystem
+    from catx.weyl import per_system, weyl_subgroup
+
+    # every function that per_system returns runs the one memo's code
+    memoised = per_system(len).__code__
+
+    def is_table(f):
+        return getattr(f, "__code__", None) is memoised
+
+    def exercise(rs):
+        monkeypatch.setattr(rootsystem, "_cached_system", lambda t, allow_large: rs)
+        report = run_suite(SuiteConfig(types=(name,), max_rank=rs.rank))
+        assert report["overall_status"] == "pass"
+        written, compact = tmp_path / "char.json", tmp_path / "compact.json"
+        for kind, itheta, j in (("M", "all", "none"), ("E", "1,3", "1"), ("nabla", "2", "2")):
+            args = ["char", "--type", name, "--kind", kind, "--itheta", itheta, "--j", j]
+            assert main([*args, "--json", "--out", str(written)]) == 0
+            # a compact copy is not the writer's layout, so it is decoded whole
+            compact.write_text(json.dumps(json.loads(written.read_text())))
+            out = tmp_path / "dec.json"
+            for path in (written, compact):
+                assert main(["decompose", "--in", str(path), "--json", "--out", str(out)]) == 0
+                assert json.loads(out.read_text())["ok"]
+
+    # an equal system, exercised first, so that any cache that outlives a
+    # call holds its objects
+    other = RootSystem(CartanType.parse(name))
+    exercise(other)
+    before = dict(other._weyl_memo)
+    fresh = RootSystem(CartanType.parse(name))
+    exercise(fresh)
+    memo = fresh._weyl_memo
+    for key in memo:
+        assert is_table(key) or (type(key) is tuple and len(key) == 2 and is_table(key[0]))
+    names = {(key[0] if isinstance(key, tuple) else key).__name__ for key in memo}
+    assert {"kept_masks", "_word_rank", "_descent_classes", "_subgroup_bits",
+            "_weight_ids", "_supports", "_descent_counts", "_every_candidate",
+            "_word_pieces", "_piece_ids"} <= names
+    # an index set is one key however it is listed
+    assert weyl_subgroup(fresh, [2, 1]) is weyl_subgroup(fresh, (1, 2))
+    assert sum(isinstance(k, tuple) and k[0].__name__ == "_subgroup"
+               and k[1] == frozenset({1, 2}) for k in memo) == 1
+    # nothing the fresh system did reached the equal one's memo
+    assert other._weyl_memo.keys() == before.keys()
+    assert all(other._weyl_memo[k] is v for k, v in before.items())
+
+
 def planted_classes(fault):
     """`charcalc._descent_classes` with one fault planted, in the class
     lists and the bitsets alike: the first (shortest) element of the
