@@ -5,6 +5,10 @@ Everything is computed over exact integers and rationals; no floating
 point enters any kernel.  All enumeration orders are deterministic and
 all randomized routines take explicit seeds, so every run is
 reproducible bit for bit.
+
+The incidence-algebra side (`catx.incidence`, `catx.linalg`, and the
+`fractions` they compute in) is imported on first use of one of its
+names, not with catx: only algebra requests need it.
 """
 
 __version__ = "0.1.0"
@@ -29,12 +33,6 @@ from catx.charcalc import (
     induced_character,
     simple_character,
     weight_lt,
-)
-from catx.incidence import (
-    AlgebraModule,
-    IncidenceAlgebra,
-    build_incidence_algebra,
-    krull_schmidt_decompose,
 )
 
 __all__ = [
@@ -63,3 +61,23 @@ __all__ = [
     "simple_character",
     "weight_lt",
 ]
+
+# Bound by `__getattr__` on first use, then read like the other names.
+# No submodule is among them: `from catx import incidence` must find
+# catx.incidence missing, so that the import system loads it.
+_ALGEBRA_NAMES = frozenset(
+    {"AlgebraModule", "IncidenceAlgebra", "build_incidence_algebra", "krull_schmidt_decompose"}
+)
+
+
+def __getattr__(name: str):
+    if name not in _ALGEBRA_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from catx import incidence
+
+    value = globals()[name] = getattr(incidence, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _ALGEBRA_NAMES)

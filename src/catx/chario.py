@@ -15,7 +15,9 @@ one pass per chunk; only its header goes through the JSON decoder.  Any
 other text is decoded whole, and every word in it is canonicalized,
 with a warning or (strict mode) a failure on non-canonical coset data.
 Module files carry vertex dimensions and the nonzero covering matrices
-with exact rational entries.  Writing is canonical: for any payload,
+with exact rational entries; reading one imports the incidence-algebra
+stack (`catx.incidence`, `catx.linalg`, `fractions`) on first use, not
+with this module.  Writing is canonical: for any payload,
 write then read then write is byte identical.
 """
 
@@ -23,17 +25,20 @@ from __future__ import annotations
 
 import json
 import sys
-from fractions import Fraction as Q
 from functools import reduce
 from itertools import repeat
 from operator import or_
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from catx.charcalc import FormalCharacter, ModuleCharacter, _word_rank
 from catx.errors import InputError, ResourceGuardError
-from catx.incidence import AlgebraModule, build_incidence_algebra
 from catx.rootsystem import RootSystem, build_root_system
 from catx.weyl import _index_mask, element_from_word, group_table, per_system
+
+if TYPE_CHECKING:
+    from fractions import Fraction as Q
+
+    from catx.incidence import AlgebraModule
 
 
 _WEIGHT_KEYS = frozenset({"coset_rep", "v", "mult"})
@@ -563,6 +568,8 @@ def _encode_entry(q: Q):
 
 
 def _decode_entry(x, what: str) -> Q:
+    from fractions import Fraction as Q
+
     if isinstance(x, bool) or not isinstance(x, (int, str)):
         raise InputError(f"{what}: entries must be ints or 'p/q' strings")
     try:
@@ -590,6 +597,8 @@ def module_dumps(module: AlgebraModule) -> str:
 
 
 def module_from_json(data: dict, *, allow_large: bool = False) -> AlgebraModule:
+    from catx.incidence import AlgebraModule, build_incidence_algebra
+
     if not isinstance(data, dict):
         raise InputError("module payload must be a JSON object")
     missing = {"n", "dims", "maps"} - set(data)

@@ -4,7 +4,9 @@ Subcommands: roots, weyl, char, decompose, verify, algebra.  Exit codes:
 0 success, 1 a verification or decomposition failed, 2 invalid input.
 Their options are declared once, in `COMMANDS`: a command line that
 spells them out exactly is read directly, any other by argparse, which
-is imported only then.
+is imported only then.  Likewise the incidence-algebra stack
+(`catx.incidence`, `catx.linalg`, `fractions`) is imported by the
+algebra request that first needs it, not with this module.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import sys
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Optional
 
-from catx import linalg
 from catx.charcalc import (
     JPRIME_CONVENTIONS,
     FormalCharacter,
@@ -34,14 +35,6 @@ from catx.chario import (
     module_loads,
 )
 from catx.errors import InputError, ResourceGuardError
-from catx.incidence import (
-    build_incidence_algebra,
-    cartan_and_ext,
-    heredity_chain_check,
-    krull_schmidt_decompose,
-    radical_series,
-    regular_module,
-)
 from catx.rootsystem import build_root_system
 from catx.verify import (
     CHECKS,
@@ -298,6 +291,16 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_algebra(args) -> int:
+    from catx import linalg
+    from catx.incidence import (
+        build_incidence_algebra,
+        cartan_and_ext,
+        heredity_chain_check,
+        krull_schmidt_decompose,
+        radical_series,
+        regular_module,
+    )
+
     a = build_incidence_algebra(args.n, allow_large=args.allow_large)
     series = radical_series(a)
     cartan, ext1 = cartan_and_ext(a)

@@ -165,12 +165,6 @@ def radical_series(a: IncidenceAlgebra) -> list[int]:
     return series
 
 
-def algebra_radical(a: IncidenceAlgebra) -> tuple[tuple[Pair, ...], list[int]]:
-    """Radical basis (strict pairs) and the dimensions of its powers
-    (`radical_series`)."""
-    return _row_pairs(a, _radical_rows(a.rows)), radical_series(a)
-
-
 def cartan_and_ext(
     a: IncidenceAlgebra,
 ) -> tuple[list[list[int]], dict[Pair, int]]:
@@ -185,11 +179,6 @@ def cartan_and_ext(
     rad2 = _row_product(rad, rad)
     arrows = [r & ~r2 for r, r2 in zip(rad, rad2)]
     return cartan, dict.fromkeys(_row_pairs(a, arrows), 1)
-
-
-def cartan_determinant(a: IncidenceAlgebra) -> Q:
-    cartan, _ = cartan_and_ext(a)
-    return linalg.det(cartan)
 
 
 def heredity_chain_check(a: IncidenceAlgebra) -> dict:

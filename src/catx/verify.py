@@ -21,8 +21,10 @@ from __future__ import annotations
 import io
 import json
 import time
+from itertools import combinations
+from typing import TYPE_CHECKING
 
-from catx import __version__, linalg
+from catx import __version__
 from catx.charcalc import (
     JPRIME_CONVENTIONS,
     STABILIZER_MODEL,
@@ -32,18 +34,11 @@ from catx.charcalc import (
 )
 from catx.chario import json_text
 from catx.errors import InputError, ResourceGuardError
-from catx.incidence import (
-    IncidenceAlgebra,
-    all_subsets,
-    build_incidence_algebra,
-    cartan_and_ext,
-    heredity_chain_check,
-    krull_schmidt_decompose,
-    radical_series,
-    regular_module,
-)
 from catx.rootsystem import CartanType, build_root_system
 from catx.weyl import enumerate_biclosed
+
+if TYPE_CHECKING:
+    from catx.incidence import IncidenceAlgebra
 
 CHECKS = ("biclosed", "filtration", "order-axioms", "algebra")
 ITHETA_MODES = ("all-subsets", "full-only")
@@ -161,9 +156,12 @@ class SuiteConfig:
 
 
 def _itheta_sets(rank: int, mode: str):
+    """The ithetas to check: every subset of the simple indices, by size
+    then sorted, or only the full set."""
+    simples = range(1, rank + 1)
     if mode == "full-only":
-        return [frozenset(range(1, rank + 1))]
-    return list(all_subsets(rank))
+        return [frozenset(simples)]
+    return [frozenset(c) for k in range(rank + 1) for c in combinations(simples, k)]
 
 
 def _timed(records: list[dict], t0: float, batch: list[dict]) -> None:
@@ -220,6 +218,8 @@ def _theta_records(cfg: SuiteConfig) -> list[dict]:
 
 
 def _dimension_record(a: IncidenceAlgebra) -> dict:
+    from catx.incidence import radical_series
+
     series = radical_series(a)
     dim_ok = a.dim == 3**a.n
     series_ok = series[-1] == 0 and all(x > y for x, y in zip(series, series[1:]))
@@ -232,6 +232,9 @@ def _dimension_record(a: IncidenceAlgebra) -> dict:
 
 
 def _cartan_record(a: IncidenceAlgebra) -> dict:
+    from catx import linalg
+    from catx.incidence import cartan_and_ext
+
     n = a.n
     cartan, ext1 = cartan_and_ext(a)
     det = linalg.det(cartan)
@@ -261,6 +264,8 @@ def _cartan_record(a: IncidenceAlgebra) -> dict:
 
 
 def _heredity_record(a: IncidenceAlgebra) -> dict:
+    from catx.incidence import heredity_chain_check
+
     result = heredity_chain_check(a)
     return _record(
         "algebra-heredity", {"n": a.n}, result["passed"], {"layers": result["layers"]}
@@ -268,6 +273,8 @@ def _heredity_record(a: IncidenceAlgebra) -> dict:
 
 
 def _split_record(a: IncidenceAlgebra, seed: int) -> dict:
+    from catx.incidence import krull_schmidt_decompose, regular_module
+
     parts = krull_schmidt_decompose(a, regular_module(a), seed=seed)
     got = sorted((m.total_dim, mult, cert) for m, mult, cert in parts)
     want = sorted((2 ** (a.n - len(y)), 1, True) for y in a.subsets)
@@ -281,7 +288,11 @@ def _split_record(a: IncidenceAlgebra, seed: int) -> dict:
 
 def _algebra_records(cfg: SuiteConfig) -> list[dict]:
     """Per n, one incidence algebra and every algebra check on it; the
-    dimension record's time includes the build."""
+    dimension record's time includes the build.  The incidence-algebra
+    stack is imported here and in the record helpers, on the first
+    algebra check of the process, not with this module."""
+    from catx.incidence import build_incidence_algebra
+
     records: list[dict] = []
     for n in range(ALGEBRA_DIM_MAX + 1):
         t0 = time.perf_counter()

@@ -4,7 +4,9 @@ The root-system ones read roots as coordinate tuples.  Most others
 restate, on `Weight` and `WeylElement` objects, an order or a
 construction that `catx.charcalc` computes on packed integer ids.  The
 incidence-algebra ones restate, on sets of (Y, Z) frozenset pairs, the
-checks that `catx.incidence` runs on bitset rows.  `build_parser` is
+checks that `catx.incidence` runs on bitset rows; `algebra_radical` and
+`cartan_determinant` are the bitset-row ones that no catx code calls,
+kept for the tests.  `build_parser` is
 the command line's argparse parser as it was written out by hand, before
 `catx.cli` declared its options in one table.  `reference_decompose` and
 `reference_filtration` are the decomposition and the filtration sweep as
@@ -52,13 +54,18 @@ from catx.cli import (
     _cmd_verify,
     _cmd_weyl,
 )
+from catx import linalg
 from catx.incidence import (
     AlgebraModule,
     IncidenceAlgebra,
     Pair,
     Subset,
     _HomSpace,
+    _radical_rows,
+    _row_pairs,
+    cartan_and_ext,
     interval_module,
+    radical_series,
     subset_key,
 )
 from catx.errors import InputError
@@ -490,6 +497,21 @@ def reference_filtration(
             want = {(theta, k): 1 for k in factors}
             records.append(_decomposition_record(check, params, dec, want))
     return records
+
+
+# ----------------------------------------------------------------------
+# the incidence algebra on bitset rows
+
+
+def algebra_radical(a: IncidenceAlgebra) -> tuple[tuple[Pair, ...], list[int]]:
+    """Radical basis (strict pairs) and the dimensions of its powers
+    (`radical_series`)."""
+    return _row_pairs(a, _radical_rows(a.rows)), radical_series(a)
+
+
+def cartan_determinant(a: IncidenceAlgebra) -> Q:
+    cartan, _ = cartan_and_ext(a)
+    return linalg.det(cartan)
 
 
 # ----------------------------------------------------------------------

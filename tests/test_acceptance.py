@@ -21,7 +21,6 @@ from catx.incidence import (
     all_subsets,
     build_incidence_algebra,
     cartan_and_ext,
-    cartan_determinant,
     direct_sum,
     heredity_chain_check,
     interval_module,
@@ -31,7 +30,7 @@ from catx.incidence import (
 )
 from catx.rootsystem import build_root_system
 from catx.weyl import enumerate_biclosed, min_coset_reps
-from reference import preserved_roots, simple_coset_reps
+from reference import cartan_determinant, preserved_roots, simple_coset_reps
 
 RANK_LE_3 = ("A1", "A2", "B2", "C2", "G2", "A3", "B3", "C3")
 

@@ -758,9 +758,13 @@ def test_console_entry_point():
     assert json.loads(proc.stdout)["count"] == 3
 
 
+# what only algebra requests load
+ALGEBRA_STACK = ("fractions", "decimal", "catx.incidence", "catx.linalg")
+
+
 def test_importing_the_cli_loads_no_unused_modules():
     # in a fresh interpreter: the test process itself has imported these
-    unused = ("dataclasses", "inspect", "csv", "datetime", "argparse", "gettext")
+    unused = ("dataclasses", "inspect", "csv", "datetime", "argparse", "gettext", *ALGEBRA_STACK)
     proc = subprocess.run(
         [
             sys.executable, "-c",
@@ -803,3 +807,87 @@ print(code, out.getvalue().startswith("usage: catx"), "argparse" in sys.modules)
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == "[0, 0, 0, 0, 0, 0] False False\n0 True True\n"
+
+
+def _run_in_fresh_interpreter(calls, blocked=()):
+    """Exit code and stdout of each call of `main`, in order, in a fresh
+    interpreter with the modules `blocked` made unimportable, then the
+    modules of the incidence-algebra stack it loaded."""
+    script = f"""
+import contextlib, io, json, sys
+for name in {blocked!r}:
+    sys.modules[name] = None
+from catx.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        results.append([main(argv), out.getvalue()])
+print(json.dumps([results, [m for m in {ALGEBRA_STACK!r} if m in sys.modules]]))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(calls)],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    return json.loads(proc.stdout)
+
+
+def test_only_algebra_requests_load_the_incidence_algebra_stack(tmp_path):
+    char_file = str(tmp_path / "c.json")
+    results, loaded = _run_in_fresh_interpreter([
+        ["roots", "--type", "B2"],
+        ["weyl", "--type", "B3"],
+        ["char", "--type", "B3", "--kind", "nabla", "--j", "1,2", "--json", "--out", char_file],
+        ["decompose", "--in", char_file],
+        ["verify", "--checks", "biclosed,filtration,order-axioms", "--max-rank", "3"],
+    ])
+    assert [code for code, _ in results] == [0] * 5
+    assert loaded == []
+    for argv in (["algebra", "--n", "2"], ["verify", "--types", "A1", "--checks", "algebra"]):
+        results, loaded = _run_in_fresh_interpreter([argv])
+        assert [code for code, _ in results] == [0], argv
+        assert loaded == list(ALGEBRA_STACK), argv
+
+
+def test_the_package_resolves_the_algebra_names_on_first_use():
+    script = f"""
+import sys, catx
+print([m for m in {ALGEBRA_STACK!r} if m in sys.modules])
+print(set(catx.__all__) <= set(dir(catx)))
+import catx.incidence
+print(catx.AlgebraModule is catx.incidence.AlgebraModule)
+names = {{}}
+exec("from catx import *", names)
+print(sorted(names.keys() - {{"__builtins__"}}) == sorted(catx.__all__))
+try:
+    catx.no_such_name
+except AttributeError as exc:
+    print(exc)
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (
+        "[]\nTrue\nTrue\nTrue\nmodule 'catx' has no attribute 'no_such_name'\n"
+    )
+
+
+def test_every_command_runs_alike_with_sympy_blocked(tmp_path):
+    # sympy is only the factorizer's fallback, which no command here reaches
+    char_file = str(tmp_path / "c.json")
+    calls = [
+        ["roots", "--type", "G2", "--json"],
+        ["weyl", "--type", "B3", "--biclosed"],
+        ["char", "--type", "B3", "--kind", "nabla", "--j", "1,2", "--json", "--out", char_file],
+        ["decompose", "--in", char_file, "--json"],
+        ["verify", "--max-rank", "3", "--seed", "1"],
+        ["algebra", "--n", "3", "--json"],
+    ]
+    blocked, _ = _run_in_fresh_interpreter(calls, blocked=("sympy",))
+    written = (tmp_path / "c.json").read_bytes()
+    free, _ = _run_in_fresh_interpreter(calls)
+    assert blocked == free
+    assert [code for code, _ in free] == [0] * len(calls)
+    assert (tmp_path / "c.json").read_bytes() == written

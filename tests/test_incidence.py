@@ -15,10 +15,8 @@ from catx.cli import main
 from catx.errors import InputError, ResourceGuardError
 from catx.incidence import (
     AlgebraModule,
-    algebra_radical,
     build_incidence_algebra,
     cartan_and_ext,
-    cartan_determinant,
     direct_sum,
     heredity_chain_check,
     interval_module,
@@ -28,6 +26,8 @@ from catx.incidence import (
     regular_module,
 )
 from reference import (
+    algebra_radical,
+    cartan_determinant,
     hom_basis,
     pair_basis,
     pair_cartan_and_ext,

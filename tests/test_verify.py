@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import catx
+import catx.incidence
 import catx.verify
 from catx.errors import InputError, ResourceGuardError
 from catx.verify import (
@@ -72,13 +76,14 @@ def test_suite_config_reads_ranks_without_building_root_systems(monkeypatch):
 
 def test_algebra_check_builds_each_algebra_once(monkeypatch):
     built = []
-    build = catx.verify.build_incidence_algebra
+    build = catx.incidence.build_incidence_algebra
 
     def counting(n, **kwargs):
         built.append(n)
         return build(n, **kwargs)
 
-    monkeypatch.setattr(catx.verify, "build_incidence_algebra", counting)
+    # verify imports it from catx.incidence where the algebra records run
+    monkeypatch.setattr(catx.incidence, "build_incidence_algebra", counting)
     records = catx.verify._algebra_records(SuiteConfig(types=("A1",), checks=("algebra",)))
     assert built == list(range(ALGEBRA_DIM_MAX + 1))
     assert len(records) == 7 + 6 + 5 + 2
@@ -152,6 +157,51 @@ def test_report_deterministic_modulo_timestamps():
     r1 = strip_run_dependent(run_suite(cfg1))
     r2 = strip_run_dependent(run_suite(cfg2))
     assert r1 == r2
+
+
+# The report families whose records must not depend on the hash seed,
+# each with the exit code it must give: the full rank-3 run; the
+# filtration sweep's per-subgroup slice tables and the order rows at
+# rank 4; and the rejected convention, which fails on purpose, with its
+# counterexamples at rank 3 and, read off the family bitsets, at rank 4.
+HASH_SEED_FAMILIES = {
+    "hash": (["--max-rank", "3"], 0),
+    "slices": (
+        ["--types", "B4,C4,D4,F4", "--checks", "filtration,order-axioms", "--max-rank", "4"],
+        0,
+    ),
+    "rejected": (
+        ["--types", "A2,B3,C3,G2", "--checks", "filtration", "--jprime-convention", "i-minus-j"],
+        1,
+    ),
+    "rejected4": (
+        ["--types", "B4,C4,D4,F4", "--checks", "filtration", "--max-rank", "4",
+         "--jprime-convention", "i-minus-j"],
+        1,
+    ),
+}
+
+
+def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
+    reports = {}
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed}
+        for name, (argv, code) in HASH_SEED_FAMILIES.items():
+            out = tmp_path / f"{name}{seed}.json"
+            proc = subprocess.run(
+                [sys.executable, "-m", "catx.cli", "verify", *argv, "--seed", "1",
+                 "--out", str(out)],
+                capture_output=True,
+                text=True,
+                env=env,
+            )
+            assert (proc.returncode, proc.stderr) == (code, ""), (name, seed)
+            reports[name, seed] = strip_run_dependent(json.loads(out.read_text()))
+    for name in HASH_SEED_FAMILIES:
+        # as texts, so that the order of keys counts too
+        assert json.dumps(reports[name, "0"]) == json.dumps(reports[name, "1"]), name
+    failing = [r for r in reports["rejected4", "0"]["records"] if not r["passed"]]
+    assert failing and all(r["counterexample"] for r in failing)
 
 
 def test_report_dumps_and_csv():
